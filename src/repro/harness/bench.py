@@ -35,8 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
 from repro.cpu.pipeline import Pipeline
 from repro.kernels import get_kernel
@@ -72,28 +70,22 @@ class MaterializedRun:
 def materialize(
     kernel_name: str, isa: str, scale: float = 1.0, seed: int = 0
 ) -> MaterializedRun:
-    """Run the functional passes once and capture the dynamic trace, so
-    repeated timing runs measure only the timing model."""
+    """Record the dynamic trace in one functional pass, so repeated
+    timing runs measure only the timing model."""
     kernel = get_kernel(kernel_name)
     wl = kernel.workload(seed=seed, scale=scale)
     cfg = uve_machine() if isa == "uve" else baseline_machine()
     program = kernel.build(isa, wl, cfg.vector_bits)
-    snapshot = wl.memory.data.copy()
-    first = FunctionalSimulator(
+    functional = FunctionalSimulator(
         program, memory=wl.memory, vector_bits=cfg.vector_bits
     )
-    summary = first.run()
-    np.copyto(wl.memory.data, snapshot)
-    second = FunctionalSimulator(
-        program, memory=wl.memory, vector_bits=cfg.vector_bits
-    )
-    trace = list(second.trace())
+    trace = list(functional.trace())
     return MaterializedRun(
         kernel=kernel_name,
         isa=isa,
         config=cfg,
         trace=trace,
-        stream_infos=dict(summary.streams),
+        stream_infos=dict(functional.summary.streams),
         mem_bytes=wl.memory._brk,
     )
 
@@ -166,7 +158,6 @@ def bench_case(
 #: (the functional side is deterministic and shared, so the traces match)
 _BASELINE_SNIPPET = r"""
 import json, sys, time
-import numpy as np
 from repro.cpu.config import uve_machine, baseline_machine
 from repro.cpu.pipeline import Pipeline
 from repro.kernels import get_kernel
@@ -180,20 +171,15 @@ kernel = get_kernel(kern)
 wl = kernel.workload(seed=0, scale=scale)
 cfg = uve_machine() if isa == "uve" else baseline_machine()
 program = kernel.build(isa, wl, cfg.vector_bits)
-snap = wl.memory.data.copy()
-summary = FunctionalSimulator(
-    program, memory=wl.memory, vector_bits=cfg.vector_bits
-).run()
-np.copyto(wl.memory.data, snap)
-second = FunctionalSimulator(
+functional = FunctionalSimulator(
     program, memory=wl.memory, vector_bits=cfg.vector_bits
 )
-trace = list(second.trace())
+trace = list(functional.trace())
 best, stats = None, None
 for _ in range(repeats):
     h = MemoryHierarchy(cfg)
     h.warm(0, wl.memory._brk)
-    p = Pipeline(cfg, h, dict(summary.streams))
+    p = Pipeline(cfg, h, dict(functional.summary.streams))
     t0 = time.perf_counter()
     p.run(iter(trace))
     dt = time.perf_counter() - t0

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cpu.config import MachineConfig, uve_machine
-from repro.cpu.pipeline import Pipeline
 from repro.isa.program import Program
 from repro.memory.backing import Memory
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceSummary
 
 
@@ -82,21 +81,8 @@ def pipeline_timeline(
     count: int = 40,
 ) -> str:
     """Run the full simulator and render rename/issue/commit cycles for
-    ``count`` instructions starting at dynamic index ``first``."""
-    import numpy as np
-
-    config = config or uve_machine()
-    snapshot = memory.data.copy()
-    summary = FunctionalSimulator(
-        program, memory=memory, vector_bits=config.vector_bits
-    ).run()
-    np.copyto(memory.data, snapshot)
-
-    second = FunctionalSimulator(
-        program, memory=memory, vector_bits=config.vector_bits
-    )
-    hierarchy = MemoryHierarchy(config)
-    pipeline = Pipeline(config, hierarchy, dict(summary.streams))
+    ``count`` instructions starting at dynamic index ``first``; the
+    ``total:`` line is the run's :meth:`Simulator.run` cycle count."""
     window: Dict[int, OpTiming] = {}
 
     def observer(event: str, dyn, cycle: float) -> None:
@@ -107,8 +93,9 @@ def pipeline_timeline(
             timing = window[dyn.seq] = OpTiming(dyn.seq, dyn.pc, str(dyn.inst))
         setattr(timing, event, cycle)
 
-    pipeline.observer = observer
-    stats = pipeline.run(second.trace())
+    stats = Simulator(program, memory, config or uve_machine()).run(
+        observer
+    ).timing
 
     header = (
         f"{'seq':>6s} {'pc':>4s} {'instruction':<40s} "

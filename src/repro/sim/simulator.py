@@ -1,28 +1,31 @@
 """Combined functional + timing simulation.
 
-The timing pipeline needs complete per-stream chunk sequences *before*
-consuming instructions arrive (the Streaming Engine runs ahead of the
-core), so simulation is two-pass: the functional simulator runs once to
-produce stream metadata and the committed-instruction summary, memory is
-restored from a snapshot, and a second functional pass feeds the pipeline
-its trace lazily (keeping peak memory flat).
+The Streaming Engine runs ahead of the core (paper §IV-B): it starts
+fetching a stream's chunks as soon as the stream is configured, long
+before the instructions that consume them are fetched, so the timing
+pipeline must know every chunk's addresses before timing starts.
+Simulation therefore runs the functional simulator once, keeps its
+dynamic trace (one :class:`DynOp` per committed instruction) in a plain
+list, and times that list with the same run's per-stream chunk records
+(``summary.streams``).  The timing model consumes exactly the trace the
+engine metadata came from, so the two cannot diverge.
+
+The held trace costs about 220 bytes per committed instruction (see
+docs/TIMING.md for measured peaks).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.stats import PipelineStats
-from repro.errors import ExecutionError
 from repro.isa.program import Program
 from repro.memory.backing import Memory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.trace import TraceSummary
+from repro.sim.trace import DynOp, TraceSummary
 
 
 @dataclass
@@ -83,63 +86,6 @@ class SimulationResult:
         return out
 
 
-def _check_replay(
-    program: str, first: TraceSummary, second: TraceSummary
-) -> None:
-    """Compare the two passes' full trace summaries.
-
-    The timing pipeline's trace (pass 2) must be the same dynamic
-    instruction sequence the Streaming Engine metadata was collected
-    from (pass 1); any divergence means data-dependent control flow saw
-    different memory — the snapshot/restore contract was violated — and
-    every timing number would be quietly wrong.  The diff names each
-    mismatching facet so the failure is debuggable.
-    """
-    problems = []
-    if second.committed != first.committed:
-        problems.append(
-            f"committed {second.committed} vs {first.committed}"
-        )
-    if second.by_class != first.by_class:
-        keys = sorted(
-            set(first.by_class) | set(second.by_class), key=lambda c: c.name
-        )
-        diffs = [
-            f"{cls.name}: {second.by_class.get(cls, 0)} vs "
-            f"{first.by_class.get(cls, 0)}"
-            for cls in keys
-            if second.by_class.get(cls, 0) != first.by_class.get(cls, 0)
-        ]
-        problems.append(f"per-class counts differ ({'; '.join(diffs)})")
-    if second.branches != first.branches:
-        problems.append(f"branches {second.branches} vs {first.branches}")
-    if second.taken_branches != first.taken_branches:
-        problems.append(
-            f"taken branches {second.taken_branches} vs "
-            f"{first.taken_branches}"
-        )
-    if len(second.streams) != len(first.streams):
-        problems.append(
-            f"stream configurations {len(second.streams)} vs "
-            f"{len(first.streams)}"
-        )
-    else:
-        for uid, info in first.streams.items():
-            other = second.streams.get(uid)
-            if other is None:
-                problems.append(f"stream uid {uid} missing in pass 2")
-            elif len(other.chunks) != len(info.chunks):
-                problems.append(
-                    f"stream uid {uid} (reg u{info.reg}): "
-                    f"{len(other.chunks)} vs {len(info.chunks)} chunks"
-                )
-    if problems:
-        raise ExecutionError(
-            f"non-deterministic replay of {program!r}: the timing pass "
-            "diverged from the metadata pass — " + "; ".join(problems)
-        )
-
-
 class Simulator:
     """Runs a program functionally and through the timing model."""
 
@@ -165,32 +111,26 @@ class Simulator:
         )
         return sim.run()
 
-    def run(self) -> SimulationResult:
-        snapshot = self.memory.data.copy()
+    def run(
+        self, observer: Optional[Callable[[str, DynOp, float], None]] = None
+    ) -> SimulationResult:
+        """Record the trace in one functional pass, then time it.
 
-        # Pass 1: functional, collecting stream metadata + summary.
-        first = FunctionalSimulator(
+        ``observer``, if given, is installed as the pipeline's
+        per-instruction rename/issue/commit hook.
+        """
+        functional = FunctionalSimulator(
             self.program, memory=self.memory,
             vector_bits=self.config.vector_bits,
         )
-        summary = first.run()
-
-        # Restore memory so the data-dependent control flow of pass 2
-        # replays identically.
-        np.copyto(self.memory.data, snapshot)
-
-        # Pass 2: lazy trace into the timing pipeline.
-        second = FunctionalSimulator(
-            self.program, memory=self.memory,
-            vector_bits=self.config.vector_bits,
-        )
+        trace = list(functional.trace())
+        summary = functional.summary
         hierarchy = MemoryHierarchy(self.config)
         if self.warm:
             hierarchy.warm(0, self.memory._brk)
-        stream_infos: Dict = dict(summary.streams)
-        pipeline = Pipeline(self.config, hierarchy, stream_infos)
-        timing = pipeline.run(second.trace())
-        _check_replay(self.program.name, summary, second.summary)
+        pipeline = Pipeline(self.config, hierarchy, dict(summary.streams))
+        pipeline.observer = observer
+        timing = pipeline.run(trace)
         return SimulationResult(
             program=self.program.name,
             summary=summary,

@@ -127,9 +127,10 @@ class TestProgram:
 
 
 class TestSimulatorDeterminism:
-    def test_two_pass_replay_is_identical(self):
-        """The Simulator's snapshot/restore makes pass 2 replay pass 1
-        exactly, even for in-place kernels with data-dependent branches."""
+    def test_one_pass_times_the_executed_trace(self):
+        """Simulator.run times the trace of its single functional pass,
+        so even an in-place kernel with data-dependent branches commits
+        in the timing model exactly the instructions it executed."""
         from repro.cpu.config import uve_machine
         from repro.kernels import get_kernel
         from repro.sim.simulator import Simulator
@@ -139,7 +140,7 @@ class TestSimulatorDeterminism:
         program = kernel.build("uve", wl)
         result = Simulator(program, wl.memory, uve_machine()).run()
         wl.verify()
-        assert result.committed == result.summary.committed
+        assert result.timing.committed == result.summary.committed
 
     def test_max_steps_guard(self):
         from repro.errors import ExecutionError

@@ -1,10 +1,13 @@
 """Tests for the debug/introspection helpers."""
 import numpy as np
 
+from repro.cpu.config import uve_machine
 from repro.isa.assembler import assemble
+from repro.kernels import get_kernel
 from repro.memory.backing import Memory
 from repro.sim.debug import functional_trace, pipeline_timeline, stream_report
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.simulator import Simulator
 
 
 def make_saxpy(n=64):
@@ -64,6 +67,20 @@ class TestPipelineTimeline:
                     float(cols[-3]), float(cols[-2]), float(cols[-1])
                 )
                 assert rename <= issue <= commit
+
+    def test_total_matches_simulator_run(self):
+        """The timeline times the same warmed hierarchy as Simulator.run,
+        so its total is the run's cycle count."""
+        kernel = get_kernel("saxpy")
+        cfg = uve_machine()
+
+        def saxpy_kernel():
+            wl = kernel.workload(seed=0, scale=0.2)
+            return kernel.build("uve", wl, cfg.vector_bits), wl.memory
+
+        text = pipeline_timeline(*saxpy_kernel(), cfg)
+        cycles = Simulator(*saxpy_kernel(), cfg).run().cycles
+        assert text.splitlines()[-1].startswith(f"total: {cycles:.0f} cycles")
 
 
 class TestStreamReport:

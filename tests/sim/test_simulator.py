@@ -1,15 +1,13 @@
-"""Unit tests for the combined Simulator (two-pass orchestration)."""
+"""Unit tests for the combined Simulator (one recorded pass, then timing)."""
 import numpy as np
-import pytest
 
 from repro.cpu.config import baseline_machine, uve_machine
 from repro.isa import ProgramBuilder, f, u, x
 from repro.isa import scalar_ops as sc
 from repro.isa import uve_ops as uve
-from repro.errors import ExecutionError
 from repro.isa.microop import OpClass
 from repro.memory.backing import Memory
-from repro.sim.simulator import SimulationResult, Simulator, _check_replay
+from repro.sim.simulator import SimulationResult, Simulator
 from repro.streams.pattern import Direction
 
 
@@ -31,15 +29,28 @@ def scale_program(mem, n=256):
     return b.build(), data
 
 
-class TestTwoPassOrchestration:
-    def test_memory_restored_between_passes(self):
-        """In-place kernels replay identically because pass 2 starts from
-        a snapshot — the final memory equals a single sequential run."""
+class TestOnePassSimulation:
+    """Simulator.run executes the program once and times the trace and
+    stream metadata of that same execution."""
+
+    def test_in_place_kernel_executes_once(self):
+        """The in-place scale kernel runs exactly once: the final memory
+        equals a single sequential run, not the data scaled twice."""
         mem = Memory(1 << 20)
         program, data = scale_program(mem)
         Simulator(program, mem, uve_machine()).run()
         got = mem.ndarray(data, (256,), np.float32)
         np.testing.assert_array_equal(got, 2.0 * np.arange(256))
+
+    def test_timing_consumes_the_recorded_trace(self):
+        mem = Memory(1 << 20)
+        program, _ = scale_program(mem)
+        result = Simulator(program, mem, uve_machine()).run()
+        assert result.timing.committed == result.summary.committed
+        streams = result.pipeline.stream_infos
+        assert streams.keys() == result.summary.streams.keys()
+        for uid, info in result.summary.streams.items():
+            assert streams[uid] is info
 
     def test_result_properties(self):
         mem = Memory(1 << 20)
@@ -81,63 +92,6 @@ class TestTwoPassOrchestration:
         program, _ = scale_program(mem)
         result = Simulator(program, mem).run()
         assert result.pipeline.engine is not None
-
-
-class TestReplayCheck:
-    """Simulator.run must fail loudly if the timing pass (pass 2) does
-    not replay the exact dynamic trace the stream metadata (pass 1) was
-    collected from."""
-
-    def run_summary(self):
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        sim = Simulator(program, mem, uve_machine())
-        return sim.run_functional()
-
-    def test_identical_replay_passes(self):
-        # Simulator.run calls _check_replay internally; a normal run must
-        # not trip it.
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        Simulator(program, mem, uve_machine()).run()
-
-    def test_committed_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.committed += 3
-        with pytest.raises(ExecutionError, match="committed"):
-            _check_replay("scale", first, second)
-
-    def test_per_class_divergence_names_the_class(self):
-        first, second = self.run_summary(), self.run_summary()
-        cls = next(iter(second.by_class))
-        second.by_class[cls] += 1
-        with pytest.raises(ExecutionError, match=cls.name):
-            _check_replay("scale", first, second)
-
-    def test_branch_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.taken_branches += 1
-        with pytest.raises(ExecutionError, match="taken branches"):
-            _check_replay("scale", first, second)
-
-    def test_stream_chunk_divergence(self):
-        first, second = self.run_summary(), self.run_summary()
-        uid, info = next(iter(second.streams.items()))
-        info.chunks.append([])
-        with pytest.raises(ExecutionError, match=f"uid {uid}"):
-            _check_replay("scale", first, second)
-
-    def test_missing_stream_config(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.streams.clear()
-        with pytest.raises(ExecutionError, match="stream configurations"):
-            _check_replay("scale", first, second)
-
-    def test_message_names_the_program(self):
-        first, second = self.run_summary(), self.run_summary()
-        second.committed += 1
-        with pytest.raises(ExecutionError, match="'scale'"):
-            _check_replay("scale", first, second)
 
 
 class TestResultExport:

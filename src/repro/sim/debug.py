@@ -93,9 +93,7 @@ def pipeline_timeline(
             timing = window[dyn.seq] = OpTiming(dyn.seq, dyn.pc, str(dyn.inst))
         setattr(timing, event, cycle)
 
-    stats = Simulator(program, memory, config or uve_machine()).run(
-        observer
-    ).timing
+    result = Simulator(program, memory, config or uve_machine()).run(observer)
 
     header = (
         f"{'seq':>6s} {'pc':>4s} {'instruction':<40s} "
@@ -109,7 +107,7 @@ def pipeline_timeline(
             f"{_cycle(t.rename)} {_cycle(t.issue)} {_cycle(t.commit)}"
         )
     lines.append(
-        f"total: {stats.cycles:.0f} cycles, IPC {stats.ipc:.2f}"
+        f"total: {result.cycles:.0f} cycles, IPC {result.ipc:.2f}"
     )
     return "\n".join(lines)
 

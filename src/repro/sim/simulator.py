@@ -2,13 +2,14 @@
 
 The Streaming Engine runs ahead of the core (paper §IV-B): it starts
 fetching a stream's chunks as soon as the stream is configured, long
-before the instructions that consume them are fetched, so the timing
-pipeline must know every chunk's addresses before timing starts.
-Simulation therefore runs the functional simulator once, keeps its
-dynamic trace (one :class:`DynOp` per committed instruction) in a plain
-list, and times that list with the same run's per-stream chunk records
-(``summary.streams``).  The timing model consumes exactly the trace the
-engine metadata came from, so the two cannot diverge.
+before the instructions that consume them are fetched.  The functional
+simulator produces chunk addresses only as those instructions execute,
+so the timing pipeline needs a finished functional run before timing
+starts.  Simulation therefore runs the functional simulator once, keeps
+its dynamic trace (one :class:`DynOp` per committed instruction) in a
+plain list, and times that list with the same run's per-stream chunk
+records (``summary.streams``).  The timing model consumes exactly the
+trace the engine metadata came from, so the two cannot diverge.
 
 The held trace costs about 220 bytes per committed instruction (see
 docs/TIMING.md for measured peaks).

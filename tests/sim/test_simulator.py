@@ -42,16 +42,6 @@ class TestOnePassSimulation:
         got = mem.ndarray(data, (256,), np.float32)
         np.testing.assert_array_equal(got, 2.0 * np.arange(256))
 
-    def test_timing_consumes_the_recorded_trace(self):
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        result = Simulator(program, mem, uve_machine()).run()
-        assert result.timing.committed == result.summary.committed
-        streams = result.pipeline.stream_infos
-        assert streams.keys() == result.summary.streams.keys()
-        for uid, info in result.summary.streams.items():
-            assert streams[uid] is info
-
     def test_result_properties(self):
         mem = Memory(1 << 20)
         program, _ = scale_program(mem)

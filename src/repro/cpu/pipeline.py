@@ -28,7 +28,7 @@ from repro.cpu.stats import PipelineStats
 from repro.engine.engine import StreamingEngine
 from repro.errors import ConfigError
 from repro.isa.microop import FuCluster, OpClass
-from repro.isa.registers import RegClass
+from repro.isa.registers import Reg, RegClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.trace import DynOp, StreamTraceInfo
 
@@ -37,17 +37,99 @@ _BANK_OF = {RegClass.X: "int", RegClass.F: "fp", RegClass.V: "vec"}
 #: op classes whose accumulator operand benefits from MAC->MAC forwarding
 _MAC_CLASSES = (OpClass.VEC_MAC, OpClass.FP_MAC)
 
-#: per-opclass (cluster, is_load, is_store, is_stream_co): one dict hit in
-#: _Op.__init__ instead of three enum property calls per dynamic op
-_OPCLASS_META = {
-    oc: (
-        oc.cluster,
-        oc.is_load,
-        oc.is_store,
-        oc in (OpClass.STREAM_CFG, OpClass.STREAM_CTL),
+#: architectural register -> small int key (bank offset + index); the
+#: RAT is a flat list indexed by these keys
+_KEY_BASE = {cls: 32 * i for i, cls in enumerate(RegClass)}
+_RAT_SIZE = 32 * len(RegClass)
+
+
+def _reg_key(reg: Reg) -> int:
+    return _KEY_BASE[reg.cls] + reg.index
+
+
+def _vec_index(reg: Reg) -> int:
+    """The index the stream-register exclusions test (-1: not a vector
+    register, so never a stream register)."""
+    return reg.index if reg.cls is RegClass.V else -1
+
+
+class _Decoded:
+    """What the timing model derives from one static instruction, decoded
+    once per :class:`Pipeline` on the first fetch of its pc.
+
+    Per pipeline, not per instruction: the latency and the MAC
+    forwarding pairing come from that pipeline's config.
+    """
+
+    __slots__ = (
+        "inst",
+        "sched",
+        "is_load",
+        "is_store",
+        "is_stream_co",
+        "needed_banks",
+        "alloc_dests",
+        "srcs",
+        "dest_keys",
+        "early_keys",
+        "mac_dest",
+        "latency",
+        "stop_reg",
     )
-    for oc in OpClass
-}
+
+    def __init__(self, pipeline: "Pipeline", dyn: DynOp) -> None:
+        oc = dyn.opclass
+        self.inst = dyn.inst
+        self.is_load = is_load = oc.is_load
+        self.is_store = is_store = oc.is_store
+        self.is_stream_co = is_stream_co = oc in (
+            OpClass.STREAM_CFG,
+            OpClass.STREAM_CTL,
+        )
+        #: scheduler queue this op dispatches to (None: completes outside
+        #: the execution clusters)
+        self.sched = (
+            None
+            if oc.cluster is FuCluster.NONE or is_stream_co
+            else pipeline._sched[oc.cluster]
+        )
+        #: (vector index, bank) of each destination allocating a physical
+        #: register, and the per-bank totals the structural check needs.
+        #: Stream config/control name streams via the Stream Alias Table,
+        #: not physical vector registers.
+        alloc = []
+        if not is_stream_co:
+            for dest in dyn.dests:
+                bank = _BANK_OF.get(dest.cls)
+                if bank is not None:
+                    alloc.append((_vec_index(dest), bank))
+        self.alloc_dests = tuple(alloc)
+        needed: Dict[str, int] = {}
+        for _, bank in alloc:
+            needed[bank] = needed.get(bank, 0) + 1
+        self.needed_banks = tuple(needed.items())
+        self.srcs = tuple((_reg_key(src), _vec_index(src)) for src in dyn.srcs)
+        self.dest_keys = tuple(_reg_key(dest) for dest in dyn.dests)
+        self.early_keys = tuple(_reg_key(dest) for dest in dyn.early_dests)
+        #: key of the accumulator a forwarding MAC reads and writes (-1:
+        #: no MAC->MAC forwarding for this op under this config)
+        self.mac_dest = (
+            self.dest_keys[0]
+            if pipeline._mac_forwarding and oc in _MAC_CLASSES and dyn.dests
+            else -1
+        )
+        self.latency = (
+            pipeline._latency[oc]
+            if self.sched is not None and not (is_load or is_store)
+            else 0
+        )
+        #: u register whose aliased stream a ``stream.stop`` terminates
+        self.stop_reg = (
+            dyn.inst.u.index
+            if oc is OpClass.STREAM_CTL
+            and getattr(dyn.inst, "kind", None) == "stop"
+            else -1
+        )
 
 
 class _Op:
@@ -55,8 +137,9 @@ class _Op:
 
     __slots__ = (
         "dyn",
-        "cluster",
+        "dec",
         "producers",
+        "waiters",
         "stream_waits",
         "store_streams",
         "complete",
@@ -64,49 +147,34 @@ class _Op:
         "issued",
         "is_load",
         "is_store",
-        "is_stream_co",
-        "needs_sched",
-        "needed_banks",
-        "sched",
         "wake_at",
         "mem_lines",
         "allocs",
         "mispredicted",
     )
 
-    def __init__(self, dyn: DynOp) -> None:
+    def __init__(self, dyn: DynOp, dec: _Decoded) -> None:
         self.dyn = dyn
-        cluster, is_load, is_store, is_stream_co = _OPCLASS_META[dyn.opclass]
-        self.cluster = cluster
-        #: (producer, wants_early) pairs; pruned as they are satisfied
+        self.dec = dec
+        #: (producer, wants_early, forward_bonus) triples; pruned as they
+        #: are satisfied
         self.producers: List = []
+        #: ops parked on this one until _execute gives it a completion time
+        self.waiters: Optional[List["_Op"]] = None
         self.stream_waits = ()
         self.store_streams = ()
         self.complete: Optional[float] = None
         self.early_complete: Optional[float] = None
         self.issued = False
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_stream_co = is_stream_co
-        self.needs_sched = cluster is not FuCluster.NONE and not is_stream_co
-        #: ((bank, count), ...) of physical registers this op allocates —
-        #: reused across repeated structural-block checks while stalled
-        if is_stream_co:
-            self.needed_banks = ()
-        else:
-            needed: Dict[str, int] = {}
-            for dest in dyn.dests:
-                bank = _BANK_OF.get(dest.cls)
-                if bank is not None:
-                    needed[bank] = needed.get(bank, 0) + 1
-            self.needed_banks = tuple(needed.items())
-        #: scheduler queue this op dispatches to (bound lazily)
-        self.sched: Optional[List["_Op"]] = None
+        self.is_load = dec.is_load
+        self.is_store = dec.is_store
         #: cycle before which _ready is known to return False (exact; 0.0
-        #: when some blocking condition has no known completion time yet)
+        #: when a blocking stream chunk has no known time yet, inf while
+        #: parked on an op that has not issued)
         self.wake_at = 0.0
         self.mem_lines: List[int] = []
-        self.allocs: Dict[str, int] = {}
+        #: ((bank, count), ...) of physical registers allocated at rename
+        self.allocs = ()
         self.mispredicted = False
 
 
@@ -183,7 +251,10 @@ class Pipeline:
             (self._sched[FuCluster.FP], False, core.fp_units),
             (self._sched[FuCluster.INT], False, core.int_alus),
         )
-        self._rat: Dict[object, _Op] = {}
+        #: register key (see _reg_key) -> latest in-flight producer
+        self._rat: List[Optional[_Op]] = [None] * _RAT_SIZE
+        #: pc -> _Decoded of its static instruction
+        self._decoded: Dict[int, _Decoded] = {}
         #: line -> in-flight (renamed, not yet drained) store ops, oldest
         #: first; loads must wait for every older store to the same line
         self._store_by_line: Dict[int, List[_Op]] = {}
@@ -428,13 +499,19 @@ class Pipeline:
             # the stall breakdown instead of losing these cycles.
             self.stats.fetch_stall_cycles += 1
             return progress
+        decoded = self._decoded
         for _ in range(min(width, room)):
             try:
                 dyn = next(trace_iter)
             except StopIteration:
                 self._trace_done = True
                 return True
-            op = _Op(dyn)
+            # A pc that names another instruction (a trace mixing
+            # programs) is decoded again, not timed with a stale record.
+            dec = decoded.get(dyn.pc)
+            if dec is None or dec.inst is not dyn.inst:
+                dec = decoded[dyn.pc] = _Decoded(self, dyn)
+            op = _Op(dyn, dec)
             self.stats.fetched += 1
             self._decode.append(op)
             progress = True
@@ -468,10 +545,12 @@ class Pipeline:
             self._rename_block = None
         renamed = 0
         fetch_width = self._fetch_width
+        rat = self._rat
         while self._decode and renamed < fetch_width:
             op = self._decode[0]
             dyn = op.dyn
-            cause = self._structural_block(op)
+            dec = op.dec
+            cause = self._structural_block(dec)
             if cause is not None:
                 self.stats.block(cause)
                 return renamed, cause
@@ -494,58 +573,55 @@ class Pipeline:
             self._rob_q.append(op)
             if self.observer is not None:
                 self.observer("rename", dyn, now)
-            # Resource allocation.  Stream config/control name streams via
-            # the Stream Alias Table, not physical vector registers; data
-            # written to an output stream lives in its reserved Store FIFO
-            # entry rather than a vector PR (§IV-A Stream Iteration).
-            if not op.is_stream_co:
-                write_regs = (
-                    {ev[0] for ev in dyn.stream_writes}
-                    if dyn.stream_writes
-                    else ()
-                )
-                for dest in dyn.dests:
-                    if dest.cls is RegClass.V and dest.index in write_regs:
-                        continue
-                    bank = _BANK_OF.get(dest.cls)
-                    if bank is not None:
-                        self._free[bank] -= 1
-                        op.allocs[bank] = op.allocs.get(bank, 0) + 1
-            if op.is_load:
+            # Resource allocation.  Data written to an output stream lives
+            # in its reserved Store FIFO entry rather than a vector PR
+            # (§IV-A Stream Iteration).
+            if dec.alloc_dests:
+                allocs = dec.needed_banks
+                if dyn.stream_writes:
+                    write_regs = {ev[0] for ev in dyn.stream_writes}
+                    counts: Dict[str, int] = {}
+                    for vidx, bank in dec.alloc_dests:
+                        if vidx not in write_regs:
+                            counts[bank] = counts.get(bank, 0) + 1
+                    allocs = tuple(counts.items())
+                free = self._free
+                for bank, count in allocs:
+                    free[bank] -= count
+                op.allocs = allocs
+            if dec.is_load:
                 self._lq += 1
-            if op.is_store:
+            if dec.is_store:
                 self._sq += 1
             # Register dependences via the RAT (stream-read registers are
             # satisfied by the FIFO, not by a producer).
-            stream_regs = (
-                {ev[0] for ev in dyn.stream_reads} if dyn.stream_reads else ()
-            )
-            is_mac = (
-                self._mac_forwarding and dyn.opclass in _MAC_CLASSES
-            )
-            for src in dyn.srcs:
-                if src.cls is RegClass.V and src.index in stream_regs:
-                    continue
-                producer = self._rat.get(src)
-                if producer is not None:
-                    # Cortex-A76-style accumulator forwarding: a MAC
-                    # feeding the accumulator of the next MAC is consumed
-                    # two cycles early (back-to-back FMLA chains).
-                    bonus = (
-                        2.0
-                        if is_mac
-                        and producer.dyn.opclass in _MAC_CLASSES
-                        and producer.dyn.dests
-                        and src == producer.dyn.dests[0]
-                        and dyn.dests
-                        and src == dyn.dests[0]
-                        else 0.0
-                    )
-                    op.producers.append(
-                        (producer, src in producer.dyn.early_dests, bonus)
-                    )
-            for dest in dyn.dests:
-                self._rat[dest] = op
+            if dec.srcs:
+                stream_regs = (
+                    {ev[0] for ev in dyn.stream_reads}
+                    if dyn.stream_reads
+                    else ()
+                )
+                mac_dest = dec.mac_dest
+                producers = op.producers
+                for key, vidx in dec.srcs:
+                    if vidx in stream_regs:
+                        continue
+                    producer = rat[key]
+                    if producer is not None:
+                        pdec = producer.dec
+                        # Cortex-A76-style accumulator forwarding: a MAC
+                        # feeding the accumulator of the next MAC is
+                        # consumed two cycles early (back-to-back FMLA
+                        # chains).
+                        producers.append((
+                            producer,
+                            key in pdec.early_keys,
+                            2.0
+                            if key == mac_dest and key == pdec.mac_dest
+                            else 0.0,
+                        ))
+            for key in dec.dest_keys:
+                rat[key] = op
             # Stream interactions.
             if engine is not None:
                 if dyn.cfg_uid is not None:
@@ -553,7 +629,7 @@ class Pipeline:
                     start = engine.configure(info, now)
                     op.complete = start
                     op.early_complete = start
-                elif op.is_stream_co:
+                elif dec.is_stream_co:
                     op.complete = now + 1
                     op.early_complete = now + 1
                 if dyn.stream_reads:
@@ -565,24 +641,24 @@ class Pipeline:
                     for (_, uid, __, last) in dyn.stream_writes:
                         if last:
                             engine.reserve_store(uid)
-            elif op.is_stream_co:
+            elif dec.is_stream_co:
                 op.complete = now + 1
                 op.early_complete = now + 1
             # Dispatch.
             if op.complete is not None:
                 continue  # completes outside the execution clusters
-            if op.cluster is FuCluster.NONE:
+            if dec.sched is None:
                 op.complete = now + 1
                 op.early_complete = now + 1
                 continue
-            if op.is_store:
+            if dec.is_store:
                 for addr in dyn.mem_writes or ():
                     line = addr // self.hierarchy.line_bytes
                     if not op.mem_lines or op.mem_lines[-1] != line:
                         op.mem_lines.append(line)
                 for line in op.mem_lines:
                     self._store_by_line.setdefault(line, []).append(op)
-            elif op.is_load:
+            elif dec.is_load:
                 seen = []
                 for addr in dyn.mem_reads or ():
                     line = addr // self.hierarchy.line_bytes
@@ -590,26 +666,23 @@ class Pipeline:
                         seen.append(line)
                 op.mem_lines = seen
             self._iq += 1
-            op.sched.append(op)  # bound by _structural_block this cycle
+            dec.sched.append(op)
         return renamed, None
 
-    def _structural_block(self, op: _Op) -> Optional[str]:
+    def _structural_block(self, dec: _Decoded) -> Optional[str]:
         if self._rob >= self._rob_entries:
             return "rob"
-        if op.needs_sched:
+        if dec.sched is not None:
             if self._iq >= self._iq_entries:
                 return "iq"
-            queue = op.sched
-            if queue is None:
-                queue = op.sched = self._sched[op.cluster]
-            if len(queue) >= self._scheduler_entries:
+            if len(dec.sched) >= self._scheduler_entries:
                 return "scheduler"
-        if op.is_load and self._lq >= self._lq_entries:
+        if dec.is_load and self._lq >= self._lq_entries:
             return "lq"
-        if op.is_store and self._sq >= self._sq_entries:
+        if dec.is_store and self._sq >= self._sq_entries:
             return "sq"
         free = self._free
-        for bank, count in op.needed_banks:
+        for bank, count in dec.needed_banks:
             if free[bank] < count:
                 return f"{bank}_regs"
         return None
@@ -618,12 +691,14 @@ class Pipeline:
 
     def _ready(self, op: _Op, now: float) -> bool:
         """Is the op's every input available?  On failure, memoises the
-        exact earliest cycle it could become ready in ``op.wake_at`` (0
-        when some blocking condition has no known time yet), so the issue
-        loop skips re-evaluating it until then.  Completion times never
-        move later once set, which is what makes the memo exact."""
+        exact earliest cycle it could become ready in ``op.wake_at``, so
+        the issue loop skips re-evaluating it until then.  Completion
+        times never move later once set, which is what makes the memo
+        exact.  A producer or older same-line store with no completion
+        time yet gets the op as a waiter (``wake_at`` = inf) and resets
+        its ``wake_at`` in :meth:`_execute`; an unfetched stream chunk
+        (``wake_at`` = 0) is polled."""
         wake = 0.0
-        known = True
         producers = op.producers
         if producers:
             remaining = []
@@ -631,19 +706,20 @@ class Pipeline:
                 producer, early, bonus = entry
                 t = producer.early_complete if early else producer.complete
                 if t is None:
-                    remaining.append(entry)
-                    known = False
-                elif t - bonus > now:
+                    self._park(op, producer)
+                    return False
+                if t - bonus > now:
                     remaining.append(entry)
                     if t - bonus > wake:
                         wake = t - bonus
             op.producers = remaining
             if remaining:
-                op.wake_at = wake if known else 0.0
+                op.wake_at = wake
                 return False
         if op.stream_waits:
             engine = self.engine
             blocked = False
+            known = True
             for (_, uid, chunk, __) in op.stream_waits:
                 t = engine.chunk_ready(uid, chunk)
                 if t > now:
@@ -664,16 +740,27 @@ class Pipeline:
                         break  # stores are appended in rename (seq) order
                     t = store.complete
                     if t is None:
-                        blocked = True
-                        known = False
-                    elif t > now:
+                        self._park(op, store)
+                        return False
+                    if t > now:
                         blocked = True
                         if t > wake:
                             wake = t
             if blocked:
-                op.wake_at = wake if known else 0.0
+                op.wake_at = wake
                 return False
         return True
+
+    @staticmethod
+    def _park(op: _Op, blocker: _Op) -> None:
+        """Skip ``op`` at issue until ``blocker`` executes: only
+        :meth:`_execute` gives an in-flight op its completion time after
+        younger ops have renamed."""
+        op.wake_at = math.inf
+        if blocker.waiters is None:
+            blocker.waiters = [op]
+        else:
+            blocker.waiters.append(op)
 
     def _issue(self, now: float) -> int:
         """Issues ready ops; returns how many issued this cycle."""
@@ -733,7 +820,11 @@ class Pipeline:
             self.stats.stores_issued += 1
             op.complete = now + 1  # address generation; data written at commit
         else:
-            op.complete = now + self._latency[dyn.opclass]
+            op.complete = now + op.dec.latency
+        if op.waiters is not None:
+            for waiter in op.waiters:
+                waiter.wake_at = 0.0
+            op.waiters = None
 
     def _drain_post_stores(self, now: float) -> bool:
         """Write committed stores to the L1, bounded by the store ports
@@ -767,6 +858,7 @@ class Pipeline:
 
     def _commit(self, now: float) -> None:
         engine = self.engine
+        rat = self._rat
         width = self.config.core.commit_width
         for _ in range(width):
             if not self._rob_q:
@@ -778,9 +870,10 @@ class Pipeline:
             self._rob -= 1
             self.stats.committed += 1
             dyn = op.dyn
+            dec = op.dec
             if self.observer is not None:
                 self.observer("commit", dyn, now)
-            for bank, count in op.allocs.items():
+            for bank, count in op.allocs:
                 self._free[bank] += count
             if op.is_load:
                 self._lq -= 1
@@ -788,9 +881,9 @@ class Pipeline:
                 # The store drains to the L1 after commit; its SQ entry is
                 # freed once the L1 accepts it (flow control).
                 self._post_stores.append((op, list(op.mem_lines)))
-            for dest in dyn.dests:
-                if self._rat.get(dest) is op:
-                    del self._rat[dest]
+            for key in dec.dest_keys:
+                if rat[key] is op:
+                    rat[key] = None
             if engine is not None:
                 if dyn.cfg_uid is not None:
                     # The register now (architecturally) aliases this
@@ -808,12 +901,10 @@ class Pipeline:
                     for (_, uid, chunk, last) in op.store_streams:
                         if last:
                             engine.commit_write(uid, chunk, now)
-                if dyn.opclass is OpClass.STREAM_CTL and dyn.inst is not None:
-                    kind = getattr(dyn.inst, "kind", None)
-                    if kind == "stop":
-                        # Terminate only the stream the register aliases
-                        # at this point in program order — never streams
-                        # configured later that reuse the register.
-                        uid = self._stream_alias.pop(dyn.inst.u.index, None)
-                        if uid is not None:
-                            engine.terminate(uid)
+                if dec.stop_reg >= 0:
+                    # Terminate only the stream the register aliases at
+                    # this point in program order — never streams
+                    # configured later that reuse the register.
+                    uid = self._stream_alias.pop(dec.stop_reg, None)
+                    if uid is not None:
+                        engine.terminate(uid)

@@ -41,13 +41,17 @@ from repro.kernels import get_kernel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.functional import FunctionalSimulator
 
-#: kernel × ISA pairs benchmarked by default: the memory-bound kernels
-#: the acceptance gate names on the UVE machine, plus one SVE reference
+#: kernel × ISA pairs benchmarked by default: four memory-bound 1-D
+#: cases, where fast-forward dominates, then a 2-D kernel, an indirect
+#: kernel and the starred scalar kernel, which load rename and issue
 DEFAULT_CASES: Tuple[Tuple[str, str], ...] = (
     ("stream", "uve"),
     ("memcpy", "uve"),
     ("saxpy", "uve"),
     ("memcpy", "sve"),
+    ("gemm", "sve"),
+    ("irsmk", "uve"),
+    ("floyd-warshall", "sve"),
 )
 
 #: regression tolerance of the trajectory gate: a run whose cycles/s
@@ -90,13 +94,18 @@ def materialize(
     )
 
 
+def fresh_pipeline(mat: MaterializedRun, config: MachineConfig) -> Pipeline:
+    """A pipeline ready to time the materialised trace under ``config``,
+    over a fresh hierarchy warmed as ``Simulator.run`` warms it."""
+    hierarchy = MemoryHierarchy(config)
+    hierarchy.warm(0, mat.mem_bytes)
+    return Pipeline(config, hierarchy, dict(mat.stream_infos))
+
+
 def time_run(mat: MaterializedRun, fast_forward: bool) -> Tuple[float, Pipeline]:
     """One timed ``Pipeline.run`` over the materialised trace; returns
     (wall seconds, finished pipeline)."""
-    cfg = mat.config.with_(fast_forward=fast_forward)
-    hierarchy = MemoryHierarchy(cfg)
-    hierarchy.warm(0, mat.mem_bytes)
-    pipeline = Pipeline(cfg, hierarchy, dict(mat.stream_infos))
+    pipeline = fresh_pipeline(mat, mat.config.with_(fast_forward=fast_forward))
     start = time.perf_counter()
     pipeline.run(iter(mat.trace))
     return time.perf_counter() - start, pipeline

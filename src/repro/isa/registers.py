@@ -40,7 +40,9 @@ class Reg:
                 f"register index {self.index} out of range for bank "
                 f"{self.cls.value} (0..{limit - 1})"
             )
-        # Cache the hash: registers are hot keys in rename tables.
+        # Cache the hash: registers are dict keys on the functional hot
+        # path (per-instruction operand dedup).  The timing model's RAT
+        # uses small int keys decoded once per static instruction.
         object.__setattr__(self, "_hash", hash((self.cls.value, self.index)))
 
     def __eq__(self, other) -> bool:

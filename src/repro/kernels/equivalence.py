@@ -80,7 +80,9 @@ def _run_verified(
         ).run()
         wl.verify()
         return result.committed, result.cycles
-    summary = FunctionalSimulator(program, memory=wl.memory).run()
+    summary = FunctionalSimulator(
+        program, memory=wl.memory, vector_bits=vector_bits
+    ).run()
     wl.verify()
     return summary.committed, 0.0
 
@@ -105,7 +107,9 @@ def check_kernel(
     ir_prog = kernel.build(isa, wl, vector_bits, lowering="ir")
     legacy_prog = kernel.build(isa, wl, vector_bits, lowering="legacy")
     if programs_identical(ir_prog, legacy_prog):
-        summary = FunctionalSimulator(ir_prog, memory=wl.memory).run()
+        summary = FunctionalSimulator(
+            ir_prog, memory=wl.memory, vector_bits=vector_bits
+        ).run()
         wl.verify()
         return Equivalence(
             kernel.name, isa, "identical", summary.committed, summary.committed

@@ -5,9 +5,10 @@ and an exact timing golden.
 The golden (``timing_golden.json``, scale 0.2, seed 0) pins every
 ``PipelineStats`` counter, the committed instructions, the Streaming
 Engine counters, the L1D/L2 accesses and misses and the DRAM bytes of
-every paper kernel on UVE, SVE and NEON.  A refactor of the simulator
-must leave it unchanged; a deliberate model change regenerates it and
-shows the per-field diff for review::
+every paper kernel on UVE, SVE and NEON.  Every ``fast_forward`` ×
+``event_batching`` combination must reproduce it.  A refactor of the
+simulator must leave it unchanged; a deliberate model change
+regenerates it and shows the per-field diff for review::
 
     PYTHONPATH=src python tests/integration/test_timing_all_kernels.py
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cpu.config import baseline_machine, uve_machine
+from repro.harness import bench
 from repro.kernels import all_kernels, get_kernel
 from repro.sim.simulator import Simulator
 
@@ -25,6 +27,9 @@ KERNELS = [k.name for k in all_kernels()]
 ISAS = ("uve", "sve", "neon")
 SCALE = 0.2
 GOLDEN_PATH = Path(__file__).with_name("timing_golden.json")
+#: (fast_forward, event_batching) combinations other than the default
+#: (True, True) that Simulator.run uses
+FAST_PATHS_OFF = ((False, False), (False, True), (True, False))
 
 
 def simulate_all():
@@ -41,11 +46,11 @@ def simulate_all():
     return results
 
 
-def timing_fields(result) -> dict:
-    """The golden's fields of one run, flattened to dotted names."""
-    hierarchy = result.hierarchy
-    fields = {"committed": result.committed}
-    for key, value in result.timing.as_dict().items():
+def timing_fields(committed: int, pipeline) -> dict:
+    """The golden's fields of one timed run, flattened to dotted names."""
+    hierarchy = pipeline.hierarchy
+    fields = {"committed": committed}
+    for key, value in pipeline.stats.as_dict().items():
         if isinstance(value, dict):
             for cause, count in value.items():
                 fields[f"pipeline.{key}.{cause}"] = count
@@ -56,7 +61,7 @@ def timing_fields(result) -> dict:
         fields[f"{level}.accesses"] = stats.accesses
         fields[f"{level}.misses"] = stats.misses
     fields["dram.bytes"] = hierarchy.dram.total_bytes
-    engine = result.pipeline.engine
+    engine = pipeline.engine
     if engine is not None:
         for key in ("configs", "line_requests", "chunks_filled",
                     "store_lines", "mean_fifo_occupancy"):
@@ -88,15 +93,40 @@ def test_golden_covers_every_kernel_and_isa(golden):
     assert set(golden) == {f"{k}/{isa}" for k in KERNELS for isa in ISAS}
 
 
+def assert_matches_golden(golden, run: str, fields: dict, how: str = "") -> None:
+    diffs = field_diffs(golden[run], fields)
+    assert not diffs, f"{run}{how} diverged from {GOLDEN_PATH.name}:\n" + (
+        "\n".join(f"  {f}: golden {w!r}, got {g!r}" for f, w, g in diffs)
+    )
+
+
 @pytest.mark.parametrize("isa", ISAS)
 @pytest.mark.parametrize("name", KERNELS)
 def test_timing_matches_golden(timing_results, golden, name, isa):
-    diffs = field_diffs(
-        golden[f"{name}/{isa}"], timing_fields(timing_results[(name, isa)])
+    result = timing_results[(name, isa)]
+    assert_matches_golden(
+        golden, f"{name}/{isa}", timing_fields(result.committed, result.pipeline)
     )
-    assert not diffs, f"{name}/{isa} diverged from {GOLDEN_PATH.name}:\n" + (
-        "\n".join(f"  {f}: golden {w!r}, got {g!r}" for f, w, g in diffs)
-    )
+
+
+@pytest.mark.parametrize("isa", ISAS)
+@pytest.mark.parametrize("name", KERNELS)
+def test_fast_paths_match_golden(golden, name, isa):
+    """fast_forward and event_batching are pure fast paths: the trace,
+    recorded once, replays to the golden with either or both off."""
+    mat = bench.materialize(name, isa, scale=SCALE)
+    for fast_forward, batching in FAST_PATHS_OFF:
+        cfg = mat.config.with_(
+            fast_forward=fast_forward, event_batching=batching
+        )
+        pipeline = bench.fresh_pipeline(mat, cfg)
+        pipeline.run(iter(mat.trace))
+        assert_matches_golden(
+            golden,
+            f"{name}/{isa}",
+            timing_fields(len(mat.trace), pipeline),
+            f" (fast_forward={fast_forward}, event_batching={batching})",
+        )
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -143,7 +173,7 @@ def regenerate() -> int:
     committed golden and rewrite it."""
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     new = {
-        f"{name}/{isa}": timing_fields(result)
+        f"{name}/{isa}": timing_fields(result.committed, result.pipeline)
         for (name, isa), result in simulate_all().items()
     }
     changed = 0

@@ -17,6 +17,7 @@ from repro.kernels.equivalence import (
     check_kernel,
     programs_identical,
 )
+from repro.sim.functional import FunctionalSimulator
 
 VECTOR_BITS = (128, 256, 512)
 SCALE = 0.17
@@ -68,3 +69,20 @@ class TestProgramsIdentical:
         legacy_prog = kernel.build("uve", wl, lowering="legacy")
         assert not programs_identical(ir_prog, legacy_prog)
         assert programs_identical(ir_prog, ir_prog)
+
+
+class TestVectorWidth:
+    """The gate runs each program at the width it was built for."""
+
+    # memcpy/uve takes the identical-programs path, stream/sve the
+    # functional-only oracle path.
+    @pytest.mark.parametrize("name,isa", [("memcpy", "uve"), ("stream", "sve")])
+    def test_committed_matches_direct_run(self, name, isa):
+        verdict = gate(name, isa, 128, timing=False)
+        kernel = get_kernel(name)
+        wl = kernel.workload(seed=0, scale=SCALE)
+        program = kernel.build(isa, wl, 128, lowering="ir")
+        direct = FunctionalSimulator(
+            program, memory=wl.memory, vector_bits=128
+        ).run()
+        assert verdict.ir_committed == direct.committed

@@ -1,24 +1,19 @@
-"""Equivalence properties for the two performance paths introduced by
-the vectorization work:
+"""Equivalence property of the vectorized functional stream path: it
+must be observationally identical to the legacy element-granular path
+over randomly generated stream programs — same memory image, same
+commit count, same recorded chunk trace.
 
-* functional: the vectorized (run-granular, NumPy) stream path must be
-  observationally identical to the legacy element-granular path over
-  randomly generated stream programs — same memory image, same commit
-  count, same recorded chunk trace;
-* timing: ``event_batching`` and ``fast_forward`` are pure fast paths,
-  so every PipelineStats field must be bit-identical across all four
-  on/off combinations.
+The timing fast paths (``event_batching`` × ``fast_forward``) are checked
+against the exact timing golden over every paper kernel, in
+``tests/integration/test_timing_all_kernels.py``.
 """
 import numpy as np
 import pytest
 
-from repro.cpu.pipeline import Pipeline
 from repro.fuzz.generator import generate_spec
 from repro.fuzz.lowering import lower
 from repro.fuzz.oracle import clone_memory
 from repro.fuzz.reference import materialize
-from repro.harness import bench
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.functional import FunctionalSimulator
 
 CASES = [(seed, index) for seed in (7, 42) for index in range(8)]
@@ -56,30 +51,3 @@ def test_vectorized_streams_match_legacy(seed, index):
         assert fast_info.chunks == ref_info.chunks
         assert fast_info.chunk_flags == ref_info.chunk_flags
         assert fast_info.origin_reads == ref_info.origin_reads
-
-
-@pytest.mark.parametrize("kernel,isa", [("stream", "uve"), ("memcpy", "uve")])
-def test_pipeline_stats_identical_across_fast_paths(kernel, isa):
-    mat = bench.materialize(kernel, isa, scale=0.12)
-    results = {}
-    for fast_forward in (False, True):
-        for batching in (False, True):
-            cfg = mat.config.with_(
-                fast_forward=fast_forward, event_batching=batching
-            )
-            hierarchy = MemoryHierarchy(cfg)
-            hierarchy.warm(0, mat.mem_bytes)
-            pipeline = Pipeline(cfg, hierarchy, dict(mat.stream_infos))
-            pipeline.run(iter(mat.trace))
-            occupancy = (
-                pipeline.engine.stats.mean_fifo_occupancy
-                if pipeline.engine is not None
-                else 0.0
-            )
-            results[(fast_forward, batching)] = (
-                pipeline.stats.as_dict(),
-                occupancy,
-            )
-    reference = results[(False, False)]
-    for key, got in results.items():
-        assert got == reference, f"stats diverged for ff/batching={key}"

@@ -24,7 +24,7 @@ from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
 from repro.isa.vector import VecValue, zeros
 from repro.memory.backing import Memory
-from repro.sim.trace import DynOp, StreamTraceInfo, TraceSummary
+from repro.sim.trace import DynOp, StreamEvent, StreamTraceInfo, TraceSummary
 from repro.streams.descriptor import (
     Descriptor,
     IndirectBehavior,
@@ -372,9 +372,14 @@ class MachineState:
         self.vectorized_streams = vectorized_streams
         self.xregs = [0] * 32
         self.fregs = [0.0] * 32
-        self.vregs: List[VecValue] = [
-            zeros(vector_bits // 32, ElementType.F32) for _ in range(32)
-        ]
+        # All 32 registers start as one all-invalid zero value.  Sharing it
+        # is safe because every instruction writes a register by binding a
+        # freshly built value; its arrays are read-only so that an in-place
+        # write raises instead of changing every register at once.
+        blank = zeros(vector_bits // 32, ElementType.F32)
+        blank.data.flags.writeable = False
+        blank.valid.flags.writeable = False
+        self.vregs: List[VecValue] = [blank] * 32
         self.vreg_etype: List[ElementType] = [ElementType.F32] * 32
         self.preds = np.zeros((16, _MAX_PRED_LANES), dtype=bool)
         self.preds[0, :] = True  # p0 hardwired all-true
@@ -391,8 +396,8 @@ class MachineState:
         self.ev_mem_reads: List[int] = []
         self.ev_mem_writes: List[int] = []
         self.ev_mem_width = 0
-        self.ev_stream_reads: List[Tuple[int, int, int]] = []
-        self.ev_stream_writes: List[Tuple[int, int, int]] = []
+        self.ev_stream_reads: List[StreamEvent] = []
+        self.ev_stream_writes: List[StreamEvent] = []
         self.ev_cfg_uid: Optional[int] = None
         self._ev_dirty = False
 
@@ -765,8 +770,12 @@ class FunctionalSimulator:
         self.max_steps = max_steps
         self.summary = TraceSummary()
 
-    def trace(self) -> Iterator[DynOp]:
-        """Execute, yielding one DynOp per committed instruction."""
+    def trace(self, *, dynops: bool = True) -> Iterator[DynOp]:
+        """Execute, yielding one DynOp per committed instruction.
+
+        ``summary`` is filled in when the program ends.  :meth:`run`
+        passes ``dynops=False``: the program executes identically but no
+        DynOp is built or yielded."""
         state = self.state
         program = self.program
         instructions = program.instructions
@@ -775,51 +784,75 @@ class FunctionalSimulator:
         pc = 0
         seq = 0
         max_steps = self.max_steps
-        summary = self.summary
-        # Per-instruction static metadata, computed once (dests/srcs/opclass
-        # are properties on some instruction classes).
-        meta = {}
+        # Per-pc static decode, filled on the pc's first execution (dests,
+        # srcs and opclass are properties on some instruction classes),
+        # and per-pc commit and taken counts, folded into the summary at
+        # the end.  ``first_seen`` keeps the pcs in first-execution order.
+        decoded: List[Optional[tuple]] = [None] * n
+        first_seen: List[int] = []
+        commits = [0] * n
+        taken = [0] * n
+        state.clear_events()
         while not state.halted and pc < n:
             if seq >= max_steps:
                 raise ExecutionError(
                     f"program {program.name!r} exceeded {self.max_steps} steps"
                 )
-            inst = instructions[pc]
-            key = id(inst)
-            cached = meta.get(key)
-            if cached is None:
+            entry = decoded[pc]
+            if entry is None:
+                inst = instructions[pc]
                 opclass = inst.opclass
-                cached = (inst, opclass, inst.dests, inst.srcs,
-                          opclass is OpClass.BRANCH, inst.early_dests)
-                meta[key] = cached
-            _, opclass, dests, srcs, is_branch, early = cached
-            state.clear_events()
-            label = inst.execute(state)
-            op = DynOp(
-                seq,
-                pc,
-                inst,
-                opclass,
-                dests,
-                srcs,
-                tuple(state.ev_mem_reads) or None,
-                tuple(state.ev_mem_writes) or None,
-                state.ev_mem_width,
-                is_branch,
-                label is not None,
-                tuple(state.ev_stream_reads) or None,
-                tuple(state.ev_stream_writes) or None,
-                state.ev_cfg_uid,
-                early,
-            )
-            summary.count(op)
-            yield op
+                entry = decoded[pc] = (
+                    inst, inst.execute, opclass, inst.dests, inst.srcs,
+                    opclass is OpClass.BRANCH, inst.early_dests,
+                )
+                first_seen.append(pc)
+            inst, execute, opclass, dests, srcs, is_branch, early = entry
+            label = execute(state)
+            commits[pc] += 1
+            if dynops:
+                if state._ev_dirty:
+                    op = DynOp(
+                        seq, pc, inst, opclass, dests, srcs,
+                        tuple(state.ev_mem_reads) or None,
+                        tuple(state.ev_mem_writes) or None,
+                        state.ev_mem_width,
+                        is_branch,
+                        label is not None,
+                        tuple(state.ev_stream_reads) or None,
+                        tuple(state.ev_stream_writes) or None,
+                        state.ev_cfg_uid,
+                        early,
+                    )
+                    state.clear_events()
+                else:
+                    op = DynOp(
+                        seq, pc, inst, opclass, dests, srcs, None, None, 0,
+                        is_branch, label is not None, None, None, None, early,
+                    )
+                yield op
+            elif state._ev_dirty:
+                state.clear_events()
             seq += 1
-            pc = labels[label] if label is not None else pc + 1
+            if label is None:
+                pc += 1
+            else:
+                taken[pc] += 1
+                pc = labels[label]
+        summary = self.summary
+        by_class = summary.by_class
+        for pc in first_seen:
+            _, _, opclass, _, _, is_branch, _ = decoded[pc]
+            count = commits[pc]
+            summary.committed += count
+            by_class[opclass] = by_class.get(opclass, 0) + count
+            if is_branch:
+                summary.branches += count
+                summary.taken_branches += taken[pc]
         summary.streams = dict(state.stream_infos)
 
     def run(self) -> TraceSummary:
-        """Execute to completion, discarding the trace."""
-        for _ in self.trace():
+        """Execute to completion without building the trace."""
+        for _ in self.trace(dynops=False):
             pass
         return self.summary

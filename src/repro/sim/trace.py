@@ -14,6 +14,13 @@ from repro.isa.instructions import Instruction
 from repro.isa.microop import OpClass
 from repro.streams.pattern import Direction, MemLevel
 
+#: One stream access of an instruction: ``(vector-register index, stream
+#: uid, chunk index, closes chunk)``.  The last field is True when the
+#: access completed its chunk: always for a vector access, and for the
+#: scalar access that fills or ends the chunk.  The timing model reserves
+#: store-FIFO space and commits the chunk to the engine only for those.
+StreamEvent = Tuple[int, int, int, bool]
+
 
 class DynOp:
     """One dynamic (committed) instruction instance."""
@@ -49,8 +56,8 @@ class DynOp:
         mem_width: int = 0,
         is_branch: bool = False,
         taken: bool = False,
-        stream_reads: Optional[Tuple[Tuple[int, int, int], ...]] = None,
-        stream_writes: Optional[Tuple[Tuple[int, int, int], ...]] = None,
+        stream_reads: Optional[Tuple[StreamEvent, ...]] = None,
+        stream_writes: Optional[Tuple[StreamEvent, ...]] = None,
         cfg_uid: Optional[int] = None,
         early_dests=(),
     ) -> None:
@@ -66,7 +73,7 @@ class DynOp:
         self.mem_width = mem_width
         self.is_branch = is_branch
         self.taken = taken
-        #: tuples of (vector-register index, stream uid, chunk index)
+        #: :data:`StreamEvent` tuples, one per stream chunk access
         self.stream_reads = stream_reads
         self.stream_writes = stream_writes
         self.cfg_uid = cfg_uid
@@ -127,7 +134,10 @@ class StreamTraceInfo:
 
 
 class TraceSummary:
-    """Aggregate statistics of a functional run."""
+    """Aggregate statistics of a functional run.
+
+    The functional simulator fills it in when the program ends, so it is
+    complete only once the trace has been exhausted."""
 
     def __init__(self) -> None:
         self.committed: int = 0
@@ -135,14 +145,6 @@ class TraceSummary:
         self.branches: int = 0
         self.taken_branches: int = 0
         self.streams: Dict[int, StreamTraceInfo] = {}
-
-    def count(self, op: DynOp) -> None:
-        self.committed += 1
-        self.by_class[op.opclass] = self.by_class.get(op.opclass, 0) + 1
-        if op.is_branch:
-            self.branches += 1
-            if op.taken:
-                self.taken_branches += 1
 
     @property
     def vector_ops(self) -> int:

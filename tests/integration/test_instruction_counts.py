@@ -3,12 +3,18 @@
 These are regression locks: a change to a kernel's code shape or to an
 ISA's semantics that alters the dynamic instruction count — the paper's
 Fig. 8.A currency — must be deliberate and show up here.
-Counts are at scale 0.25, seed 0.
+Counts are at scale 0.25, seed 0.  The same runs check that
+``FunctionalSimulator.run()``, which builds no DynOps, and a recorded
+``trace()`` agree exactly.
 """
+import hashlib
+from functools import lru_cache
+
 import pytest
 
 from repro.kernels import get_kernel
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.trace import TraceSummary
 
 #: kernel -> (uve, sve, neon) committed instructions at scale 0.25.
 GOLDEN = {
@@ -34,13 +40,54 @@ GOLDEN = {
 }
 
 
-def committed(name, isa):
+def _simulator(name, isa):
     kernel = get_kernel(name)
     wl = kernel.workload(seed=0, scale=0.25)
-    sim = FunctionalSimulator(kernel.build(isa, wl), memory=wl.memory)
-    count = sim.run().committed
+    return FunctionalSimulator(kernel.build(isa, wl), memory=wl.memory), wl
+
+
+def memory_digest(memory):
+    return hashlib.sha256(memory.data).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def functional_run(name, isa):
+    """``(summary, final memory digest)`` of a verified ``run()``."""
+    sim, wl = _simulator(name, isa)
+    summary = sim.run()
     wl.verify()
-    return count
+    return summary, memory_digest(wl.memory)
+
+
+def committed(name, isa):
+    return functional_run(name, isa)[0].committed
+
+
+def recount(ops):
+    """Summary counts rebuilt op by op: the reference counting rules."""
+    summary = TraceSummary()
+    for op in ops:
+        summary.committed += 1
+        summary.by_class[op.opclass] = summary.by_class.get(op.opclass, 0) + 1
+        if op.is_branch:
+            summary.branches += 1
+            if op.taken:
+                summary.taken_branches += 1
+    return summary
+
+
+def counts(summary):
+    return (
+        summary.committed, summary.by_class, summary.branches,
+        summary.taken_branches,
+    )
+
+
+def stream_records(summary):
+    return {
+        uid: (info.chunks, info.chunk_flags, info.origin_reads)
+        for uid, info in summary.streams.items()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -49,6 +96,19 @@ def test_golden_counts(name):
     assert committed(name, "uve") == uve
     assert committed(name, "sve") == sve
     assert committed(name, "neon") == neon
+
+
+@pytest.mark.parametrize("isa", ["uve", "sve", "neon"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_and_trace_agree(name, isa):
+    summary, digest = functional_run(name, isa)
+    sim, wl = _simulator(name, isa)
+    ops = list(sim.trace())
+    traced = sim.summary
+    assert counts(traced) == counts(summary)
+    assert stream_records(traced) == stream_records(summary)
+    assert memory_digest(wl.memory) == digest
+    assert counts(recount(ops)) == counts(traced)
 
 
 def test_golden_table_covers_all_kernels():

@@ -53,6 +53,40 @@ class TestVectorLength:
         assert state.lanes(F32) == 4
 
 
+@pytest.mark.parametrize("bits", [128, 256, 512])
+class TestBlankVectorRegisters:
+    """A fresh state's registers share one read-only blank value."""
+
+    @staticmethod
+    def assert_blank(value, bits):
+        assert value.data.dtype == F32.dtype
+        assert value.data.tolist() == [0.0] * (bits // 32)
+        assert not value.valid.any()
+
+    def test_every_register_reads_blank(self, bits):
+        state = MachineState(vector_bits=bits)
+        for index in range(32):
+            self.assert_blank(state.read_v(u(index), F32), bits)
+
+    def test_unwritten_register_arrays_are_read_only(self, bits):
+        state = MachineState(vector_bits=bits)
+        value = state.read_v(u(3), F32)
+        with pytest.raises(ValueError):
+            value.data[0] = 1.0
+        with pytest.raises(ValueError):
+            value.valid[0] = True
+        self.assert_blank(state.read_v(u(4), F32), bits)
+
+    def test_write_leaves_other_registers_blank(self, bits):
+        state = MachineState(vector_bits=bits)
+        lanes = bits // 32
+        state.write_v(u(5), from_list([1.0] * lanes, F32, lanes), F32)
+        assert state.read_v(u(5), F32).valid.all()
+        for index in range(32):
+            if index != 5:
+                self.assert_blank(state.read_v(u(index), F32), bits)
+
+
 class TestPredicates:
     def test_p0_hardwired_true(self):
         state = MachineState()

@@ -174,12 +174,6 @@ class MachineConfig:
     #: ticking through the stall.  Produces bit-identical PipelineStats
     #: (see docs/TIMING.md "Fast-forward"); off simulates every cycle.
     fast_forward: bool = True
-    #: batch independent per-cycle events between event horizons: skip
-    #: pipeline stages whose inputs are provably empty this cycle and
-    #: keep the Streaming Engine's tick bookkeeping incremental.  Pure
-    #: short-circuiting — PipelineStats stays bit-identical with it off
-    #: (see docs/TIMING.md "Event batching").
-    event_batching: bool = True
     latencies: Dict[OpClass, int] = field(
         default_factory=lambda: dict(DEFAULT_LATENCIES)
     )

@@ -282,7 +282,6 @@ class Pipeline:
         cycle = 0.0
         line_bytes = self.hierarchy.line_bytes
         fast_forward = self.config.fast_forward
-        batching = self.config.event_batching
         stats = self.stats
         engine = self.engine
         engine_tick = engine.tick if engine is not None else None
@@ -296,37 +295,29 @@ class Pipeline:
         while True:
             # Every stage reports whether it changed any machine state
             # this cycle; a fully quiescent cycle is eligible for the
-            # event-horizon fast path below.  With event batching on,
-            # stages whose inputs are empty (or provably blocked: a ROB
-            # head that has not completed, an issue queue with nothing
-            # in it) are skipped outright — each skip is a pure
-            # short-circuit of a call that would have reported "no
-            # progress" (see docs/TIMING.md).
+            # event-horizon fast path below.  A stage whose input is
+            # empty or provably blocked (a ROB head that has not
+            # completed, an empty issue queue, an empty decode queue) is
+            # not called: the call could only report "no progress".
             progress = False
             if engine_tick is not None:
                 progress = engine_tick(cycle)
             if self._post_stores and self._drain_post_stores(cycle):
                 progress = True
             if rob_q:
-                if batching:
-                    # _commit's own head gate, checked without the call:
-                    # only a completed head (by cycle-1) can commit.
-                    head_t = rob_q[0].complete
-                    runnable = head_t is not None and head_t <= cycle - 1
-                else:
-                    runnable = True
-                if runnable:
-                    committed_before = stats.committed
+                # _commit's own head gate: a head completed by cycle-1
+                # commits, and nothing else can.
+                head_t = rob_q[0].complete
+                if head_t is not None and head_t <= cycle - 1:
                     commit(cycle)
-                    if stats.committed != committed_before:
-                        progress = True
-            if (not batching or self._iq) and issue(cycle):
+                    progress = True
+            if self._iq and issue(cycle):
                 progress = True
             fetch_stalls_before = stats.fetch_stall_cycles
-            if batching and not decode:
-                renamed, block_cause = 0, None
-            else:
+            if decode:
                 renamed, block_cause = rename(cycle)
+            else:
+                renamed, block_cause = 0, None
             if renamed:
                 progress = True
             if fetch(cycle, trace_iter, line_bytes):

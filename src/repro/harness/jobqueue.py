@@ -14,7 +14,11 @@ Job lifecycle::
 
     pending --lease--> leased --complete--> done
        ^                  |  `--fail--> pending (backoff) ... or dead
-       `---requeue_expired'
+       |---requeue_expired'                  |
+       `---------------requeue_done----------'
+
+``requeue_done`` is for a done job whose result artifact was deleted
+(pruned): the job must run again.
 
 All state transitions are single ``BEGIN IMMEDIATE`` transactions, so any
 number of worker processes can share the queue file; SQLite's WAL mode
@@ -38,9 +42,6 @@ from repro.errors import ReproError
 class QueueError(ReproError):
     """Illegal job-queue transition (e.g. completing a lost lease)."""
 
-
-#: terminal states: the queue is drained when every job is in one of them.
-TERMINAL = ("done", "dead")
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -251,6 +252,23 @@ class JobQueue:
             self._event("requeued", key, lost_worker=worker, forced=True)
         return len(stale)
 
+    def requeue_done(self, key: str) -> bool:
+        """Move a done job back to pending, with a fresh retry budget,
+        because its result is gone; returns False if it was not done."""
+        with self._txn() as cur:
+            cur.execute(
+                "UPDATE jobs SET status = 'pending', worker = NULL, "
+                "lease_expiry = NULL, attempts = 0, not_before = 0, "
+                "started_at = NULL, finished_at = NULL, "
+                "requeues = requeues + 1 "
+                "WHERE key = ? AND status = 'done'",
+                (key,),
+            )
+            if cur.rowcount != 1:
+                return False
+        self._event("requeued", key, reason="result missing")
+        return True
+
     # -- Completion ----------------------------------------------------------
 
     def complete(self, key: str, worker: str) -> None:
@@ -338,18 +356,6 @@ class JobQueue:
             "SELECT COUNT(*) FROM jobs WHERE status NOT IN ('done', 'dead')"
         )
         return cur.fetchone()[0] == 0
-
-    def statuses(self, keys: List[str]) -> Dict[str, str]:
-        """Status for many keys in one query (client polling)."""
-        out: Dict[str, str] = {}
-        for start in range(0, len(keys), 500):
-            chunk = keys[start:start + 500]
-            marks = ",".join("?" * len(chunk))
-            cur = self._conn.execute(
-                f"SELECT key, status FROM jobs WHERE key IN ({marks})", chunk
-            )
-            out.update(dict(cur.fetchall()))
-        return out
 
     # -- Internals -----------------------------------------------------------
 

@@ -172,11 +172,13 @@ class ExperimentService:
 
     def submit(self, spec: RunSpec) -> SubmitResult:
         """Submit one run.  Identical requests — same content fingerprint,
-        from any client, any time — collapse to one job or one artifact."""
+        from any client, any time — collapse to one job or one artifact.
+        A done job whose artifact is gone (pruned) is queued again."""
         key = self.key_for(spec)
         if self.cache.load(key) is not None:
             return SubmitResult(key, "hit")
-        if self.queue.submit(key, spec_to_json(spec)):
+        if self.queue.submit(key, spec_to_json(spec)) or \
+                self.queue.requeue_done(key):
             return SubmitResult(key, "queued")
         return SubmitResult(key, "duplicate")
 
@@ -189,9 +191,8 @@ class ExperimentService:
         if job is None or job.status == "done":
             record = self.cache.load(key)
             if record is None:
-                if job is None:
-                    return None
-                # done but artifact missing (pruned mid-campaign): rerun.
+                # Never submitted, or done but its artifact was pruned:
+                # only a new submit(), which requeues it, brings it back.
                 return None
             if job is None:
                 return JobResult(key, "hit", record)

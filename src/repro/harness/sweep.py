@@ -321,7 +321,6 @@ def run_sweep_service(
     chaos_kill: int = 0,
     timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
-    on_row: Optional[Callable[[dict], None]] = None,
 ) -> dict:
     """The sharded campaign: submit every point to the experiment
     service, boot worker shards, stream rows as they complete.
@@ -329,7 +328,8 @@ def run_sweep_service(
     Resumable by construction — finished rows live in the artifact
     store, so a second invocation (``--resume`` releases stale leases
     first) submits the same fingerprints, gets cache hits for finished
-    work, and only simulates the remainder."""
+    work, and only simulates the remainder, including rows whose
+    artifact was pruned since."""
     from repro.harness.serve import ExperimentService, serve_workers
 
     points = spec.expand()
@@ -375,10 +375,6 @@ def run_sweep_service(
         done += 1
         if progress is not None and (done % 25 == 0 or done == len(keys)):
             progress(f"[sweep] {done}/{len(keys)} rows complete")
-        if on_row is not None and result.record is not None:
-            for point in points:
-                if service.key_for(point.spec) == result.key:
-                    on_row(_row_for(point, result.record))
     if supervisor is not None:
         supervisor.join()
 

@@ -33,7 +33,7 @@ from repro.streams.descriptor import (
     StaticBehavior,
     StaticModifier,
 )
-from repro.streams.iterator import RunIterator, StreamIterator
+from repro.streams.iterator import RunIterator
 from repro.streams.limits import MAX_DIMENSIONS, MAX_MODIFIERS, MAX_STREAMS
 from repro.streams.pattern import Direction, Level, MemLevel, StreamPattern
 
@@ -94,16 +94,14 @@ def hardware_stream_count(pattern: StreamPattern) -> int:
 class _RuntimeStream:
     """The architectural state of one active stream.
 
-    Address generation is run-granular by default: a
+    Address generation is run-granular: a
     :class:`~repro.streams.iterator.RunIterator` materialises each
     dimension-0 instance as one NumPy address vector, and vector reads /
     writes slice whole chunks out of the buffered run (chunks never cross
     a dimension-0 boundary, so a chunk is always a slice of one run).
-
-    ``vectorized=False`` selects the legacy element-granular path — one
-    Python iteration and one scalar memory access per element, with no
-    contiguity fast path at all.  It is deliberately kept as the trusted
-    reference the property tests compare the vectorized path against.
+    Scalar accesses and context restores step through the same buffered
+    run, so every access follows one element order: the order
+    :class:`~repro.streams.iterator.StreamIterator` defines.
     """
 
     def __init__(
@@ -114,7 +112,6 @@ class _RuntimeStream:
         lanes: int,
         memory: Memory,
         trace: StreamTraceInfo,
-        vectorized: bool = True,
     ) -> None:
         self.uid = uid
         self.reg = reg
@@ -122,7 +119,6 @@ class _RuntimeStream:
         self.lanes = lanes
         self.mem = memory
         self.trace = trace
-        self.vectorized = vectorized
         self.origin_pending: List[int] = []
 
         def read_element(addr: int, etype: ElementType):
@@ -130,13 +126,10 @@ class _RuntimeStream:
             return memory.read_scalar(addr, etype)
 
         reader = read_element if pattern.has_indirection else None
-        if vectorized:
-            self._runs = iter(RunIterator(pattern, reader))
-            self._run_addrs: Optional[np.ndarray] = None
-            self._run_pos = 0
-            self._run_flags = -1
-        else:
-            self._elements = iter(StreamIterator(pattern, reader))
+        self._runs = iter(RunIterator(pattern, reader))
+        self._run_addrs: Optional[np.ndarray] = None
+        self._run_pos = 0
+        self._run_flags = -1
         self.last_flags = -1
         self.ended = False
         self.suspended = False
@@ -153,23 +146,10 @@ class _RuntimeStream:
 
         Prefetched data was lost on the switch, so iteration resumes from
         the saved commit point; skipped elements are not re-recorded."""
-        if self.vectorized:
-            remaining = count
-            while remaining > 0:
-                addrs = self._run_addrs
-                if addrs is None or self._run_pos == len(addrs):
-                    self._advance_run()
-                    addrs = self._run_addrs
-                take = min(remaining, len(addrs) - self._run_pos)
-                self._run_pos += take
-                remaining -= take
-                self.last_flags = (
-                    self._run_flags if self._run_pos == len(addrs) else -1
-                )
-        else:
-            for _ in range(count):
-                addr, flags = self._next_element()
-                self.last_flags = flags
+        remaining = count
+        while remaining > 0:
+            _, taken, self.last_flags = self._take(remaining)
+            remaining -= taken
         self.elements_done = count
         self.ended = count > 0 and self.last_flags == self.pattern.ndims - 1
 
@@ -177,48 +157,27 @@ class _RuntimeStream:
     def direction(self) -> Direction:
         return self.pattern.direction
 
-    def _advance_run(self) -> None:
-        try:
-            run = next(self._runs)
-        except StopIteration:
-            raise StreamError(
-                f"stream u{self.reg} iterated past its end"
-            ) from None
-        self._run_addrs = run.addresses
-        self._run_pos = 0
-        self._run_flags = run.dims_ended
-
-    def _next_chunk(self) -> Tuple[np.ndarray, int, int]:
-        """Slice the next chunk (<= lanes elements, within the buffered
-        dimension-0 run) and return ``(addresses, count, flags)``."""
+    def _take(self, limit: int) -> Tuple[np.ndarray, int, int]:
+        """Consume up to ``limit`` elements of the buffered dimension-0
+        run, fetching the next run once this one is spent, and return
+        ``(addresses, count, flags)``: ``flags`` is the run's flag if
+        the run ends with these elements, else -1."""
         addrs = self._run_addrs
         if addrs is None or self._run_pos == len(addrs):
-            self._advance_run()
-            addrs = self._run_addrs
+            try:
+                run = next(self._runs)
+            except StopIteration:
+                raise StreamError(
+                    f"stream u{self.reg} iterated past its end"
+                ) from None
+            addrs = self._run_addrs = run.addresses
+            self._run_pos = 0
+            self._run_flags = run.dims_ended
         pos = self._run_pos
-        count = min(self.lanes, len(addrs) - pos)
-        end = pos + count
-        self._run_pos = end
+        count = min(limit, len(addrs) - pos)
+        end = self._run_pos = pos + count
         flags = self._run_flags if end == len(addrs) else -1
         return addrs[pos:end], count, flags
-
-    def _next_element(self) -> Tuple[int, int]:
-        if self.vectorized:
-            addrs = self._run_addrs
-            if addrs is None or self._run_pos == len(addrs):
-                self._advance_run()
-                addrs = self._run_addrs
-            pos = self._run_pos
-            self._run_pos = pos + 1
-            flags = self._run_flags if pos + 1 == len(addrs) else -1
-            return int(addrs[pos]), flags
-        try:
-            element = next(self._elements)
-        except StopIteration:
-            raise StreamError(
-                f"stream u{self.reg} iterated past its end"
-            ) from None
-        return element.address, element.dims_ended
 
     def _close_chunk(self) -> None:
         self.trace.chunks.append(self._open_chunk)
@@ -246,31 +205,16 @@ class _RuntimeStream:
             )
         data = np.zeros(self.lanes, dtype=etype.dtype)
         valid = np.zeros(self.lanes, dtype=bool)
-        if self.vectorized:
-            chunk, count, flags = self._next_chunk()
-            width = etype.width
-            # Contiguity fast path.  The *whole* address vector must step by
-            # exactly one element width — checking only the endpoints would
-            # let a permuted interior (e.g. [0, 8, 100, 24]) read the wrong
-            # bytes through read_block.
-            if count == 1 or bool((chunk[1:] - chunk[:-1] == width).all()):
-                data[:count] = self.mem.read_block(int(chunk[0]), count, etype)
-            else:
-                data[:count] = self.mem.read_gather(chunk, etype)
-            self._open_chunk = chunk.tolist()
+        chunk, count, flags = self._take(self.lanes)
+        # Contiguity fast path.  The *whole* address vector must step by
+        # exactly one element width — checking only the endpoints would
+        # let a permuted interior (e.g. [0, 8, 100, 24]) read the wrong
+        # bytes through read_block.
+        if count == 1 or bool((chunk[1:] - chunk[:-1] == etype.width).all()):
+            data[:count] = self.mem.read_block(int(chunk[0]), count, etype)
         else:
-            addrs = self._open_chunk
-            count = 0
-            flags = -1
-            while count < self.lanes:
-                addr, flags = self._next_element()
-                addrs.append(addr)
-                count += 1
-                if flags >= 0:
-                    break
-            mem = self.mem
-            for i in range(count):
-                data[i] = mem.read_scalar(addrs[i], etype)
+            data[:count] = self.mem.read_gather(chunk, etype)
+        self._open_chunk = chunk.tolist()
         valid[:count] = True
         self.last_flags = flags
         self._close_chunk()
@@ -288,31 +232,15 @@ class _RuntimeStream:
                 f"stream u{self.reg}: vector write after partial scalar "
                 "production of the current chunk"
             )
-        if self.vectorized:
-            chunk, count, flags = self._next_chunk()
-            width = etype.width
-            # Same full-vector contiguity check as read_vector; scattered
-            # chunks (including duplicate addresses, which resolve
-            # last-write-wins like the scalar loop) go through write_scatter.
-            if count == 1 or bool((chunk[1:] - chunk[:-1] == width).all()):
-                self.mem.write_block(int(chunk[0]), value.data[:count])
-            else:
-                self.mem.write_scatter(chunk, value.data[:count], etype)
-            self._open_chunk = chunk.tolist()
+        chunk, count, flags = self._take(self.lanes)
+        # Same full-vector contiguity check as read_vector; scattered
+        # chunks (including duplicate addresses, which resolve
+        # last-write-wins in element order) go through write_scatter.
+        if count == 1 or bool((chunk[1:] - chunk[:-1] == etype.width).all()):
+            self.mem.write_block(int(chunk[0]), value.data[:count])
         else:
-            addrs = self._open_chunk
-            count = 0
-            flags = -1
-            while count < self.lanes:
-                addr, flags = self._next_element()
-                addrs.append(addr)
-                count += 1
-                if flags >= 0:
-                    break
-            mem = self.mem
-            data = value.data
-            for i in range(count):
-                mem.write_scalar(addrs[i], data[i], etype)
+            self.mem.write_scatter(chunk, value.data[:count], etype)
+        self._open_chunk = chunk.tolist()
         self.last_flags = flags
         self._close_chunk()
         self.elements_done += count
@@ -324,7 +252,8 @@ class _RuntimeStream:
     def read_scalar(self) -> Tuple[object, int]:
         self._check_active("read")
         chunk_id = self._chunk_id()
-        addr, flags = self._next_element()
+        chunk, _, flags = self._take(1)
+        addr = int(chunk[0])
         value = self.mem.read_scalar(addr, self.pattern.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1
@@ -337,7 +266,8 @@ class _RuntimeStream:
     def write_scalar(self, value) -> int:
         self._check_active("write")
         chunk_id = self._chunk_id()
-        addr, flags = self._next_element()
+        chunk, _, flags = self._take(1)
+        addr = int(chunk[0])
         self.mem.write_scalar(addr, value, self.pattern.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1
@@ -363,13 +293,9 @@ class MachineState:
         self,
         memory: Optional[Memory] = None,
         vector_bits: int = DEFAULT_VECTOR_BITS,
-        vectorized_streams: bool = True,
     ) -> None:
         self.mem = memory if memory is not None else Memory()
         self.vector_bits = vector_bits
-        #: run-granular NumPy stream execution; False selects the legacy
-        #: element-granular reference path (kept for differential testing)
-        self.vectorized_streams = vectorized_streams
         self.xregs = [0] * 32
         self.fregs = [0.0] * 32
         # All 32 registers start as one all-invalid zero value.  Sharing it
@@ -619,8 +545,7 @@ class MachineState:
         self.stream_infos[uid] = info
         lanes = self.lanes(pattern.etype)
         self._streams[index] = _RuntimeStream(
-            uid, index, pattern, lanes, self.mem, info,
-            vectorized=self.vectorized_streams,
+            uid, index, pattern, lanes, self.mem, info
         )
         self.ev_cfg_uid = uid
         self._ev_dirty = True
@@ -740,8 +665,7 @@ class MachineState:
             )
             self.stream_infos[uid] = info
             stream = _RuntimeStream(
-                uid, index, pattern, self.lanes(pattern.etype), self.mem, info,
-                vectorized=self.vectorized_streams,
+                uid, index, pattern, self.lanes(pattern.etype), self.mem, info
             )
             stream.skip_elements(saved["elements_done"])
             self._streams[index] = stream
@@ -759,13 +683,10 @@ class FunctionalSimulator:
         memory: Optional[Memory] = None,
         vector_bits: int = DEFAULT_VECTOR_BITS,
         max_steps: int = 50_000_000,
-        vectorized_streams: bool = True,
     ) -> None:
         self.program = program
         self.state = state or MachineState(
-            memory=memory,
-            vector_bits=vector_bits,
-            vectorized_streams=vectorized_streams,
+            memory=memory, vector_bits=vector_bits
         )
         self.max_steps = max_steps
         self.summary = TraceSummary()

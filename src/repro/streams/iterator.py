@@ -233,9 +233,9 @@ class RunIterator:
     Side-effect order is preserved: indirect origin values are pulled
     through ``read_element`` lazily, one value per iteration of the
     binding dimension, *before* the dependent run is yielded — the same
-    positions at which :class:`StreamIterator` pulls them.  This is what
-    keeps the functional trace (chunk/origin-read attribution) bit-identical
-    to the element-granular iterator.
+    positions at which :class:`StreamIterator` pulls them.  The functional
+    simulator attributes origin reads to chunks by that order, so it is
+    part of the contract ``tests/streams/test_run_iterator.py`` checks.
     """
 
     def __init__(
@@ -275,7 +275,9 @@ class RunIterator:
             desc = working[0]
             assert desc is not None
             count = desc.size
-            if count:  # an empty instance yields no elements at all
+            # An empty instance (a modifier may even drive the size below
+            # zero) yields no run, as StreamIterator yields no element.
+            if count > 0:
                 base = displacement + desc.offset
                 yield (
                     base + np.arange(count, dtype=np.int64) * desc.stride,
@@ -347,8 +349,9 @@ class RunIterator:
 
     def _origin_values(self, mod: IndirectModifier) -> Iterator[int]:
         """Origin-stream values, pulled (and recorded by ``read_element``)
-        one at a time — element-granular on purpose, so the attribution of
-        engine-internal origin reads to chunks matches the legacy iterator."""
+        one at a time — element-granular on purpose, so origin reads are
+        attributed to chunks exactly as :class:`StreamIterator` orders
+        them."""
         origin = mod.origin
         assert isinstance(origin, StreamPattern)
         reader = self._read_element

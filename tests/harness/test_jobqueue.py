@@ -107,6 +107,28 @@ class TestLeaseLifecycle:
         assert queue.release_stale_leases() == 1  # ...but --resume forces
         assert queue.get("k1").status == "pending"
 
+    def test_requeue_done_reruns_only_done_jobs(self, queue, clock):
+        """A done job whose result is gone goes back to pending with a
+        fresh retry budget; pending, leased and dead jobs are refused."""
+        queue.submit("k1", "p1")
+        assert not queue.requeue_done("k1")  # pending
+        queue.lease("w0")
+        assert not queue.requeue_done("k1")  # leased
+        queue.complete("k1", "w0")
+        assert queue.requeue_done("k1")
+        job = queue.get("k1")
+        assert (job.status, job.requeues, job.attempts) == ("pending", 1, 0)
+        assert queue.events()[-1]["event"] == "requeued"
+        assert queue.lease("w1").attempts == 1
+
+        queue.submit("k2", "p2")
+        for _ in range(3):
+            clock.advance(60.0)
+            queue.lease("w0")
+            queue.fail("k2", "w0", "boom")
+        assert not queue.requeue_done("k2")
+        assert queue.get("k2").status == "dead"
+
 
 class TestRetries:
     def test_failure_retries_with_backoff(self, queue, clock):
@@ -149,15 +171,6 @@ class TestInspection:
         counts = queue.counts()
         assert (counts["pending"], counts["leased"]) == (2, 1)
         assert not queue.drained()
-
-    def test_statuses_bulk(self, queue):
-        for i in range(5):
-            queue.submit(f"k{i}", "p")
-        queue.lease("w0")
-        statuses = queue.statuses([f"k{i}" for i in range(5)] + ["ghost"])
-        assert statuses["k0"] == "leased"
-        assert statuses["k4"] == "pending"
-        assert "ghost" not in statuses
 
     def test_event_log_records_lifecycle(self, queue, clock):
         queue.submit("k1", "p1")

@@ -148,6 +148,23 @@ class TestIdempotentReplay:
         assert (job.status, job.requeues, job.attempts) == ("done", 1, 2)
 
 
+class TestPrunedArtifact:
+    def test_done_job_whose_artifact_was_pruned_runs_again(self, service):
+        """Resubmitting a done job whose artifact is gone queues it again
+        instead of deduplicating it into a row that never arrives."""
+        submit = service.submit(SPECS[0])
+        worker_loop(service.root, shard_id="w0")
+        record = service.result_for(submit.key).record
+        assert service.cache.prune(0).removed == 1
+        assert service.result_for(submit.key) is None
+
+        assert service.submit(SPECS[0]).status == "queued"
+        assert worker_loop(service.root, shard_id="w1") == 1
+        [result] = service.stream_results([submit.key], timeout_s=10.0)
+        assert (result.status, result.record) == ("ran", record)
+        assert (result.requeues, result.attempts) == (1, 1)
+
+
 class TestStreaming:
     def test_stream_timeout_surfaces_stall(self, service):
         submit = service.submit(SPECS[0])  # no worker ever runs

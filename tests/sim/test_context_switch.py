@@ -8,6 +8,35 @@ from repro.sim.functional import MachineState
 from repro.streams.pattern import Direction, MemLevel
 
 F32 = ElementType.F32
+GRID_CHUNKS = 9  # 3 rows of chunks of 4, 4 and 2
+
+
+def make_grid_state():
+    """A 2-D stream over 3 rows of 10 F32 elements (row stride 12) at
+    128-bit vectors: each row splits into chunks of 4, 4 and 2."""
+    mem = Memory(1 << 20)
+    addr = mem.alloc_array(np.arange(36, dtype=np.float32))
+    state = MachineState(memory=mem, vector_bits=128)
+    state.stream_begin(0, Direction.LOAD, F32, MemLevel.L2)
+    state.stream_dim(0, addr // 4, 10, 1)
+    state.stream_dim(0, 0, 3, 12)
+    state.stream_finish(0)
+    return state
+
+
+def observe(state):
+    """End-of-row and end-of-stream flags the branches would test."""
+    return state.stream_dim_complete(0, 0), state.stream_ended(0)
+
+
+def read_chunks(state, count):
+    """Consume ``count`` chunks: their valid lanes and the flags after
+    each."""
+    out = []
+    for _ in range(count):
+        value = state.read_operand(u(0), F32)
+        out.append((value.data[value.valid].tolist(), observe(state)))
+    return out
 
 
 def make_state(n=64):
@@ -67,3 +96,16 @@ class TestContextSwitch:
         before = set(state.stream_infos)
         state.restore_stream_context(context)
         assert len(state.stream_infos) == len(before) + 1
+
+    def test_restore_mid_pattern_matches_uninterrupted_run(self):
+        reference = read_chunks(make_grid_state(), GRID_CHUNKS)
+        assert [len(values) for values, _ in reference] == [4, 4, 2] * 3
+        for done in range(GRID_CHUNKS + 1):
+            state = make_grid_state()
+            read_chunks(state, done)
+            context = state.save_stream_context()
+            fresh = MachineState(memory=state.mem, vector_bits=128)
+            fresh.restore_stream_context(context)
+            before = reference[done - 1][1] if done else (False, False)
+            assert observe(fresh) == before, f"restored after {done} chunks"
+            assert read_chunks(fresh, GRID_CHUNKS - done) == reference[done:]

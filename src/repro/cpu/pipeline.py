@@ -27,6 +27,7 @@ from repro.cpu.config import MachineConfig
 from repro.cpu.stats import PipelineStats
 from repro.engine.engine import StreamingEngine
 from repro.errors import ConfigError
+from repro.isa.instructions import Instruction
 from repro.isa.microop import FuCluster, OpClass
 from repro.isa.registers import Reg, RegClass
 from repro.memory.hierarchy import MemoryHierarchy
@@ -64,6 +65,7 @@ class _Decoded:
     __slots__ = (
         "inst",
         "sched",
+        "is_branch",
         "is_load",
         "is_store",
         "is_stream_co",
@@ -77,9 +79,11 @@ class _Decoded:
         "stop_reg",
     )
 
-    def __init__(self, pipeline: "Pipeline", dyn: DynOp) -> None:
-        oc = dyn.opclass
-        self.inst = dyn.inst
+    def __init__(self, pipeline: "Pipeline", inst: Instruction) -> None:
+        oc = inst.opclass
+        dests = inst.dests
+        self.inst = inst
+        self.is_branch = oc is OpClass.BRANCH
         self.is_load = is_load = oc.is_load
         self.is_store = is_store = oc.is_store
         self.is_stream_co = is_stream_co = oc in (
@@ -99,7 +103,7 @@ class _Decoded:
         #: not physical vector registers.
         alloc = []
         if not is_stream_co:
-            for dest in dyn.dests:
+            for dest in dests:
                 bank = _BANK_OF.get(dest.cls)
                 if bank is not None:
                     alloc.append((_vec_index(dest), bank))
@@ -108,14 +112,14 @@ class _Decoded:
         for _, bank in alloc:
             needed[bank] = needed.get(bank, 0) + 1
         self.needed_banks = tuple(needed.items())
-        self.srcs = tuple((_reg_key(src), _vec_index(src)) for src in dyn.srcs)
-        self.dest_keys = tuple(_reg_key(dest) for dest in dyn.dests)
-        self.early_keys = tuple(_reg_key(dest) for dest in dyn.early_dests)
+        self.srcs = tuple((_reg_key(src), _vec_index(src)) for src in inst.srcs)
+        self.dest_keys = tuple(_reg_key(dest) for dest in dests)
+        self.early_keys = tuple(_reg_key(dest) for dest in inst.early_dests)
         #: key of the accumulator a forwarding MAC reads and writes (-1:
         #: no MAC->MAC forwarding for this op under this config)
         self.mac_dest = (
             self.dest_keys[0]
-            if pipeline._mac_forwarding and oc in _MAC_CLASSES and dyn.dests
+            if pipeline._mac_forwarding and oc in _MAC_CLASSES and dests
             else -1
         )
         self.latency = (
@@ -125,9 +129,9 @@ class _Decoded:
         )
         #: u register whose aliased stream a ``stream.stop`` terminates
         self.stop_reg = (
-            dyn.inst.u.index
+            inst.u.index
             if oc is OpClass.STREAM_CTL
-            and getattr(dyn.inst, "kind", None) == "stop"
+            and getattr(inst, "kind", None) == "stop"
             else -1
         )
 
@@ -501,12 +505,12 @@ class Pipeline:
             # programs) is decoded again, not timed with a stale record.
             dec = decoded.get(dyn.pc)
             if dec is None or dec.inst is not dyn.inst:
-                dec = decoded[dyn.pc] = _Decoded(self, dyn)
+                dec = decoded[dyn.pc] = _Decoded(self, dyn.inst)
             op = _Op(dyn, dec)
             self.stats.fetched += 1
             self._decode.append(op)
             progress = True
-            if dyn.is_branch:
+            if dec.is_branch:
                 wrong = self.predictor.record_outcome(dyn.pc, dyn.taken)
                 if wrong:
                     op.mispredicted = True

@@ -325,12 +325,6 @@ class StreamingEngine:
         used = sum(s.fifo_occupancy() for s in active)
         return capacity - used
 
-    def _level_of(self, stream: EngineStream) -> MemLevel:
-        override = self.config.mem_level_override
-        if override:
-            return MemLevel[override.upper()]
-        return stream.info.mem_level
-
     # -- Pipeline-facing interface -----------------------------------------------------
 
     def chunk_ready(self, uid: int, chunk: int) -> float:

@@ -100,14 +100,6 @@ def expand_indices(
     return out
 
 
-def output_geometry(spec: CaseSpec) -> Tuple[Tuple[int, ...], ArraySpec]:
-    """The output's effective nest.  Reducing families collapse the
-    output to a single cell; everything else shares the case nest."""
-    if spec.reduce is not None:
-        return (1,), spec.output
-    return spec.sizes, spec.output
-
-
 def expand_output_indices(
     spec: CaseSpec, idx_values: Optional[np.ndarray] = None
 ) -> List[int]:

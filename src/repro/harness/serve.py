@@ -477,6 +477,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     root = Path(args.queue)
+    # Opening the queue would create the directory, so a mistyped path
+    # must be caught before anything touches it.
+    if (args.status or args.worker or args.workers > 0) and \
+            not (root / "manifest.json").is_file():
+        parser.error(
+            f"no campaign at {root} (no manifest.json); a sweep with "
+            f"--queue {root} creates it"
+        )
     if args.status:
         queue = JobQueue(root / "queue.sqlite")
         counts = queue.counts()

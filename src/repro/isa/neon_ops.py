@@ -44,7 +44,7 @@ class NVLoad(Instruction):
         width = self.etype.width
         start = state.read_x(self.base) + state.value_int(self.offset)
         data = state.mem.read_block(start, lanes, self.etype)
-        state.record_mem_read(range(start, start + lanes * width, width), width)
+        state.record_mem_read(range(start, start + lanes * width, width))
         state.write_v(self.vd, VecValue(data, np.ones(lanes, dtype=bool)), self.etype)
         if self.post_inc:
             state.write_x(self.base, state.read_x(self.base) + NEON_BITS // 8)
@@ -84,7 +84,7 @@ class NVStore(Instruction):
         start = state.read_x(self.base) + state.value_int(self.offset)
         value = state.read_v(self.vs, self.etype)
         state.mem.write_block(start, value.data[:lanes])
-        state.record_mem_write(range(start, start + lanes * width, width), width)
+        state.record_mem_write(range(start, start + lanes * width, width))
         if self.post_inc:
             state.write_x(self.base, state.read_x(self.base) + NEON_BITS // 8)
         return None

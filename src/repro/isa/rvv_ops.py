@@ -71,7 +71,7 @@ class VlLoad(Instruction):
         data = state.mem.read_block(start, vl, self.etype)
         full = np.zeros(max(vl, 1), dtype=self.etype.dtype)
         full[:vl] = data
-        state.record_mem_read(range(start, start + vl * width, width), width)
+        state.record_mem_read(range(start, start + vl * width, width))
         state.write_v(
             self.vd, VecValue(full, np.ones(max(vl, 1), dtype=bool)), self.etype
         )
@@ -104,7 +104,7 @@ class VlStore(Instruction):
         start = state.read_x(self.base)
         value = state.read_v(self.vs, self.etype)
         state.mem.write_block(start, value.data[:vl])
-        state.record_mem_write(range(start, start + vl * width, width), width)
+        state.record_mem_write(range(start, start + vl * width, width))
         return None
 
     @property
@@ -135,7 +135,7 @@ class VlLoadStrided(Instruction):
             addr = start + i * stride
             data[i] = state.mem.read_scalar(addr, self.etype)
             addrs.append(addr)
-        state.record_mem_read(addrs, self.etype.width)
+        state.record_mem_read(addrs)
         state.write_v(
             self.vd, VecValue(data, np.ones(max(vl, 1), dtype=bool)), self.etype
         )

@@ -242,7 +242,7 @@ class Load(Instruction):
     def execute(self, state) -> Optional[str]:
         addr = state.read_x(self.base) + state.value_int(self.offset)
         value = state.mem.read_scalar(addr, self.etype)
-        state.record_mem_read([addr], self.etype.width)
+        state.record_mem_read([addr])
         if self.rd.cls is RegClass.F:
             state.write_f(self.rd, float(value))
         else:
@@ -282,7 +282,7 @@ class Store(Instruction):
         else:
             value = state.read_x(self.rs)
         state.mem.write_scalar(addr, value, self.etype)
-        state.record_mem_write([addr], self.etype.width)
+        state.record_mem_write([addr])
         return None
 
     @property

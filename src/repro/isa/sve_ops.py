@@ -140,7 +140,7 @@ class Ld1(Instruction):
                     addr = start + i * width
                     data[i] = state.mem.read_scalar(addr, self.etype)
                     addrs.append(addr)
-        state.record_mem_read(addrs, width)
+        state.record_mem_read(addrs)
         state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
         return None
 
@@ -172,7 +172,7 @@ class Ld1R(Instruction):
         mask = state.read_pred(self.pg, lanes)
         addr = state.read_x(self.base)
         value = state.mem.read_scalar(addr, self.etype)
-        state.record_mem_read([addr], self.etype.width)
+        state.record_mem_read([addr])
         data = np.full(lanes, value, dtype=self.etype.dtype)
         state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
         return None
@@ -216,7 +216,7 @@ class St1(Instruction):
                     addr = start + i * width
                     state.mem.write_scalar(addr, value.data[i], self.etype)
                     addrs.append(addr)
-        state.record_mem_write(addrs, width)
+        state.record_mem_write(addrs)
         return None
 
     @property
@@ -252,7 +252,7 @@ class Ld1Gather(Instruction):
                 addr = base + int(index.data[i]) * width
                 data[i] = state.mem.read_scalar(addr, self.etype)
                 addrs.append(addr)
-        state.record_mem_read(addrs, width)
+        state.record_mem_read(addrs)
         state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
         return None
 
@@ -295,7 +295,7 @@ class St1Scatter(Instruction):
                 addr = base + int(index.data[i]) * width
                 state.mem.write_scalar(addr, value.data[i], self.etype)
                 addrs.append(addr)
-        state.record_mem_write(addrs, width)
+        state.record_mem_write(addrs)
         return None
 
     @property

@@ -940,7 +940,7 @@ class SsLoadVec(Instruction):
         width = self.etype.width
         start = state.read_x(self.base)
         data = state.mem.read_block(start, lanes, self.etype)
-        state.record_mem_read(range(start, start + lanes * width, width), width)
+        state.record_mem_read(range(start, start + lanes * width, width))
         state.write_v(self.ud, VecValue(data, np.ones(lanes, dtype=bool)), self.etype)
         if self.post_inc:
             state.write_x(self.base, start + lanes * width)
@@ -978,7 +978,7 @@ class SsStoreVec(Instruction):
         start = state.read_x(self.base)
         value = state.read_v(self.us, self.etype)
         state.mem.write_block(start, value.data[:lanes])
-        state.record_mem_write(range(start, start + lanes * width, width), width)
+        state.record_mem_write(range(start, start + lanes * width, width))
         if self.post_inc:
             state.write_x(self.base, start + lanes * width)
         return None

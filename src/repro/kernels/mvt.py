@@ -1,9 +1,9 @@
 """Benchmark F: mvt — x1 += A·y1 and x2 += Aᵀ·y2 (PolyBench).
 
-The transposed product exercises strided dimension-0 streams (column
-scans) in UVE and gather loads in the SVE baseline; the NEON baseline
-falls back to scalar code for the transposed half (fixed-width SIMD has
-no gathers), as a compiler would.
+x1 is a loop of row dot products.  UVE, SVE and NEON all compute x2 in
+the outer-vectorized form docs/KERNELS.md describes: A stays row-major,
+so its streams and loads are contiguous, and y2 is consumed one element
+per row of A.
 """
 from __future__ import annotations
 
@@ -92,84 +92,6 @@ def emit_sve_row_dots(b, tag, mat, vec, acc_io, rows, cols, alpha=1.0):
         sc.IntOp("add", xrow, xrow, 4 * cols),
         sc.IntOp("add", xi, xi, 1),
         sc.BranchCmp("lt", xi, xn, f"{tag}_i"),
-    )
-
-
-def emit_sve_col_dots(b, tag, mat, vec, acc_io, rows, cols, alpha=1.0):
-    """SVE transposed dots via gathers:
-    ``acc_io[j] += alpha*dot(A[:,j], vec)``."""
-    xcol, xvec, xio = x(8), x(9), x(10)
-    xrows, xj, xm, xoff = x(11), x(12), x(13), x(14)
-    b.emit(
-        sc.Li(xcol, mat), sc.Li(xvec, vec), sc.Li(xio, acc_io),
-        sc.Li(xrows, rows), sc.Li(xm, cols), sc.Li(xj, 0),
-        sve.Index(u(5), 0, cols, etype=F32),  # lane i -> i*cols elements
-        sve.CntElems(x(16), etype=F32),
-        sc.IntOp("mul", x(16), x(16), 4 * cols),  # bytes per gather block
-    )
-    b.label(f"{tag}_j")
-    b.emit(
-        sc.Li(xoff, 0),
-        sve.WhileLt(p(1), xoff, xrows, etype=F32),
-        sve.Dup(u(1), 0.0, etype=F32),
-        sc.Move(x(15), xcol),
-    )
-    b.label(f"{tag}_blk")
-    b.emit(
-        sve.Ld1Gather(u(2), p(1), x(15), u(5), etype=F32),
-        sve.Ld1(u(3), p(1), xvec, index=xoff, etype=F32),
-        sve.Fmla(u(1), p(1), u(2), u(3), etype=F32),
-        sc.IntOp("add", x(15), x(15), x(16)),
-        sve.IncElems(xoff, etype=F32),
-        sve.WhileLt(p(1), xoff, xrows, etype=F32),
-        sve.BranchPred("first", p(1), f"{tag}_blk", etype=F32),
-    )
-    b.emit(
-        sve.Red("add", f(1), p(0), u(1), etype=F32),
-    )
-    if alpha != 1.0:
-        b.emit(sc.FOp("mul", f(1), f(1), alpha))
-    b.emit(
-        sc.Load(f(2), xio, 0, etype=F32),
-        sc.FOp("add", f(1), f(1), f(2)),
-        sc.Store(f(1), xio, 0, etype=F32),
-        sc.IntOp("add", xio, xio, 4),
-        sc.IntOp("add", xcol, xcol, 4),
-        sc.IntOp("add", xj, xj, 1),
-        sc.BranchCmp("lt", xj, xm, f"{tag}_j"),
-    )
-
-
-def emit_scalar_col_dots(b, tag, mat, vec, acc_io, rows, cols, alpha=1.0):
-    """Scalar transposed dots (NEON fallback)."""
-    xcol, xvec, xio = x(8), x(9), x(10)
-    xj, xi, xa = x(12), x(13), x(15)
-    b.emit(sc.Li(xcol, mat), sc.Li(xio, acc_io), sc.Li(xj, 0))
-    b.label(f"{tag}_j")
-    b.emit(
-        sc.Li(xi, 0), sc.FLi(f(1), 0.0),
-        sc.Move(xa, xcol), sc.Li(xvec, vec),
-    )
-    b.label(f"{tag}_i")
-    b.emit(
-        sc.Load(f(2), xa, 0, etype=F32),
-        sc.Load(f(3), xvec, 0, etype=F32),
-        sc.FMac(f(1), f(2), f(3)),
-        sc.IntOp("add", xa, xa, 4 * cols),
-        sc.IntOp("add", xvec, xvec, 4),
-        sc.IntOp("add", xi, xi, 1),
-        sc.BranchCmp("lt", xi, rows, f"{tag}_i"),
-    )
-    if alpha != 1.0:
-        b.emit(sc.FOp("mul", f(1), f(1), alpha))
-    b.emit(
-        sc.Load(f(2), xio, 0, etype=F32),
-        sc.FOp("add", f(1), f(1), f(2)),
-        sc.Store(f(1), xio, 0, etype=F32),
-        sc.IntOp("add", xio, xio, 4),
-        sc.IntOp("add", xcol, xcol, 4),
-        sc.IntOp("add", xj, xj, 1),
-        sc.BranchCmp("lt", xj, cols, f"{tag}_j"),
     )
 
 

@@ -243,6 +243,3 @@ class Cache:
     def warm(self, line: int) -> None:
         """Pre-install a line (warm-cache measurement), bypassing timing."""
         self._insert(line, 0.0, LineState.EXCLUSIVE, prefetched=False)
-
-    def flush_stats(self) -> None:
-        self.stats = CacheStats()

@@ -37,15 +37,6 @@ class AmpmPrefetcher:
         self._max_zones = zones
         self.issued = 0
 
-    def _bitmap(self, zone: int) -> int:
-        if zone in self._zones:
-            self._zones.move_to_end(zone)
-            return self._zones[zone]
-        self._zones[zone] = 0
-        if len(self._zones) > self._max_zones:
-            self._zones.popitem(last=False)
-        return 0
-
     def observe(self, pc: int, addr: int) -> List[int]:
         """Record a demand access; return line addresses to prefetch."""
         lpz = self.lines_per_zone

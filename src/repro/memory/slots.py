@@ -47,14 +47,6 @@ class SlotReservoir:
         self._busy = {k: v for k, v in self._busy.items() if k >= horizon}
         self._low_watermark = horizon
 
-    def next_free(self, t: float) -> float:
-        """Start time a reservation made at ``t`` would get, without
-        claiming the slot (event-horizon introspection)."""
-        index = int(t / self.slot_cycles)
-        while self._busy.get(index, 0) >= self.lanes:
-            index += 1
-        return max(t, index * self.slot_cycles)
-
     def occupancy(self, t: float) -> int:
         """Reservations in the slot containing ``t`` (introspection)."""
         return self._busy.get(int(t / self.slot_cycles), 0)

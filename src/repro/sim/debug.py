@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cpu.config import MachineConfig, uve_machine
+from repro.isa.microop import OpClass
 from repro.isa.program import Program
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator
@@ -50,7 +51,7 @@ def functional_trace(
                     f"u{r}#{c}" for (r, _, c, __) in op.stream_writes
                 )
             )
-        if op.is_branch:
+        if op.inst.opclass is OpClass.BRANCH:
             parts.append("taken" if op.taken else "not-taken")
         lines.append(" ".join(parts))
     return "\n".join(lines)

@@ -12,13 +12,12 @@ stream consumed by the timing model.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.types import DEFAULT_VECTOR_BITS, ElementType, VectorShape
 from repro.errors import ExecutionError, IsaError, StreamError
-from repro.isa.instructions import Instruction
 from repro.isa.microop import OpClass
 from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
@@ -321,7 +320,6 @@ class MachineState:
         # Per-instruction event scratchpad (collected into DynOps).
         self.ev_mem_reads: List[int] = []
         self.ev_mem_writes: List[int] = []
-        self.ev_mem_width = 0
         self.ev_stream_reads: List[StreamEvent] = []
         self.ev_stream_writes: List[StreamEvent] = []
         self.ev_cfg_uid: Optional[int] = None
@@ -603,14 +601,12 @@ class MachineState:
 
     # -- Trace event helpers ---------------------------------------------------
 
-    def record_mem_read(self, addrs, width: int) -> None:
+    def record_mem_read(self, addrs) -> None:
         self.ev_mem_reads.extend(addrs)
-        self.ev_mem_width = width
         self._ev_dirty = True
 
-    def record_mem_write(self, addrs, width: int) -> None:
+    def record_mem_write(self, addrs) -> None:
         self.ev_mem_writes.extend(addrs)
-        self.ev_mem_width = width
         self._ev_dirty = True
 
     def clear_events(self) -> None:
@@ -618,7 +614,6 @@ class MachineState:
             return
         self.ev_mem_reads = []
         self.ev_mem_writes = []
-        self.ev_mem_width = 0
         self.ev_stream_reads = []
         self.ev_stream_writes = []
         self.ev_cfg_uid = None
@@ -705,11 +700,10 @@ class FunctionalSimulator:
         pc = 0
         seq = 0
         max_steps = self.max_steps
-        # Per-pc static decode, filled on the pc's first execution (dests,
-        # srcs and opclass are properties on some instruction classes),
-        # and per-pc commit and taken counts, folded into the summary at
-        # the end.  ``first_seen`` keeps the pcs in first-execution order.
-        decoded: List[Optional[tuple]] = [None] * n
+        # Per-pc bound ``execute``, filled on the pc's first execution, and
+        # per-pc commit and taken counts, folded into the summary at the
+        # end.  ``first_seen`` keeps the pcs in first-execution order.
+        executes: List[Optional[Callable]] = [None] * n
         first_seen: List[int] = []
         commits = [0] * n
         taken = [0] * n
@@ -719,38 +713,27 @@ class FunctionalSimulator:
                 raise ExecutionError(
                     f"program {program.name!r} exceeded {self.max_steps} steps"
                 )
-            entry = decoded[pc]
-            if entry is None:
-                inst = instructions[pc]
-                opclass = inst.opclass
-                entry = decoded[pc] = (
-                    inst, inst.execute, opclass, inst.dests, inst.srcs,
-                    opclass is OpClass.BRANCH, inst.early_dests,
-                )
+            execute = executes[pc]
+            if execute is None:
+                execute = executes[pc] = instructions[pc].execute
                 first_seen.append(pc)
-            inst, execute, opclass, dests, srcs, is_branch, early = entry
             label = execute(state)
             commits[pc] += 1
             if dynops:
                 if state._ev_dirty:
                     op = DynOp(
-                        seq, pc, inst, opclass, dests, srcs,
+                        seq, pc, instructions[pc],
                         tuple(state.ev_mem_reads) or None,
                         tuple(state.ev_mem_writes) or None,
-                        state.ev_mem_width,
-                        is_branch,
                         label is not None,
                         tuple(state.ev_stream_reads) or None,
                         tuple(state.ev_stream_writes) or None,
                         state.ev_cfg_uid,
-                        early,
                     )
                     state.clear_events()
                 else:
-                    op = DynOp(
-                        seq, pc, inst, opclass, dests, srcs, None, None, 0,
-                        is_branch, label is not None, None, None, None, early,
-                    )
+                    op = DynOp(seq, pc, instructions[pc], None, None,
+                               label is not None)
                 yield op
             elif state._ev_dirty:
                 state.clear_events()
@@ -763,11 +746,11 @@ class FunctionalSimulator:
         summary = self.summary
         by_class = summary.by_class
         for pc in first_seen:
-            _, _, opclass, _, _, is_branch, _ = decoded[pc]
+            opclass = instructions[pc].opclass
             count = commits[pc]
             summary.committed += count
             by_class[opclass] = by_class.get(opclass, 0) + count
-            if is_branch:
+            if opclass is OpClass.BRANCH:
                 summary.branches += count
                 summary.taken_branches += taken[pc]
         summary.streams = dict(state.stream_infos)

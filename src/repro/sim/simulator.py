@@ -11,7 +11,7 @@ plain list, and times that list with the same run's per-stream chunk
 records (``summary.streams``).  The timing model consumes exactly the
 trace the engine metadata came from, so the two cannot diverge.
 
-The held trace costs about 220 bytes per committed instruction (see
+The held trace costs about 172 bytes per committed instruction (see
 docs/TIMING.md for measured peaks).
 """
 from __future__ import annotations
@@ -103,14 +103,6 @@ class Simulator:
         #: pre-install the allocated data into the L2 (steady-state
         #: measurement); working sets beyond the L2 capacity overflow.
         self.warm = warm
-
-    def run_functional(self) -> TraceSummary:
-        """Functional-only run (fast; used for instruction counts)."""
-        sim = FunctionalSimulator(
-            self.program, memory=self.memory,
-            vector_bits=self.config.vector_bits,
-        )
-        return sim.run()
 
     def run(
         self, observer: Optional[Callable[[str, DynOp, float], None]] = None

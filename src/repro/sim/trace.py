@@ -23,20 +23,18 @@ StreamEvent = Tuple[int, int, int, bool]
 
 
 class DynOp:
-    """One dynamic (committed) instruction instance."""
+    """One dynamic (committed) instruction instance.
+
+    It records only what the run decided: the memory addresses, branch
+    outcome and stream events of this instance.  The static facts of its
+    pc (op class, sources, destinations) are read from ``inst``."""
 
     __slots__ = (
         "seq",
         "pc",
         "inst",
-        "opclass",
-        "dests",
-        "srcs",
-        "early_dests",
         "mem_reads",
         "mem_writes",
-        "mem_width",
-        "is_branch",
         "taken",
         "stream_reads",
         "stream_writes",
@@ -48,30 +46,18 @@ class DynOp:
         seq: int,
         pc: int,
         inst: Instruction,
-        opclass: OpClass,
-        dests,
-        srcs,
         mem_reads: Optional[Tuple[int, ...]] = None,
         mem_writes: Optional[Tuple[int, ...]] = None,
-        mem_width: int = 0,
-        is_branch: bool = False,
         taken: bool = False,
         stream_reads: Optional[Tuple[StreamEvent, ...]] = None,
         stream_writes: Optional[Tuple[StreamEvent, ...]] = None,
         cfg_uid: Optional[int] = None,
-        early_dests=(),
     ) -> None:
         self.seq = seq
         self.pc = pc
         self.inst = inst
-        self.opclass = opclass
-        self.dests = dests
-        self.srcs = srcs
-        self.early_dests = early_dests
         self.mem_reads = mem_reads
         self.mem_writes = mem_writes
-        self.mem_width = mem_width
-        self.is_branch = is_branch
         self.taken = taken
         #: :data:`StreamEvent` tuples, one per stream chunk access
         self.stream_reads = stream_reads

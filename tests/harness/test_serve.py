@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.jobqueue import JobQueue
 from repro.harness.runner import RunSpec
-from repro.harness.serve import ExperimentService, worker_loop
+from repro.harness.serve import ExperimentService, main, worker_loop
 
 SCALE = 0.05
 
@@ -180,3 +180,18 @@ class TestStreaming:
         assert {"submitted", "leased", "completed"} <= kinds
         keys = {e["key"] for e in events if e["event"] == "completed"}
         assert keys == {s.key for s in submits}
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "action", [["--status"], ["--worker"], ["--workers", "2"]],
+        ids=["status", "worker", "workers"],
+    )
+    def test_missing_campaign_is_a_usage_error(self, tmp_path, capsys,
+                                               action):
+        missing = tmp_path / "typo"
+        with pytest.raises(SystemExit) as exc:
+            main(["--queue", str(missing), *action])
+        assert exc.value.code == 2
+        assert not missing.exists()
+        assert "a sweep with --queue" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.isa.microop import OpClass
 from repro.kernels import get_kernel
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.trace import TraceSummary
@@ -67,9 +68,10 @@ def recount(ops):
     """Summary counts rebuilt op by op: the reference counting rules."""
     summary = TraceSummary()
     for op in ops:
+        opclass = op.inst.opclass
         summary.committed += 1
-        summary.by_class[op.opclass] = summary.by_class.get(op.opclass, 0) + 1
-        if op.is_branch:
+        summary.by_class[opclass] = summary.by_class.get(opclass, 0) + 1
+        if opclass is OpClass.BRANCH:
             summary.branches += 1
             if op.taken:
                 summary.taken_branches += 1
@@ -109,6 +111,10 @@ def test_run_and_trace_agree(name, isa):
     assert stream_records(traced) == stream_records(summary)
     assert memory_digest(wl.memory) == digest
     assert counts(recount(ops)) == counts(traced)
+    # The timing core and the summary fold read a pc's static facts only
+    # through ``op.inst``, so it must be the program's own instruction.
+    instructions = sim.program.instructions
+    assert all(op.inst is instructions[op.pc] for op in ops)
 
 
 def test_golden_table_covers_all_kernels():

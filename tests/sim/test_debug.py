@@ -37,6 +37,17 @@ class TestFunctionalTrace:
         assert "produce u2#0" in text
         assert "taken" in text
 
+    def test_marks_each_branch_outcome(self):
+        """64 elements at 16 lanes: the loop branch is taken three times,
+        then falls through; no other instruction carries an outcome."""
+        program, mem = make_saxpy()
+        lines = functional_trace(program, mem, vector_bits=512).splitlines()
+        outcomes = [line.split()[-1] for line in lines if "so.b.nend" in line]
+        assert outcomes == ["taken", "taken", "taken", "not-taken"]
+        assert not any(
+            line.endswith("taken") for line in lines if "so.b.nend" not in line
+        )
+
     def test_truncates_at_limit(self):
         program, mem = make_saxpy()
         text = functional_trace(program, mem, limit=5)

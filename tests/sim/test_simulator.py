@@ -70,13 +70,6 @@ class TestOnePassSimulation:
             warm_mem.ndarray(warm_data, (256,), np.float32),
         )
 
-    def test_run_functional_is_cheap_path(self):
-        mem = Memory(1 << 20)
-        program, _ = scale_program(mem)
-        summary = Simulator(program, mem, uve_machine()).run_functional()
-        assert summary.committed > 0
-        assert summary.streams  # stream metadata collected
-
     def test_default_config_is_uve(self):
         mem = Memory(1 << 20)
         program, _ = scale_program(mem)

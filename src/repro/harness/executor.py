@@ -1,25 +1,30 @@
-"""Parallel, cache-persistent campaign executor.
+"""The one campaign engine: every grid of ``RunSpec``s runs through here.
 
-The campaign for the full paper (19 kernels × 3–4 ISAs × the Fig. 9/10/11
-sweeps) used to run serially, figure by figure.  The executor instead:
+The figure CLI (``python -m repro.harness``), the design-space sweeps
+(:mod:`repro.harness.sweep`) and perfbench's ``campaign`` workload all
+hand their runs to :meth:`CampaignExecutor.run_specs`, which:
 
-1. collects every figure's declared :class:`~repro.harness.runner.RunSpec`
-   up front and deduplicates them by content fingerprint, so independent
-   runs of *different* figures interleave in one pool;
-2. satisfies what it can from the on-disk
+1. deduplicates them by content fingerprint (the figure CLI collects
+   every figure's declared :class:`~repro.harness.runner.RunSpec` up
+   front, so independent runs of *different* figures interleave);
+2. serves what it can from the warm in-process cache and the on-disk
    :class:`~repro.harness.diskcache.ResultCache`, so a re-run only
    simulates what changed;
-3. fans the remaining specs out over a
-   :class:`concurrent.futures.ProcessPoolExecutor` (``--jobs N``), each
-   worker rebuilding ``Runner`` state from the picklable spec;
-4. finally builds every experiment table serially from the warm
-   in-process cache — so ``--jobs 4`` output is byte-identical to
-   ``--jobs 1``.
+3. runs the misses on one of three back ends: in-process (``jobs=1``,
+   the reference path), a :class:`concurrent.futures.ProcessPoolExecutor`
+   (``jobs=N``), or, when handed an
+   :class:`~repro.harness.serve.ExperimentService`, that campaign's
+   queue and ``jobs`` worker shards, which store the artifacts
+   themselves and survive crashes and restarts;
+4. leaves every record in ``runner``'s cache, from which the figure
+   tables and sweep rows are built serially — so the back end and its
+   width never change the output.
 
 Every run emits a structured progress line (cache status, wall time,
-worker id, remaining queue depth); ``--trace PATH`` additionally persists
+worker, remaining queue depth); ``--trace PATH`` additionally persists
 the event log as JSON, and :meth:`CampaignExecutor.slowest` feeds the
-campaign-end table of slowest runs.
+campaign-end table of slowest runs.  Ctrl-C on any back end raises
+:class:`CampaignInterrupted`.
 """
 from __future__ import annotations
 
@@ -28,8 +33,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import ReproError
 from repro.harness.report import ExperimentResult
@@ -41,7 +47,10 @@ class CampaignInterrupted(ReproError):
 
     Completed rows survive — they are already in the disk cache and in
     ``CampaignExecutor.events`` — so the CLI can flush a partial
-    ``--json`` and exit with a distinct status instead of a traceback."""
+    ``--json`` and exit with a distinct status instead of a traceback.
+    On every back end ``cancelled`` counts each run that did not
+    complete, so ``completed + cancelled`` is the number of runs the
+    executor had to simulate."""
 
     def __init__(self, completed: int, cancelled: int) -> None:
         super().__init__(
@@ -62,7 +71,7 @@ class RunEvent:
     key: str
     status: str  # "hit-memory" | "hit-disk" | "miss"
     wall_s: float
-    worker: int
+    worker: Union[int, str]  # pid, or shard id on the service back end
     queue_depth: int
 
     @property
@@ -82,7 +91,11 @@ def _execute_spec(spec: RunSpec, scale: float, seed: int, lowering: str = "ir"):
 
 
 class CampaignExecutor:
-    """Runs a set of experiments through one shared, parallel run pool."""
+    """Runs a campaign's specs: cache hits first, then the misses on one
+    back end.  ``jobs`` is its width: 1 runs in-process, N > 1 on a
+    process pool; with ``service`` it is the number of worker shards to
+    boot (0: shards started elsewhere) and the service's artifact store
+    is the cache."""
 
     def __init__(
         self,
@@ -92,10 +105,15 @@ class CampaignExecutor:
         cache=None,
         progress: Optional[Callable[[str], None]] = None,
         lowering: str = "ir",
+        service=None,
     ) -> None:
         self.scale = scale
         self.seed = seed
-        self.jobs = max(1, jobs if jobs is not None else os.cpu_count() or 1)
+        self.jobs = max(0 if service is not None else 1,
+                        jobs if jobs is not None else os.cpu_count() or 1)
+        self.service = service
+        if service is not None:
+            cache = service.cache
         self.cache = cache
         self.lowering = lowering
         self.runner = Runner(
@@ -122,13 +140,14 @@ class CampaignExecutor:
 
     def prefetch(self, names: List[str]) -> None:
         """Warm the in-process cache for every declared run: disk cache
-        first, then the process pool for the misses."""
+        first, then the back end for the misses."""
         self.run_specs(self.collect_specs(names))
 
     def run_specs(self, specs: Dict[str, RunSpec]) -> None:
-        """Execute fingerprint-keyed specs into the runner's warm cache
-        (cache-first, then serial or pooled).  Also the entry point for
-        external spec producers such as :mod:`repro.harness.sweep`."""
+        """Execute fingerprint-keyed specs into the runner's warm cache:
+        memory and disk hits first, then the misses on the back end.
+        Also the entry point for external spec producers such as
+        :mod:`repro.harness.sweep`."""
         pending: Dict[str, RunSpec] = {}
         for key, spec in specs.items():
             if self.runner.cached(key) is not None:
@@ -144,10 +163,21 @@ class CampaignExecutor:
                 pending[key] = spec
         if not pending:
             return
-        if self.jobs == 1:
-            self._run_serial(pending)
-        else:
-            self._run_pool(pending)
+        started = len(self.events)
+        try:
+            if self.service is not None:
+                self._run_service(pending)
+            elif self.jobs == 1:
+                self._run_serial(pending)
+            else:
+                self._run_pool(pending)
+        except KeyboardInterrupt:
+            # Each back end emits one event per finished run, and those
+            # runs are already cached.
+            completed = len(self.events) - started
+            raise CampaignInterrupted(
+                completed, len(pending) - completed
+            ) from None
 
     def _finish(self, key, spec, record, wall, worker, remaining) -> None:
         self.runner.seed_cache(key, record)
@@ -157,21 +187,15 @@ class CampaignExecutor:
 
     def _run_serial(self, pending: Dict[str, RunSpec]) -> None:
         remaining = len(pending)
-        completed = 0
-        try:
-            for key, spec in pending.items():
-                record, wall, worker = _execute_spec(
-                    spec, self.scale, self.seed, self.lowering
-                )
-                remaining -= 1
-                completed += 1
-                self._finish(key, spec, record, wall, worker, remaining)
-        except KeyboardInterrupt:
-            raise CampaignInterrupted(completed, remaining) from None
+        for key, spec in pending.items():
+            record, wall, worker = _execute_spec(
+                spec, self.scale, self.seed, self.lowering
+            )
+            remaining -= 1
+            self._finish(key, spec, record, wall, worker, remaining)
 
     def _run_pool(self, pending: Dict[str, RunSpec]) -> None:
         remaining = len(pending)
-        completed = 0
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = {
                 pool.submit(_execute_spec, spec, self.scale, self.seed,
@@ -184,15 +208,26 @@ class CampaignExecutor:
                     key, spec = futures[future]
                     record, wall, worker = future.result()
                     remaining -= 1
-                    completed += 1
                     self._finish(key, spec, record, wall, worker, remaining)
             except KeyboardInterrupt:
-                # Completed rows are already cached; drop the rest now
-                # (cancel queued futures, kill the pool) instead of
-                # waiting out every in-flight simulation.
-                cancelled = sum(1 for f in futures if f.cancel())
+                # Drop the queued futures now instead of waiting out
+                # every in-flight simulation.
                 pool.shutdown(wait=False, cancel_futures=True)
-                raise CampaignInterrupted(completed, cancelled) from None
+                raise
+
+    def _run_service(self, pending: Dict[str, RunSpec]) -> None:
+        remaining = len(pending)
+        results = self.service.run(pending.values(), self.jobs)
+        with closing(results):
+            for result in results:
+                remaining -= 1
+                # "hit": a shard stored the artifact after this executor
+                # looked for it.
+                status = "miss" if result.status == "ran" else "hit-disk"
+                self.runner.seed_cache(result.key, result.record)
+                self._emit(pending[result.key], result.key, status,
+                           result.run_s, result.worker or os.getpid(),
+                           remaining)
 
     def run_campaign(
         self,

@@ -79,12 +79,6 @@ class Job:
     finished_at: Optional[float]
     error: Optional[str]
 
-    @property
-    def queue_wait_s(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        return max(0.0, self.started_at - self.submitted_at)
-
 
 _ROW_FIELDS = (
     "key, payload, seq, status, attempts, requeues, worker, "

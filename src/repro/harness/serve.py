@@ -1,9 +1,9 @@
-"""Sharded experiment service: queue, worker shards, streaming client.
+"""Sharded experiment service: the campaign executor's durable back end.
 
-PR 1's :class:`~repro.harness.executor.CampaignExecutor` is one process
-pool deep: submit everything, wait, lose in-flight work on a crash.  This
-module promotes it to a small experiment *service* built from three
-pieces that share one campaign directory::
+:class:`~repro.harness.executor.CampaignExecutor` runs every ``RunSpec``
+grid: in-process, on a process pool, or, when it is handed an
+:class:`ExperimentService`, on worker shards that share one campaign
+directory::
 
     campaign/
       manifest.json     # scale/seed/lowering/salt — resume safety
@@ -11,15 +11,16 @@ pieces that share one campaign directory::
       events.jsonl      # structured job events (submit/lease/complete/...)
       artifacts/        # content-addressed result store (ResultCache)
 
-*Submission* deduplicates by the existing content fingerprints: a spec
-whose artifact already exists is an immediate cache hit (never enqueued),
-a spec already queued joins the existing row, anything else becomes a
-pending job.  *Worker shards* are separate OS processes that lease jobs
-with heartbeats; a SIGKILLed worker's lease expires and any surviving
-worker requeues and re-runs the job, finding any artifact the dead worker
-already stored (idempotent replay).  *Clients* stream results as rows
-complete — completion order for liveness, while callers that need
-deterministic output sort by their own submission order afterwards.
+The executor serves memory and artifact hits itself and hands only its
+misses to :meth:`ExperimentService.run`, the one client loop: submit
+(deduplicated by content fingerprint; a spec already queued joins the
+existing row), boot the worker shards, stream rows as they complete, and
+raise on a job that failed for good.  *Worker shards* are separate OS
+processes that lease jobs with heartbeats and store each artifact
+themselves; a SIGKILLed worker's lease expires and any surviving worker
+requeues and re-runs the job, finding any artifact the dead worker
+already stored (idempotent replay).  A shard refuses a campaign whose
+manifest salt differs from its own simulator sources.
 
 CLI::
 
@@ -27,8 +28,8 @@ CLI::
     python -m repro.harness.serve --queue DIR --workers 4 [--resume]
     python -m repro.harness.serve --queue DIR --worker --shard-id w0
 
-Jobs are normally submitted by :mod:`repro.harness.sweep`; the worker and
-supervisor here run any queued RunSpec.
+Jobs are normally submitted by :mod:`repro.harness.sweep` through the
+executor; the worker and supervisor here run any queued RunSpec.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigError
 from repro.harness.diskcache import ResultCache, code_version_salt
@@ -70,7 +71,6 @@ class JobResult:
     status: str  # "hit" | "ran" | "dead"
     record: Optional[RunRecord]
     error: Optional[str] = None
-    queue_wait_s: float = 0.0
     run_s: float = 0.0
     worker: Optional[str] = None
     attempts: int = 0
@@ -78,7 +78,11 @@ class JobResult:
 
 
 class ExperimentService:
-    """Client/worker handle on one campaign directory."""
+    """Client/worker handle on one campaign directory.
+
+    ``chaos_kill`` and ``timeout_s`` steer only the client loop
+    (:meth:`run`); after it, ``worker_exits`` holds the exit codes of
+    the shards it booted."""
 
     def __init__(
         self,
@@ -88,9 +92,10 @@ class ExperimentService:
         lowering: str = "ir",
         lease_seconds: float = 60.0,
         max_attempts: int = 3,
-        salt: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         resume: bool = False,
+        chaos_kill: int = 0,
+        timeout_s: Optional[float] = None,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -101,9 +106,12 @@ class ExperimentService:
             "lowering": lowering,
             "lease_seconds": lease_seconds,
             "max_attempts": max_attempts,
-            "salt": salt if salt is not None else code_version_salt(),
+            "salt": code_version_salt(),
         }
         self.params = self._load_or_create_manifest(params, resume=resume)
+        self.chaos_kill = chaos_kill
+        self.timeout_s = timeout_s
+        self.worker_exits: List[int] = []
         self.scale = self.params["scale"]
         self.seed = self.params["seed"]
         self.lowering = self.params["lowering"]
@@ -118,10 +126,11 @@ class ExperimentService:
         )
 
     @classmethod
-    def attach(cls, root, clock: Callable[[], float] = time.time,
-               **overrides) -> "ExperimentService":
-        """Open an existing campaign directory, inheriting every campaign
-        parameter from its manifest (worker-shard entry point)."""
+    def attach(cls, root) -> "ExperimentService":
+        """Open an existing campaign directory, inheriting its run
+        parameters from the manifest (worker-shard entry point).  The
+        salt comes from this process's own sources, so a campaign
+        created by other sources is refused before anything is leased."""
         manifest = Path(root) / "manifest.json"
         try:
             params = json.loads(manifest.read_text())
@@ -129,7 +138,6 @@ class ExperimentService:
             raise ConfigError(
                 f"no readable campaign manifest at {manifest}: {exc}"
             )
-        params.update(overrides)
         return cls(
             root,
             scale=params["scale"],
@@ -137,8 +145,6 @@ class ExperimentService:
             lowering=params["lowering"],
             lease_seconds=params["lease_seconds"],
             max_attempts=params["max_attempts"],
-            salt=params["salt"],
-            clock=clock,
         )
 
     def _load_or_create_manifest(self, params: dict, resume: bool) -> dict:
@@ -198,7 +204,6 @@ class ExperimentService:
                 return JobResult(key, "hit", record)
             return JobResult(
                 key, "ran", record,
-                queue_wait_s=job.queue_wait_s,
                 run_s=(job.finished_at or 0.0) - (job.started_at or 0.0),
                 worker=job.worker, attempts=job.attempts,
                 requeues=job.requeues,
@@ -215,42 +220,75 @@ class ExperimentService:
         keys: List[str],
         poll_s: float = 0.2,
         timeout_s: Optional[float] = None,
-        progress: Optional[Callable[[str], None]] = None,
     ) -> Iterator[JobResult]:
         """Yield one :class:`JobResult` per key as rows complete
-        (completion order; cache hits first).  Raises on timeout so a
-        wedged campaign surfaces instead of hanging forever."""
+        (completion order; cache hits first).  Raises once no row has
+        completed for ``timeout_s`` seconds, so a wedged campaign
+        surfaces instead of hanging forever."""
         pending = list(dict.fromkeys(keys))
-        start = time.monotonic()
-        total = len(pending)
-        yielded = 0
+        last_row = time.monotonic()
         while pending:
-            advanced = False
             still = []
             for key in pending:
                 result = self.result_for(key)
                 if result is None:
                     still.append(key)
                     continue
-                advanced = True
-                yielded += 1
-                if progress is not None:
-                    progress(
-                        f"[serve] {yielded}/{total} rows "
-                        f"({result.status}) {key[:12]}"
-                    )
+                last_row = time.monotonic()
                 yield result
             pending = still
             if not pending:
                 return
-            if not advanced:
-                if timeout_s is not None and \
-                        time.monotonic() - start > timeout_s:
-                    raise TimeoutError(
-                        f"campaign stalled: {len(pending)} rows outstanding "
-                        f"after {timeout_s:.0f}s (queue {self.queue.counts()})"
+            stalled = time.monotonic() - last_row
+            if timeout_s is not None and stalled > timeout_s:
+                raise TimeoutError(
+                    f"campaign stalled: no row completed for "
+                    f"{stalled:.1f}s, {len(pending)} rows outstanding "
+                    f"(queue {self.queue.counts()})"
+                )
+            time.sleep(poll_s)
+
+    def run(self, specs: Iterable[RunSpec],
+            workers: int) -> Iterator[JobResult]:
+        """The executor's back end: submit ``specs``, boot ``workers``
+        shards unless the queue needs none (0: shards started elsewhere)
+        and yield each row as it completes.
+
+        Raises :class:`ConfigError` on a job that failed for good and
+        :class:`TimeoutError` once no row completed for ``timeout_s``.
+        However the stream ends (drained, raised, interrupted or closed),
+        no shard it booted outlives it."""
+        keys = [self.submit(spec).key for spec in specs]
+        procs = []
+        if workers > 0 and not self.queue.drained():
+            procs = _boot_shards(self.root, workers)
+        kills_left = self.chaos_kill
+        try:
+            for result in self.stream_results(keys,
+                                              timeout_s=self.timeout_s):
+                if result.status == "dead":
+                    raise ConfigError(
+                        f"campaign job {result.key[:12]} failed after "
+                        f"{result.attempts} attempts: {result.error}"
                     )
-                time.sleep(poll_s)
+                if kills_left and result.status == "ran":
+                    # Fault-injection drill: SIGKILL one shard after each
+                    # further completed row; its lease must expire and
+                    # another shard re-run the job.
+                    victim = next(
+                        (p for p in procs if p.poll() is None), None
+                    )
+                    if victim is not None:
+                        victim.send_signal(signal.SIGKILL)
+                        victim.wait()
+                        kills_left -= 1
+                        self.queue._event("chaos-kill", "",
+                                          victim_pid=victim.pid)
+                yield result
+            for proc in procs:
+                proc.wait()  # each shard exits once the queue drains
+        finally:
+            self.worker_exits = _stop_shards(procs)
 
 
 # -- Worker shard ------------------------------------------------------------
@@ -355,17 +393,6 @@ def worker_loop(
 # -- Shard supervisor --------------------------------------------------------
 
 
-def _worker_argv(root, shard_id: str,
-                 max_jobs: Optional[int] = None) -> List[str]:
-    argv = [
-        sys.executable, "-m", "repro.harness.serve",
-        "--queue", str(root), "--worker", "--shard-id", shard_id,
-    ]
-    if max_jobs is not None:
-        argv += ["--max-jobs", str(max_jobs)]
-    return argv
-
-
 def _worker_env() -> dict:
     """Child env whose PYTHONPATH can import this very repro package."""
     import repro
@@ -380,49 +407,54 @@ def _worker_env() -> dict:
     return env
 
 
+def _boot_shards(root, workers: int,
+                 max_jobs: Optional[int] = None) -> List[subprocess.Popen]:
+    """Start ``workers`` worker-shard subprocesses on one campaign dir."""
+    argv = [
+        sys.executable, "-m", "repro.harness.serve",
+        "--queue", str(root), "--worker",
+    ]
+    if max_jobs is not None:
+        argv += ["--max-jobs", str(max_jobs)]
+    env = _worker_env()
+    return [
+        subprocess.Popen(argv + ["--shard-id", f"w{i}"], env=env)
+        for i in range(workers)
+    ]
+
+
+def _stop_shards(procs: List[subprocess.Popen]) -> List[int]:
+    """Terminate the shards still running, reap every one and return
+    their exit codes."""
+    for p in procs:
+        if p.poll() is None:
+            p.terminate()
+    for p in procs:
+        try:
+            p.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            p.kill()
+            p.wait()
+    return [p.returncode for p in procs]
+
+
 def serve_workers(
     root,
     workers: int,
     max_jobs: Optional[int] = None,
-    chaos_kill: int = 0,
     poll_s: float = 0.2,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, int]:
     """Boot ``workers`` shard subprocesses on one campaign dir and wait
-    until they exit (normally: queue drained).
-
-    ``chaos_kill`` SIGKILLs that many shards, one at a time, each after
-    at least one further job completes — the fault-injection drill used
-    by CI to prove lease recovery.  Returns the final queue counts plus
-    per-shard exit codes."""
+    until they exit (normally: queue drained).  Returns the final queue
+    counts plus per-shard exit codes."""
     root = Path(root)
     queue = JobQueue(root / "queue.sqlite")
-    env = _worker_env()
-    procs = [
-        subprocess.Popen(_worker_argv(root, f"w{i}", max_jobs), env=env)
-        for i in range(workers)
-    ]
-    kills_left = chaos_kill
-    kill_after_done = 1  # next completion count that triggers a kill
+    procs = _boot_shards(root, workers, max_jobs)
     try:
         while any(p.poll() is None for p in procs):
-            counts = queue.counts()
-            if kills_left > 0 and counts["done"] >= kill_after_done:
-                victim = next(
-                    (p for p in procs if p.poll() is None), None
-                )
-                if victim is not None:
-                    victim.send_signal(signal.SIGKILL)
-                    victim.wait()
-                    kills_left -= 1
-                    kill_after_done = counts["done"] + 1
-                    queue._event("chaos-kill", "", victim_pid=victim.pid)
-                    if progress is not None:
-                        progress(
-                            f"[serve] chaos: SIGKILLed worker pid "
-                            f"{victim.pid} ({counts['done']} rows done)"
-                        )
             if progress is not None:
+                counts = queue.counts()
                 progress(
                     f"[serve] queue: {counts['pending']} pending, "
                     f"{counts['leased']} leased, {counts['done']} done, "
@@ -430,17 +462,9 @@ def serve_workers(
                 )
             time.sleep(poll_s)
     finally:
-        for p in procs:
-            if p.poll() is None:
-                p.terminate()
-        for p in procs:
-            try:
-                p.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                p.kill()
-                p.wait()
+        exits = _stop_shards(procs)
     summary = queue.counts()
-    summary["worker_exits"] = [p.returncode for p in procs]
+    summary["worker_exits"] = exits
     queue.close()
     return summary
 

@@ -26,19 +26,21 @@ Axis names are dotted paths into :class:`~repro.cpu.config.MachineConfig`
 the cartesian product kernels × isas × axes, expanded in a fixed,
 documented order so row indices are stable across runs and machines.
 
-Execution goes through either the in-process
-:class:`~repro.harness.executor.CampaignExecutor` (``--serial``, the
-reference path) or the sharded experiment service
-(:mod:`repro.harness.serve`): submit every point (duplicates collapse by
-fingerprint, finished artifacts are immediate cache hits), boot worker
-shards, and stream rows as they complete.  Either way the emitted
-``rows``/``pareto`` sections depend only on simulation results — byte
-identical between serial, sharded, and resumed runs — while scheduling
-noise (queue waits, retries, worker ids) is quarantined in ``jobs``.
+Every point runs through the one campaign engine,
+:class:`~repro.harness.executor.CampaignExecutor`: in-process
+(``--workers 1``, the reference path) or on a process pool
+(``--workers N``), or, with ``--queue DIR``, on N worker shards of the
+experiment service (:mod:`repro.harness.serve`), whose campaign
+directory makes the sweep durable and resumable.  Duplicate points
+collapse by fingerprint and finished artifacts are cache hits.  On
+every back end the emitted ``rows``/``pareto`` sections depend only on
+simulation results — byte identical between in-process, pooled,
+sharded, and resumed runs — while scheduling noise (requeues, worker
+exits, wall time) is quarantined in ``jobs``.
 
 CLI::
 
-    python -m repro.harness.sweep SPEC.json --serial --json out.json
+    python -m repro.harness.sweep SPEC.json --workers 1 --json out.json
     python -m repro.harness.sweep SPEC.json --queue DIR --workers 4 \
         --json out.json [--resume]
 """
@@ -49,7 +51,6 @@ import dataclasses
 import itertools
 import json
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,8 +58,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
 from repro.errors import ConfigError
+from repro.harness.executor import (
+    CampaignExecutor,
+    CampaignInterrupted,
+    stderr_progress,
+)
 from repro.harness.report import ExperimentResult, geomean
 from repro.harness.runner import RunSpec
+from repro.harness.serve import ExperimentService
 from repro.kernels import get_kernel
 
 
@@ -257,7 +264,7 @@ def _dominates(a: dict, b: dict) -> bool:
 def _row_for(point: SweepPoint, record) -> dict:
     """One deterministic result row: sweep coordinates + measurements.
     No scheduling data here — rows must be byte-identical between
-    serial, sharded, and resumed runs."""
+    in-process, pooled, sharded, and resumed runs."""
     return {
         "index": point.index,
         "kernel": point.kernel,
@@ -268,23 +275,45 @@ def _row_for(point: SweepPoint, record) -> dict:
     }
 
 
-def run_sweep_serial(
+def run_sweep(
     spec: SweepSpec,
+    root=None,
+    workers: int = 1,
     scale: float = 1.0,
     seed: int = 0,
     lowering: str = "ir",
-    jobs: int = 1,
-    cache=None,
+    lease_seconds: float = 60.0,
+    max_attempts: int = 3,
+    resume: bool = False,
+    chaos_kill: int = 0,
+    timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
-    """Reference path: the whole sweep through the existing
-    :class:`CampaignExecutor` (serial by default), no service."""
-    from repro.harness.executor import CampaignExecutor
+    """Run every point of ``spec`` through the campaign executor.
 
+    Without ``root`` the grid runs in-process (``workers=1``, the
+    reference path) or on a process pool of ``workers``.  With ``root``,
+    a campaign directory, it runs on ``workers`` shards of the
+    experiment service (0: shards started elsewhere) and is resumable by
+    construction: finished rows live in the artifact store, so a second
+    invocation (``resume`` releases stale leases first) serves them as
+    cache hits and only simulates the remainder, including rows whose
+    artifact was pruned since."""
     points = spec.expand()
+    service = None
+    if root is not None:
+        service = ExperimentService(
+            root, scale=scale, seed=seed, lowering=lowering,
+            lease_seconds=lease_seconds, max_attempts=max_attempts,
+            resume=resume, chaos_kill=chaos_kill, timeout_s=timeout_s,
+        )
+        if resume:
+            released = service.queue.release_stale_leases()
+            if released and progress is not None:
+                progress(f"[sweep] resume: released {released} stale leases")
     executor = CampaignExecutor(
-        scale=scale, seed=seed, jobs=jobs, cache=cache,
-        progress=progress, lowering=lowering,
+        scale=scale, seed=seed, jobs=workers, progress=progress,
+        lowering=lowering, service=service,
     )
     keyed = {}
     for point in points:
@@ -297,135 +326,29 @@ def run_sweep_serial(
         ))
         for point in points
     ]
+
+    # "ran" means *this* invocation: rows whose artifact already existed
+    # are cache hits even if a prior invocation ran them.
     counts = executor.cache_summary()
-    return _payload(spec, scale, seed, lowering, rows, jobs={
-        "mode": "serial",
-        "total": len(points),
-        "unique": len(keyed),
-        "cache_hits": counts["hit-disk"] + counts["hit-memory"],
-        "ran": counts["miss"],
-        "wall_s": round(time.monotonic() - start, 3),
-    })
-
-
-def run_sweep_service(
-    spec: SweepSpec,
-    root,
-    workers: int,
-    scale: float = 1.0,
-    seed: int = 0,
-    lowering: str = "ir",
-    lease_seconds: float = 60.0,
-    max_attempts: int = 3,
-    resume: bool = False,
-    chaos_kill: int = 0,
-    timeout_s: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """The sharded campaign: submit every point to the experiment
-    service, boot worker shards, stream rows as they complete.
-
-    Resumable by construction — finished rows live in the artifact
-    store, so a second invocation (``--resume`` releases stale leases
-    first) submits the same fingerprints, gets cache hits for finished
-    work, and only simulates the remainder, including rows whose
-    artifact was pruned since."""
-    from repro.harness.serve import ExperimentService, serve_workers
-
-    points = spec.expand()
-    service = ExperimentService(
-        root, scale=scale, seed=seed, lowering=lowering,
-        lease_seconds=lease_seconds, max_attempts=max_attempts,
-        resume=resume,
-    )
-    if resume:
-        released = service.queue.release_stale_leases()
-        if released and progress is not None:
-            progress(f"[sweep] resume: released {released} stale leases")
-
-    submits = service.submit_many([p.spec for p in points])
-    statuses = [s.status for s in submits]
-    keys = list(dict.fromkeys(s.key for s in submits))
-    if progress is not None:
-        progress(
-            f"[sweep] {spec.name}: {len(points)} points -> "
-            f"{len(keys)} unique jobs ({statuses.count('hit')} artifact "
-            f"hits, {statuses.count('queued')} queued, "
-            f"{statuses.count('duplicate')} already queued)"
-        )
-
-    start = time.monotonic()
-    shard_summary: dict = {}
-    supervisor = None
-    if workers > 0 and not service.queue.drained():
-        supervisor = threading.Thread(
-            target=lambda: shard_summary.update(serve_workers(
-                root, workers, chaos_kill=chaos_kill, progress=None,
-            )),
-            daemon=True,
-        )
-        supervisor.start()
-
-    results = {}
-    done = 0
-    for result in service.stream_results(
-        keys, timeout_s=timeout_s, progress=None
-    ):
-        results[result.key] = result
-        done += 1
-        if progress is not None and (done % 25 == 0 or done == len(keys)):
-            progress(f"[sweep] {done}/{len(keys)} rows complete")
-    if supervisor is not None:
-        supervisor.join()
-
-    dead = [r for r in results.values() if r.status == "dead"]
-    if dead:
-        raise ConfigError(
-            f"{len(dead)} sweep jobs failed permanently, e.g. "
-            f"{dead[0].key[:12]}: {dead[0].error}"
-        )
-
-    rows = []
-    for point in points:
-        result = results[service.key_for(point.spec)]
-        rows.append(_row_for(point, result.record))
-
-    # "ran" means *this* invocation: keys whose artifact already existed
-    # at submit time are cache hits even if a prior campaign ran them
-    # through this same queue (their Job rows still read "done").
-    hit_keys = {s.key for s in submits if s.status == "hit"}
-    ran = [
-        r for r in results.values()
-        if r.status == "ran" and r.key not in hit_keys
-    ]
-    waits = [r.queue_wait_s for r in ran]
-    runs = [r.run_s for r in ran]
+    hits = counts["hit-disk"] + counts["hit-memory"]
     jobs = {
-        "mode": "service",
+        "mode": "service" if service is not None
+        else "pool" if executor.jobs > 1 else "in-process",
         "workers": workers,
         "total": len(points),
-        "unique": len(keys),
-        "cache_hits": statuses.count("hit"),
-        "ran": len(ran),
-        "cache_hit_rate": round(
-            statuses.count("hit") / max(1, len(keys)), 4
-        ),
-        "requeues": sum(r.requeues for r in ran),
-        "retries": sum(max(0, r.attempts - 1) for r in ran),
-        "queue_wait_mean_s": round(sum(waits) / len(waits), 3) if waits
-        else 0.0,
-        "queue_wait_max_s": round(max(waits), 3) if waits else 0.0,
-        "run_mean_s": round(sum(runs) / len(runs), 3) if runs else 0.0,
-        "run_max_s": round(max(runs), 3) if runs else 0.0,
+        "unique": len(keyed),
+        "cache_hits": hits,
+        "ran": counts["miss"],
+        "cache_hit_rate": round(hits / max(1, len(keyed)), 4),
         "wall_s": round(time.monotonic() - start, 3),
-        "queue": service.queue.counts(),
     }
-    if shard_summary:
-        jobs["worker_exits"] = shard_summary.get("worker_exits", [])
-    return _payload(spec, scale, seed, lowering, rows, jobs=jobs)
-
-
-def _payload(spec, scale, seed, lowering, rows, jobs) -> dict:
+    if service is not None:
+        jobs["requeues"] = sum(
+            service.queue.get(e.key).requeues
+            for e in executor.events if e.status == "miss"
+        )
+        jobs["queue"] = service.queue.counts()
+        jobs["worker_exits"] = service.worker_exits
     return {
         "sweep": spec.name,
         "description": spec.description,
@@ -490,37 +413,50 @@ def main(argv=None) -> int:
     )
     parser.add_argument("spec", help="sweep spec JSON file")
     parser.add_argument("--queue", metavar="DIR", default="",
-                        help="campaign directory (required unless "
-                             "--serial/--expand)")
+                        help="campaign directory: run on worker shards of "
+                             "the experiment service, resumably (default: "
+                             "in-process or on a process pool)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker shards to boot (default 2; 0 "
-                             "attaches to externally started workers)")
-    parser.add_argument("--serial", action="store_true",
-                        help="run in-process through the campaign "
-                             "executor instead of the service "
-                             "(reference path)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="process-pool width for --serial")
+                        help="without --queue, 1 runs in-process and N a "
+                             "process pool of N; with --queue, worker "
+                             "shards to boot, 0 attaches to shards "
+                             "started elsewhere (default 2)")
+    # The service-only options default to "absent", so that a use
+    # without --queue is refused instead of silently ignored.
     parser.add_argument("--resume", action="store_true",
-                        help="release stale leases and continue a "
-                             "half-finished campaign")
+                        default=argparse.SUPPRESS,
+                        help="with --queue: release stale leases and "
+                             "continue a half-finished campaign")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--lowering", default="ir",
                         choices=("ir", "legacy"))
-    parser.add_argument("--lease-seconds", type=float, default=60.0,
-                        help="worker lease/heartbeat window")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="S", help="abort if no row completes "
-                        "for S seconds")
+    parser.add_argument("--lease-seconds", type=float,
+                        default=argparse.SUPPRESS,
+                        help="with --queue: worker lease/heartbeat window "
+                             "(default 60)")
+    parser.add_argument("--timeout", type=float, dest="timeout_s",
+                        default=argparse.SUPPRESS, metavar="S",
+                        help="with --queue: abort if no row completes "
+                             "for S seconds")
     parser.add_argument("--json", metavar="PATH", default="",
                         help="write rows + Pareto front + job metrics")
     parser.add_argument("--expand", action="store_true",
                         help="print the expanded point count and exit")
-    parser.add_argument("--chaos-kill", type=int, default=0, metavar="N",
-                        help="fault-injection drill: SIGKILL N worker "
-                             "shards mid-campaign (CI uses 1)")
+    parser.add_argument("--chaos-kill", type=int, default=argparse.SUPPRESS,
+                        metavar="N",
+                        help="with --queue, fault-injection drill: SIGKILL "
+                             "N worker shards mid-campaign (CI uses 1)")
     args = parser.parse_args(argv)
+
+    flags = {"resume": "--resume", "lease_seconds": "--lease-seconds",
+             "timeout_s": "--timeout", "chaos_kill": "--chaos-kill"}
+    service_opts = {d: getattr(args, d) for d in flags if hasattr(args, d)}
+    misplaced = [flags[dest] for dest in service_opts]
+    if args.workers < 1:
+        misplaced.append(f"--workers {args.workers}")
+    if misplaced and not args.queue:
+        parser.error(f"{', '.join(misplaced)}: only with --queue DIR")
 
     spec = SweepSpec.from_file(args.spec)
     if args.expand:
@@ -531,29 +467,24 @@ def main(argv=None) -> int:
               f" configs)")
         return 0
 
-    progress = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
-    if args.serial:
-        payload = run_sweep_serial(
-            spec, scale=args.scale, seed=args.seed,
-            lowering=args.lowering, jobs=args.jobs, progress=progress,
-        )
-    else:
-        if not args.queue:
-            parser.error("--queue DIR is required (or pass --serial)")
-        payload = run_sweep_service(
-            spec, args.queue, args.workers, scale=args.scale,
+    try:
+        payload = run_sweep(
+            spec, args.queue or None, args.workers, scale=args.scale,
             seed=args.seed, lowering=args.lowering,
-            lease_seconds=args.lease_seconds, resume=args.resume,
-            chaos_kill=args.chaos_kill, timeout_s=args.timeout,
-            progress=progress,
+            progress=stderr_progress, **service_opts,
         )
+    except CampaignInterrupted as interrupt:
+        hint = " — finished rows are stored; --resume continues" \
+            if args.queue else ""
+        print(f"{interrupt}{hint}", file=sys.stderr)
+        return 130
 
     print(pareto_table(payload).render())
     jobs = payload["jobs"]
     print(
         f"sweep {spec.name}: {jobs['total']} rows in "
-        f"{jobs['wall_s']:.1f}s ({jobs.get('ran', 0)} simulated, "
-        f"{jobs.get('cache_hits', 0)} cache hits, "
+        f"{jobs['wall_s']:.1f}s ({jobs['ran']} simulated, "
+        f"{jobs['cache_hits']} cache hits, "
         f"{jobs.get('requeues', 0)} requeues, mode {jobs['mode']})",
         file=sys.stderr,
     )

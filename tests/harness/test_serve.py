@@ -1,6 +1,10 @@
 """Experiment-service tests: submission dedup, worker loops, idempotent
 replay, lease recovery, and the streaming client — all in-process (the
 real multi-process drill lives in tests/integration/test_serve_crash.py)."""
+import json
+import threading
+import time
+
 import pytest
 
 from repro.errors import ConfigError
@@ -53,6 +57,19 @@ class TestSubmission:
         with pytest.raises(ConfigError, match="cannot change"):
             ExperimentService(service.root, scale=0.5, seed=0, resume=True)
 
+    def test_worker_refuses_campaign_of_other_sources(self, service):
+        """A shard must not store results of its own sources under the
+        salt of the sources that created the campaign."""
+        submit = service.submit(SPECS[0])
+        manifest = service.root / "manifest.json"
+        params = json.loads(manifest.read_text())
+        params["salt"] = "salt-of-other-sources"
+        manifest.write_text(json.dumps(params))
+        with pytest.raises(ConfigError, match="salt"):
+            worker_loop(service.root, shard_id="w0")
+        assert service.queue.get(submit.key).status == "pending"
+        assert not list((service.root / "artifacts").rglob("*.json"))
+
 
 class TestWorkerLoop:
     def test_drains_queue_and_streams_results(self, service):
@@ -97,6 +114,21 @@ class TestWorkerLoop:
         assert result.status == "dead"
         assert "no-such-kernel" in result.error
         assert result.attempts == 2
+
+
+class TestClientLoop:
+    def test_dead_job_raises(self, tmp_path):
+        """The executor's back end surfaces a job that failed for good
+        instead of waiting for a row that never comes."""
+        service = ExperimentService(
+            tmp_path / "c", scale=SCALE, seed=0, max_attempts=1,
+        )
+        key = service.submit(SPECS[0]).key
+        service.queue.lease("w0")
+        assert service.queue.fail(key, "w0", "boom") == "dead"
+        with pytest.raises(ConfigError, match="boom"):
+            list(service.run(SPECS[:1], workers=0))
+        assert service.worker_exits == []
 
 
 class TestIdempotentReplay:
@@ -171,6 +203,34 @@ class TestStreaming:
         with pytest.raises(TimeoutError, match="stalled"):
             list(service.stream_results([submit.key], poll_s=0.01,
                                         timeout_s=0.1))
+
+    def test_stream_timeout_counts_from_last_completed_row(self, service):
+        """A row every 0.3 s is progress: a 0.6 s stall timeout must let
+        the whole 0.9 s campaign through."""
+        from repro.harness.runner import Runner
+
+        submits = service.submit_many(SPECS)
+        record = Runner(scale=SCALE, seed=0).run_spec(SPECS[0])
+
+        def complete_slowly():
+            queue = JobQueue(service.root / "queue.sqlite")
+            for _ in SPECS:
+                time.sleep(0.3)
+                job = queue.lease("w0")
+                service.cache.store(job.key, record)
+                queue.complete(job.key, "w0")
+            queue.close()
+
+        worker = threading.Thread(target=complete_slowly)
+        worker.start()
+        try:
+            results = list(service.stream_results(
+                [s.key for s in submits], poll_s=0.02, timeout_s=0.6,
+            ))
+        finally:
+            worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert [r.status for r in results] == ["ran"] * len(SPECS)
 
     def test_structured_events_cover_lifecycle(self, service):
         submits = service.submit_many(SPECS[:2])

@@ -1,6 +1,6 @@
 """Sweep tests: spec validation, deterministic expansion, Pareto math,
-and the acceptance contract — service rows byte-identical to the serial
-reference, resume 100% cache hits."""
+the CLI, and the acceptance contract — pooled and service rows
+byte-identical to the in-process reference, resume 100% cache hits."""
 import json
 
 import pytest
@@ -9,10 +9,10 @@ from repro.cpu.config import uve_machine
 from repro.errors import ConfigError
 from repro.harness.sweep import (
     SweepSpec,
+    main,
     pareto_front,
     resource_proxy,
-    run_sweep_serial,
-    run_sweep_service,
+    run_sweep,
 )
 
 MINI = {
@@ -104,16 +104,16 @@ class TestParetoMath:
 
 
 class TestAcceptance:
-    """The sharded campaign must be indistinguishable from the serial
+    """The sharded campaign must be indistinguishable from the in-process
     reference in its result rows, and resumable with full cache hits."""
 
     @pytest.fixture(scope="class")
     def serial_payload(self):
-        return run_sweep_serial(SweepSpec.from_dict(MINI), scale=SCALE)
+        return run_sweep(SweepSpec.from_dict(MINI), scale=SCALE)
 
     def test_service_rows_byte_identical_to_serial(self, tmp_path,
                                                    serial_payload):
-        payload = run_sweep_service(
+        payload = run_sweep(
             SweepSpec.from_dict(MINI), tmp_path / "c", workers=2,
             scale=SCALE, timeout_s=120.0,
         )
@@ -126,8 +126,8 @@ class TestAcceptance:
     def test_resume_half_finished_campaign_bit_identical(
             self, tmp_path, serial_payload):
         """Stop a campaign after half its jobs, then --resume: the final
-        payload rows match a fresh serial run exactly, and the finished
-        half is pure cache hits."""
+        payload rows match a fresh in-process run exactly, and the
+        finished half is pure cache hits."""
         from repro.harness.serve import ExperimentService, worker_loop
 
         spec = SweepSpec.from_dict(MINI)
@@ -136,7 +136,7 @@ class TestAcceptance:
         service.submit_many([p.spec for p in spec.expand()])
         assert worker_loop(root, shard_id="w0", max_jobs=4) == 4
 
-        resumed = run_sweep_service(
+        resumed = run_sweep(
             spec, root, workers=1, scale=SCALE, resume=True,
             timeout_s=120.0,
         )
@@ -146,7 +146,7 @@ class TestAcceptance:
         assert resumed["jobs"]["ran"] == 4
 
         # Third invocation: everything is in the artifact store.
-        final = run_sweep_service(
+        final = run_sweep(
             spec, root, workers=1, scale=SCALE, resume=True,
             timeout_s=120.0,
         )
@@ -155,9 +155,31 @@ class TestAcceptance:
         assert final["jobs"]["cache_hit_rate"] == 1.0
         assert final["jobs"]["ran"] == 0
 
-    def test_serial_pool_matches_serial(self, serial_payload):
-        pooled = run_sweep_serial(
-            SweepSpec.from_dict(MINI), scale=SCALE, jobs=2,
-        )
+    def test_pool_rows_match_in_process(self, serial_payload):
+        pooled = run_sweep(SweepSpec.from_dict(MINI), workers=2,
+                           scale=SCALE)
+        assert pooled["jobs"]["mode"] == "pool"
         assert json.dumps(pooled["rows"]) == \
             json.dumps(serial_payload["rows"])
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "option",
+        [["--resume"], ["--lease-seconds", "5"], ["--timeout", "60"],
+         ["--chaos-kill", "1"], ["--workers", "0"]],
+        ids=["resume", "lease-seconds", "timeout", "chaos-kill",
+             "workers-0"],
+    )
+    def test_service_only_option_needs_queue(self, tmp_path, capsys,
+                                             option):
+        """Refused, not silently ignored: the same command line without
+        the option is valid."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(MINI))
+        assert main([str(path), "--expand"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "--expand", *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert option[0] in err and "only with --queue DIR" in err

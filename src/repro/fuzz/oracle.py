@@ -31,6 +31,7 @@ from repro.cpu.config import uve_machine
 from repro.fuzz.lowering import ISAS, lower
 from repro.fuzz.reference import Artifacts, materialize
 from repro.fuzz.spec import CaseSpec
+from repro.isa.program import Program
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.simulator import Simulator
@@ -134,9 +135,12 @@ def run_case(
         art = materialize(spec)
     report = CaseReport(spec)
     outputs: Dict[str, np.ndarray] = {}
+    uve_program = None
     for isa in ISAS:
         try:
             program = lower(spec, art, isa, inject if isa == "uve" else None)
+            if isa == "uve":
+                uve_program = program
             mem = clone_memory(art.memory)
             FunctionalSimulator(
                 program, memory=mem, vector_bits=spec.vector_bits
@@ -175,7 +179,7 @@ def run_case(
                 )
     if check_timing:
         report.timing_checked = True
-        _check_timing(spec, art, inject, report.failures)
+        _check_timing(spec, art, inject, uve_program, report.failures)
     return report
 
 
@@ -183,11 +187,15 @@ def _check_timing(
     spec: CaseSpec,
     art: Artifacts,
     inject: Optional[str],
+    program: Optional[Program],
     failures: List[Failure],
 ) -> None:
-    """Timing-model invariants on the UVE lowering (see module docs)."""
+    """Timing-model invariants on the UVE lowering ``program`` (see module
+    docs).  ``program`` is None when lowering raised; it is lowered again
+    here, so the case also reports a ``timing`` exception."""
     try:
-        program = lower(spec, art, "uve", inject)
+        if program is None:
+            program = lower(spec, art, "uve", inject)
         results = {}
         for ff in (True, False):
             config = uve_machine().with_(

@@ -14,7 +14,13 @@ import numpy as np
 
 from repro.common.types import ElementType
 from repro.isa import semantics
-from repro.isa.instructions import Instruction, Operand, operand_regs
+from repro.isa.instructions import (
+    Instruction,
+    Operand,
+    int_source,
+    operand_regs,
+    x_dest,
+)
 from repro.isa.microop import OpClass
 from repro.isa.registers import Reg, RegClass
 from repro.isa.vector import VecValue
@@ -39,16 +45,25 @@ class NVLoad(Instruction):
     post_inc: bool = False
     opclass = OpClass.VEC_LOAD
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        width = self.etype.width
-        start = state.read_x(self.base) + state.value_int(self.offset)
-        data = state.mem.read_block(start, lanes, self.etype)
-        state.record_mem_read(range(start, start + lanes * width, width))
-        state.write_v(self.vd, VecValue(data, np.ones(lanes, dtype=bool)), self.etype)
-        if self.post_inc:
-            state.write_x(self.base, state.read_x(self.base) + NEON_BITS // 8)
-        return None
+    def bind(self, state):
+        etype, vd, write_v = self.etype, self.vd, state.write_v
+        lanes, width = neon_lanes(etype), etype.width
+        xregs, base = state.xregs, self.base.index
+        src, offset = int_source(state, self.offset)
+        read_block, record = state.mem.read_block, state.record_mem_read
+        regs, _ = x_dest(state, self.base)
+        post_inc, all_valid = self.post_inc, np.ones(lanes, dtype=bool)
+
+        def execute(state) -> Optional[str]:
+            start = xregs[base] + src[offset]
+            data = read_block(start, lanes, etype)
+            record(range(start, start + lanes * width, width))
+            write_v(vd, VecValue(data, all_valid.copy()), etype)
+            if post_inc:
+                regs[base] = xregs[base] + NEON_BITS // 8
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -78,16 +93,24 @@ class NVStore(Instruction):
     post_inc: bool = False
     opclass = OpClass.VEC_STORE
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        width = self.etype.width
-        start = state.read_x(self.base) + state.value_int(self.offset)
-        value = state.read_v(self.vs, self.etype)
-        state.mem.write_block(start, value.data[:lanes])
-        state.record_mem_write(range(start, start + lanes * width, width))
-        if self.post_inc:
-            state.write_x(self.base, state.read_x(self.base) + NEON_BITS // 8)
-        return None
+    def bind(self, state):
+        etype, vs, read_v = self.etype, self.vs, state.read_v
+        lanes, width = neon_lanes(etype), etype.width
+        xregs, base = state.xregs, self.base.index
+        src, offset = int_source(state, self.offset)
+        write_block, record = state.mem.write_block, state.record_mem_write
+        regs, _ = x_dest(state, self.base)
+        post_inc = self.post_inc
+
+        def execute(state) -> Optional[str]:
+            start = xregs[base] + src[offset]
+            write_block(start, read_v(vs, etype).data[:lanes])
+            record(range(start, start + lanes * width, width))
+            if post_inc:
+                regs[base] = xregs[base] + NEON_BITS // 8
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -123,17 +146,22 @@ class NVOp(Instruction):
     def opclass(self):  # type: ignore[override]
         return semantics.vector_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        a = state.read_v(self.vs1, self.etype)
-        b = state.read_v(self.vs2, self.etype)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = semantics.binary(self.op)(a.data[:lanes], b.data[:lanes])
-        data = result.astype(self.etype.dtype)
-        state.write_v(
-            self.vd, VecValue(data, np.ones(lanes, dtype=bool)), self.etype
-        )
-        return None
+    def bind(self, state):
+        fn, etype = semantics.binary(self.op), self.etype
+        lanes, dtype = neon_lanes(etype), etype.dtype
+        read_v, write_v = state.read_v, state.write_v
+        vs1, vs2, vd = self.vs1, self.vs2, self.vd
+        all_valid = np.ones(lanes, dtype=bool)
+
+        def execute(state) -> Optional[str]:
+            a = read_v(vs1, etype)
+            b = read_v(vs2, etype)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = fn(a.data[:lanes], b.data[:lanes])
+            write_v(vd, VecValue(result.astype(dtype), all_valid.copy()), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):

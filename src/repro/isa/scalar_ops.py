@@ -13,7 +13,16 @@ from typing import Optional
 from repro.common.types import ElementType
 from repro.errors import IsaError
 from repro.isa import semantics
-from repro.isa.instructions import Instruction, Operand, operand_regs
+from repro.isa.instructions import (
+    Instruction,
+    Operand,
+    float_source,
+    int_source,
+    operand_regs,
+    raw_source,
+    scalar_dest,
+    x_dest,
+)
 from repro.isa.microop import OpClass
 from repro.isa.registers import Reg, RegClass
 
@@ -21,6 +30,15 @@ from repro.isa.registers import Reg, RegClass
 def _check_class(reg: Reg, cls: RegClass, what: str) -> None:
     if reg.cls is not cls:
         raise IsaError(f"{what} must be an {cls.value}-register, got {reg}")
+
+
+def _int_div(a: int, b: int) -> int:
+    """Exact integer division truncating toward zero (RISC-V DIV).  It
+    never traps: x/0 yields a defined value, 0 here for simplicity."""
+    if not b:
+        return 0
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
 
 
 @dataclass(frozen=True)
@@ -31,9 +49,15 @@ class Li(Instruction):
     imm: int
     opclass = OpClass.INT_ALU
 
-    def execute(self, state) -> Optional[str]:
-        state.write_x(self.rd, int(self.imm))
-        return None
+    def bind(self, state):
+        regs, rd = x_dest(state, self.rd)
+        imm = int(self.imm)
+
+        def execute(state) -> Optional[str]:
+            regs[rd] = imm
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -51,9 +75,15 @@ class FLi(Instruction):
     value: float
     opclass = OpClass.FP_ALU
 
-    def execute(self, state) -> Optional[str]:
-        state.write_f(self.fd, float(self.value))
-        return None
+    def bind(self, state):
+        fregs, fd = state.fregs, self.fd.index
+        value = float(self.value)
+
+        def execute(state) -> Optional[str]:
+            fregs[fd] = value
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -79,17 +109,17 @@ class IntOp(Instruction):
     def opclass(self):  # type: ignore[override]
         return semantics.scalar_int_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        a = state.read_x(self.rs1)
-        b = state.value_int(self.rs2)
-        if self.op == "div":
-            # RISC-V semantics: division never traps (x/0 yields a
-            # defined value; we use 0 for simplicity).
-            result = int(a / b) if b else 0
-        else:
-            result = semantics.binary(self.op)(a, b)
-        state.write_x(self.rd, int(result))
-        return None
+    def bind(self, state):
+        fn = _int_div if self.op == "div" else semantics.binary(self.op)
+        xregs, a = state.xregs, self.rs1.index
+        src, b = int_source(state, self.rs2)
+        regs, rd = x_dest(state, self.rd)
+
+        def execute(state) -> Optional[str]:
+            regs[rd] = int(fn(xregs[a], src[b]))
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -119,11 +149,16 @@ class FOp(Instruction):
     def opclass(self):  # type: ignore[override]
         return semantics.scalar_fp_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        a = state.read_f(self.fs1)
-        b = state.value_float(self.fs2)
-        state.write_f(self.fd, float(semantics.binary(self.op)(a, b)))
-        return None
+    def bind(self, state):
+        fn = semantics.binary(self.op)
+        fregs, fd, a = state.fregs, self.fd.index, self.fs1.index
+        src, b = float_source(state, self.fs2)
+
+        def execute(state) -> Optional[str]:
+            fregs[fd] = float(fn(fregs[a], src[b]))
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -239,15 +274,21 @@ class Load(Instruction):
 
     opclass = OpClass.LOAD
 
-    def execute(self, state) -> Optional[str]:
-        addr = state.read_x(self.base) + state.value_int(self.offset)
-        value = state.mem.read_scalar(addr, self.etype)
-        state.record_mem_read([addr])
-        if self.rd.cls is RegClass.F:
-            state.write_f(self.rd, float(value))
-        else:
-            state.write_x(self.rd, int(value))
-        return None
+    def bind(self, state):
+        xregs, base = state.xregs, self.base.index
+        src, offset = int_source(state, self.offset)
+        read = state.mem.scalar_reader(self.etype)
+        record = state.record_mem_read
+        regs, rd, convert = scalar_dest(state, self.rd)
+
+        def execute(state) -> Optional[str]:
+            addr = xregs[base] + src[offset]
+            value = read(addr)
+            record((addr,))
+            regs[rd] = convert(value)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -275,15 +316,20 @@ class Store(Instruction):
 
     opclass = OpClass.STORE
 
-    def execute(self, state) -> Optional[str]:
-        addr = state.read_x(self.base) + state.value_int(self.offset)
-        if self.rs.cls is RegClass.F:
-            value = state.read_f(self.rs)
-        else:
-            value = state.read_x(self.rs)
-        state.mem.write_scalar(addr, value, self.etype)
-        state.record_mem_write([addr])
-        return None
+    def bind(self, state):
+        xregs, base = state.xregs, self.base.index
+        src, offset = int_source(state, self.offset)
+        regs, rs = raw_source(state, self.rs)
+        write = state.mem.scalar_writer(self.etype)
+        record = state.record_mem_write
+
+        def execute(state) -> Optional[str]:
+            addr = xregs[base] + src[offset]
+            write(addr, regs[rs])
+            record((addr,))
+            return None
+
+        return execute
 
     @property
     def srcs(self):
@@ -307,14 +353,20 @@ class BranchCmp(Instruction):
 
     opclass = OpClass.BRANCH
 
-    def execute(self, state) -> Optional[str]:
+    def bind(self, state):
+        compare = semantics.compare(self.cond)
+        label, a = self.label, self.rs1.index
         if self.rs1.cls is RegClass.F:
-            a = state.read_f(self.rs1)
-            b = state.value_float(self.rs2)
+            regs = state.fregs
+            src, b = float_source(state, self.rs2)
         else:
-            a = state.read_x(self.rs1)
-            b = state.value_int(self.rs2)
-        return self.label if semantics.compare(self.cond)(a, b) else None
+            regs = state.xregs
+            src, b = int_source(state, self.rs2)
+
+        def execute(state) -> Optional[str]:
+            return label if compare(regs[a], src[b]) else None
+
+        return execute
 
     @property
     def srcs(self):
@@ -335,8 +387,13 @@ class Jump(Instruction):
     label: str
     opclass = OpClass.BRANCH
 
-    def execute(self, state) -> Optional[str]:
-        return self.label
+    def bind(self, state):
+        label = self.label
+
+        def execute(state) -> Optional[str]:
+            return label
+
+        return execute
 
     @property
     def label_target(self):

@@ -7,6 +7,7 @@ ISAs by construction — differences between ISAs are purely architectural
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict
 
 import numpy as np
@@ -15,26 +16,27 @@ from repro.errors import IsaError
 from repro.isa.microop import OpClass
 
 #: Binary element-wise operators: (a, b) -> result, numpy-broadcastable.
+#: The ``operator`` functions are the Python operators (``a + b`` ...).
 BINARY_OPS: Dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
     "min": np.minimum,
     "max": np.maximum,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "sll": lambda a, b: a << b,
-    "srl": lambda a, b: a >> b,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "sll": operator.lshift,
+    "srl": operator.rshift,
 }
 
 #: Unary element-wise operators.
 UNARY_OPS: Dict[str, Callable] = {
-    "neg": lambda a: -a,
+    "neg": operator.neg,
     "abs": np.abs,
     "sqrt": np.sqrt,
-    "not": lambda a: ~a,
+    "not": operator.invert,
     "mov": lambda a: a,
 }
 
@@ -48,12 +50,12 @@ REDUCE_OPS: Dict[str, Callable] = {
 
 #: Comparison operators (predicate generation).
 COMPARE_OPS: Dict[str, Callable] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
 
 #: OpClass of a binary vector operator (for FU selection / latency).

@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.common.types import ElementType
 from repro.isa import semantics
-from repro.isa.instructions import Instruction, Operand, operand_regs
+from repro.isa.instructions import (
+    Instruction,
+    Operand,
+    int_source,
+    operand_regs,
+    x_dest,
+)
 from repro.isa.microop import OpClass
 from repro.isa.registers import P0, Reg, RegClass
 from repro.isa.vector import VecValue
@@ -31,13 +37,16 @@ class WhileLt(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MISC
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        base = state.read_x(self.rs1)
-        bound = state.read_x(self.rs2)
-        mask = np.arange(lanes) + base < bound
-        state.write_pred(self.pd, mask)
-        return None
+    def bind(self, state):
+        lanes, etype = state.lanes, self.etype
+        xregs, a, b = state.xregs, self.rs1.index, self.rs2.index
+        write_pred, pd = state.write_pred, self.pd
+
+        def execute(state) -> Optional[str]:
+            write_pred(pd, np.arange(lanes(etype)) + xregs[a] < xregs[b])
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -106,11 +115,9 @@ class BranchPred(Instruction):
         return f"b.{self.kind} {self.pg}, .{self.label}"
 
 
-def _address(state, base: Reg, index: Optional[Operand], etype: ElementType) -> int:
-    addr = state.read_x(base)
-    if index is not None:
-        addr += state.value_int(index) * etype.width
-    return addr
+def _index_source(state, index: Optional[Operand]):
+    """Where a contiguous access reads its element index (0 if none)."""
+    return int_source(state, 0 if index is None else index)
 
 
 @dataclass(frozen=True)
@@ -124,25 +131,36 @@ class Ld1(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_LOAD
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        mask = state.read_pred(self.pg, lanes)
-        start = _address(state, self.base, self.index, self.etype)
-        width = self.etype.width
-        if mask.all():  # fast path: full contiguous load
-            data = state.mem.read_block(start, lanes, self.etype)
-            addrs = range(start, start + lanes * width, width)
-        else:
-            data = np.zeros(lanes, dtype=self.etype.dtype)
-            addrs = []
-            for i in range(lanes):
-                if mask[i]:
-                    addr = start + i * width
-                    data[i] = state.mem.read_scalar(addr, self.etype)
-                    addrs.append(addr)
-        state.record_mem_read(addrs)
-        state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
-        return None
+    def bind(self, state):
+        etype, lanes_of, write_v = self.etype, state.lanes, state.write_v
+        width, dtype, vd = etype.width, etype.dtype, self.vd
+        preds, pg = state.preds, self.pg.index
+        xregs, base = state.xregs, self.base.index
+        src, index = _index_source(state, self.index)
+        read_block = state.mem.read_block
+        read = state.mem.scalar_reader(etype)
+        record = state.record_mem_read
+
+        def execute(state) -> Optional[str]:
+            lanes = lanes_of(etype)
+            mask = preds[pg, :lanes]
+            start = xregs[base] + src[index] * width
+            if mask.all():  # fast path: full contiguous load
+                data = read_block(start, lanes, etype)
+                addrs = range(start, start + lanes * width, width)
+            else:
+                data = np.zeros(lanes, dtype=dtype)
+                addrs = []
+                for i in range(lanes):
+                    if mask[i]:
+                        addr = start + i * width
+                        data[i] = read(addr)
+                        addrs.append(addr)
+            record(addrs)
+            write_v(vd, VecValue(data, mask.copy()), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -200,24 +218,35 @@ class St1(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_STORE
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        mask = state.read_pred(self.pg, lanes)
-        value = state.read_v(self.vs, self.etype)
-        start = _address(state, self.base, self.index, self.etype)
-        width = self.etype.width
-        if mask.all():  # fast path: full contiguous store
-            state.mem.write_block(start, value.data)
-            addrs = range(start, start + lanes * width, width)
-        else:
-            addrs = []
-            for i in range(lanes):
-                if mask[i]:
-                    addr = start + i * width
-                    state.mem.write_scalar(addr, value.data[i], self.etype)
-                    addrs.append(addr)
-        state.record_mem_write(addrs)
-        return None
+    def bind(self, state):
+        etype, lanes_of, read_v = self.etype, state.lanes, state.read_v
+        width, vs = etype.width, self.vs
+        preds, pg = state.preds, self.pg.index
+        xregs, base = state.xregs, self.base.index
+        src, index = _index_source(state, self.index)
+        write_block = state.mem.write_block
+        write = state.mem.scalar_writer(etype)
+        record = state.record_mem_write
+
+        def execute(state) -> Optional[str]:
+            lanes = lanes_of(etype)
+            mask = preds[pg, :lanes]
+            value = read_v(vs, etype)
+            start = xregs[base] + src[index] * width
+            if mask.all():  # fast path: full contiguous store
+                write_block(start, value.data)
+                addrs = range(start, start + lanes * width, width)
+            else:
+                addrs = []
+                for i in range(lanes):
+                    if mask[i]:
+                        addr = start + i * width
+                        write(addr, value.data[i])
+                        addrs.append(addr)
+            record(addrs)
+            return None
+
+        return execute
 
     @property
     def srcs(self):
@@ -327,18 +356,26 @@ class VOp(Instruction):
     def opclass(self):  # type: ignore[override]
         return semantics.vector_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        mask = state.read_pred(self.pg, lanes)
-        a = state.read_v(self.vs1, self.etype)
-        b = state.read_v(self.vs2, self.etype)
-        old = state.read_v(self.vd, self.etype)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = semantics.binary(self.op)(a.data, b.data)
-        data = np.where(mask, result, old.data).astype(self.etype.dtype)
-        valid = np.where(mask, a.valid & b.valid, old.valid)
-        state.write_v(self.vd, VecValue(data, valid), self.etype)
-        return None
+    def bind(self, state):
+        fn, etype, lanes_of = semantics.binary(self.op), self.etype, state.lanes
+        dtype = etype.dtype
+        preds, pg = state.preds, self.pg.index
+        read_v, write_v = state.read_v, state.write_v
+        vs1, vs2, vd = self.vs1, self.vs2, self.vd
+
+        def execute(state) -> Optional[str]:
+            mask = preds[pg, :lanes_of(etype)]
+            a = read_v(vs1, etype)
+            b = read_v(vs2, etype)
+            old = read_v(vd, etype)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = fn(a.data, b.data)
+            data = np.where(mask, result, old.data).astype(dtype)
+            valid = np.where(mask, a.valid & b.valid, old.valid)
+            write_v(vd, VecValue(data, valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -463,9 +500,16 @@ class IncElems(Instruction):
     mult: int = 1
     opclass = OpClass.INT_ALU
 
-    def execute(self, state) -> Optional[str]:
-        state.write_x(self.rd, state.read_x(self.rd) + state.lanes(self.etype) * self.mult)
-        return None
+    def bind(self, state):
+        lanes, etype, mult = state.lanes, self.etype, self.mult
+        xregs = state.xregs
+        regs, rd = x_dest(state, self.rd)
+
+        def execute(state) -> Optional[str]:
+            regs[rd] = int(xregs[rd] + lanes(etype) * mult)
+            return None
+
+        return execute
 
     @property
     def dests(self):

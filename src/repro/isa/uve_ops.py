@@ -21,7 +21,12 @@ import numpy as np
 from repro.common.types import ElementType
 from repro.errors import IsaError
 from repro.isa import semantics
-from repro.isa.instructions import Instruction, Operand, operand_regs
+from repro.isa.instructions import (
+    Instruction,
+    Operand,
+    operand_regs,
+    raw_source,
+)
 from repro.isa.microop import OpClass
 from repro.isa.registers import P0, Reg, RegClass
 from repro.isa.vector import VecValue
@@ -360,21 +365,30 @@ class SoOp(_StreamAwareCompute):
     def opclass(self):  # type: ignore[override]
         return semantics.vector_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        a, b = self._read_sources(state, self.etype, self.us1, self.us2)
-        mask = state.read_pred(self.pred, state.lanes(self.etype))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = semantics.binary(self.op)(a.data, b.data)
-        # Lanes the Streaming Engine disabled (stream padding) act as a
-        # false predicate: where only one operand is valid, its value
-        # passes through unchanged (merging semantics).
-        both = a.valid & b.valid
-        merged = np.where(both, result, np.where(a.valid, a.data, b.data))
-        valid = (a.valid | b.valid) & mask
-        state.write_operand(
-            self.ud, VecValue(merged.astype(self.etype.dtype), valid), self.etype
-        )
-        return None
+    def bind(self, state):
+        fn, etype, lanes = semantics.binary(self.op), self.etype, state.lanes
+        dtype = etype.dtype
+        preds, pred = state.preds, self.pred.index
+        read, write = state.read_operand, state.write_operand
+        ud, us1, us2 = self.ud, self.us1, self.us2
+        same = us1 == us2  # a register named twice consumes one chunk
+
+        def execute(state) -> Optional[str]:
+            a = read(us1, etype)
+            b = a if same else read(us2, etype)
+            mask = preds[pred, :lanes(etype)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = fn(a.data, b.data)
+            # Lanes the Streaming Engine disabled (stream padding) act as a
+            # false predicate: where only one operand is valid, its value
+            # passes through unchanged (merging semantics).
+            both = a.valid & b.valid
+            merged = np.where(both, result, np.where(a.valid, a.data, b.data))
+            valid = (a.valid | b.valid) & mask
+            write(ud, VecValue(merged.astype(dtype), valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -407,23 +421,25 @@ class SoOpScalar(_StreamAwareCompute):
     def opclass(self):  # type: ignore[override]
         return semantics.vector_opclass(self.op)
 
-    def execute(self, state) -> Optional[str]:
-        (a,) = self._read_sources(state, self.etype, self.us1)
-        if isinstance(self.scalar, Reg):
-            if self.scalar.cls is RegClass.F:
-                s = state.read_f(self.scalar)
-            else:
-                s = state.read_x(self.scalar)
-        else:
-            s = self.scalar
-        mask = state.read_pred(self.pred, state.lanes(self.etype))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = semantics.binary(self.op)(a.data, self.etype.dtype.type(s))
-        valid = a.valid & mask
-        state.write_operand(
-            self.ud, VecValue(result.astype(self.etype.dtype), valid), self.etype
-        )
-        return None
+    def bind(self, state):
+        fn, etype, lanes = semantics.binary(self.op), self.etype, state.lanes
+        dtype = etype.dtype
+        preds, pred = state.preds, self.pred.index
+        read, write = state.read_operand, state.write_operand
+        ud, us1 = self.ud, self.us1
+        src, scalar = raw_source(state, self.scalar)
+
+        def execute(state) -> Optional[str]:
+            a = read(us1, etype)
+            s = src[scalar]
+            mask = preds[pred, :lanes(etype)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                result = fn(a.data, dtype.type(s))
+            valid = a.valid & mask
+            write(ud, VecValue(result.astype(dtype), valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):

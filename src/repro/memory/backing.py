@@ -7,7 +7,7 @@ with :meth:`Memory.alloc_array` and can be viewed back zero-copy with
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -23,6 +23,10 @@ class Memory:
         self.data = np.zeros(size, dtype=np.uint8)
         self._brk = CACHE_LINE_BYTES  # keep address 0 unused
         self._views = {}  # per-dtype full-memory views (aligned fast path)
+        # Per-type scalar accessors.  They capture the byte array and the
+        # typed view, never the Memory, so holding them forms no cycle.
+        self._readers = {}
+        self._writers = {}
 
     def _view(self, etype: ElementType) -> np.ndarray:
         view = self._views.get(etype)
@@ -36,34 +40,32 @@ class Memory:
 
     def _check(self, addr: int, nbytes: int) -> None:
         if addr < 0 or addr + nbytes > self.size:
-            raise MemoryAccessError(
-                f"access [{addr}, {addr + nbytes}) outside memory of size "
-                f"{self.size}"
+            raise _outside(addr, nbytes, self.size)
+
+    def scalar_reader(self, etype: ElementType) -> Callable[[int], object]:
+        """``read(addr)``: one ``etype`` element as a Python int or float."""
+        read = self._readers.get(etype)
+        if read is None:
+            read = self._readers[etype] = _scalar_reader(
+                self.data, self._view(etype), etype
             )
+        return read
+
+    def scalar_writer(self, etype: ElementType) -> Callable[[int, object], None]:
+        """``write(addr, value)``: store one ``etype`` element."""
+        write = self._writers.get(etype)
+        if write is None:
+            write = self._writers[etype] = _scalar_writer(
+                self.data, self._view(etype), etype
+            )
+        return write
 
     def read_scalar(self, addr: int, etype: ElementType):
         """Read one element; returns a Python int or float."""
-        w = etype.width
-        if addr % w == 0:  # aligned fast path through a typed view
-            if addr < 0 or addr + w > self.size:
-                self._check(addr, w)
-            value = self._view(etype)[addr // w]
-        else:
-            self._check(addr, w)
-            value = self.data[addr : addr + w].copy().view(etype.dtype)[0]
-        return float(value) if etype.is_float else int(value)
+        return self.scalar_reader(etype)(addr)
 
     def write_scalar(self, addr: int, value, etype: ElementType) -> None:
-        w = etype.width
-        if addr % w == 0:
-            if addr < 0 or addr + w > self.size:
-                self._check(addr, w)
-            self._view(etype)[addr // w] = value
-            return
-        self._check(addr, w)
-        self.data[addr : addr + w] = np.asarray([value], dtype=etype.dtype).view(
-            np.uint8
-        )
+        self.scalar_writer(etype)(addr, value)
 
     # -- Vector (gather/scatter) access ---------------------------------------
 
@@ -75,11 +77,7 @@ class Memory:
         """
         bad = (addrs < 0) | (addrs + width > self.size)
         if bad.any():
-            addr = int(addrs[int(np.argmax(bad))])
-            raise MemoryAccessError(
-                f"access [{addr}, {addr + width}) outside memory of size "
-                f"{self.size}"
-            )
+            raise _outside(int(addrs[int(np.argmax(bad))]), width, self.size)
 
     def read_gather(self, addrs: np.ndarray, etype: ElementType) -> np.ndarray:
         """Read one element per address (fancy-indexed gather, copy)."""
@@ -110,11 +108,7 @@ class Memory:
             prefix = addrs[:k]
             if k:
                 self.write_scatter(prefix, values[:k], etype)
-            addr = int(addrs[k])
-            raise MemoryAccessError(
-                f"access [{addr}, {addr + w}) outside memory of size "
-                f"{self.size}"
-            )
+            raise _outside(int(addrs[k]), w, self.size)
         if not (addrs % w).any():
             self._view(etype)[addrs // w] = values
             return
@@ -164,3 +158,39 @@ class Memory:
         nbytes = int(np.prod(shape)) * dtype.itemsize
         self._check(addr, nbytes)
         return self.data[addr : addr + nbytes].view(dtype).reshape(shape)
+
+
+def _outside(addr: int, nbytes: int, size: int) -> MemoryAccessError:
+    return MemoryAccessError(
+        f"access [{addr}, {addr + nbytes}) outside memory of size {size}"
+    )
+
+
+def _scalar_reader(data: np.ndarray, view: np.ndarray, etype: ElementType):
+    width, dtype, size = etype.width, etype.dtype, len(data)
+    convert = float if etype.is_float else int
+
+    def read(addr: int):
+        if addr < 0 or addr + width > size:
+            raise _outside(addr, width, size)
+        if addr % width:
+            return convert(data[addr : addr + width].copy().view(dtype)[0])
+        return convert(view[addr // width])  # aligned: through the typed view
+
+    return read
+
+
+def _scalar_writer(data: np.ndarray, view: np.ndarray, etype: ElementType):
+    width, dtype, size = etype.width, etype.dtype, len(data)
+
+    def write(addr: int, value) -> None:
+        if addr < 0 or addr + width > size:
+            raise _outside(addr, width, size)
+        if addr % width:
+            data[addr : addr + width] = np.asarray([value], dtype=dtype).view(
+                np.uint8
+            )
+        else:
+            view[addr // width] = value
+
+    return write

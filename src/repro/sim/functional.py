@@ -403,7 +403,7 @@ class MachineState:
 
     def read_operand(self, reg: Reg, etype: ElementType) -> VecValue:
         stream = self._streams.get(reg.index)
-        if stream is not None and self.is_stream(reg.index):
+        if stream is not None and not stream.suspended and not stream.stopped:
             if stream.direction is Direction.STORE:
                 raise StreamError(
                     f"u{reg.index} is an output stream; it cannot be read "
@@ -418,7 +418,7 @@ class MachineState:
 
     def write_operand(self, reg: Reg, value: VecValue, etype: ElementType) -> None:
         stream = self._streams.get(reg.index)
-        if stream is not None and self.is_stream(reg.index):
+        if stream is not None and not stream.suspended and not stream.stopped:
             if stream.direction is Direction.LOAD:
                 raise StreamError(
                     f"u{reg.index} is an input stream; it cannot be written"
@@ -700,9 +700,11 @@ class FunctionalSimulator:
         pc = 0
         seq = 0
         max_steps = self.max_steps
-        # Per-pc bound ``execute``, filled on the pc's first execution, and
-        # per-pc commit and taken counts, folded into the summary at the
-        # end.  ``first_seen`` keeps the pcs in first-execution order.
+        # Per-pc instruction bound to this state, filled on the pc's first
+        # execution, and per-pc commit and taken counts, folded into the
+        # summary at the end.  ``first_seen`` keeps the pcs in
+        # first-execution order.  The bound callables live only here: one
+        # cached on the shared instruction would outlive the run.
         executes: List[Optional[Callable]] = [None] * n
         first_seen: List[int] = []
         commits = [0] * n
@@ -715,7 +717,7 @@ class FunctionalSimulator:
                 )
             execute = executes[pc]
             if execute is None:
-                execute = executes[pc] = instructions[pc].execute
+                execute = executes[pc] = instructions[pc].bind(state)
                 first_seen.append(pc)
             label = execute(state)
             commits[pc] += 1

@@ -38,6 +38,25 @@ class TestScalarSemantics:
         state = run_insts(sc.Li(x(1), 7), sc.IntOp("div", x(2), x(1), 0))
         assert state.read_x(x(2)) == 0
 
+    @pytest.mark.parametrize(
+        "a, b, quotient",
+        [
+            # Past 2**53 a quotient taken through a float loses bits.
+            (2**53 + 1, 1, 9007199254740993),
+            (-(2**60) - 3, 7, -164703072086692425),
+            # Truncation toward zero, like RISC-V DIV.
+            (7, 2, 3),
+            (-7, 2, -3),
+            (7, -2, -3),
+            (-7, -2, 3),
+        ],
+    )
+    def test_div_is_exact_and_truncates_toward_zero(self, a, b, quotient):
+        state = run_insts(
+            sc.Li(x(1), a), sc.Li(x(2), b), sc.IntOp("div", x(3), x(1), x(2))
+        )
+        assert state.read_x(x(3)) == quotient
+
     def test_x0_hardwired_zero(self):
         state = run_insts(sc.Li(x(0), 99), sc.IntOp("add", x(1), x(0), 1))
         assert state.read_x(x(0)) == 0

@@ -26,7 +26,7 @@ from repro.cpu.branch_pred import GsharePredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.stats import PipelineStats
 from repro.engine.engine import StreamingEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StreamError
 from repro.isa.instructions import Instruction
 from repro.isa.microop import FuCluster, OpClass
 from repro.isa.registers import Reg, RegClass
@@ -165,6 +165,8 @@ class _Op:
         self.producers: List = []
         #: ops parked on this one until _execute gives it a completion time
         self.waiters: Optional[List["_Op"]] = None
+        #: (EngineStream, chunk, last) of each stream read / write,
+        #: resolved at rename
         self.stream_waits = ()
         self.store_streams = ()
         self.complete: Optional[float] = None
@@ -628,14 +630,15 @@ class Pipeline:
                     op.complete = now + 1
                     op.early_complete = now + 1
                 if dyn.stream_reads:
-                    op.stream_waits = dyn.stream_reads
-                    for (_, uid, chunk, __) in dyn.stream_reads:
-                        engine.rename_read(uid, chunk)
+                    op.stream_waits = self._stream_reads(dyn)
                 if dyn.stream_writes:
-                    op.store_streams = dyn.stream_writes
-                    for (_, uid, __, last) in dyn.stream_writes:
+                    op.store_streams = tuple(
+                        (engine.stream(uid), chunk, last)
+                        for (_, uid, chunk, last) in dyn.stream_writes
+                    )
+                    for (stream, _, last) in op.store_streams:
                         if last:
-                            engine.reserve_store(uid)
+                            stream.reserve_store()
             elif dec.is_stream_co:
                 op.complete = now + 1
                 op.early_complete = now + 1
@@ -663,6 +666,26 @@ class Pipeline:
             self._iq += 1
             dec.sched.append(op)
         return renamed, None
+
+    def _stream_reads(self, dyn: DynOp) -> tuple:
+        """``(stream, chunk, last)`` of each stream read of ``dyn``, for
+        issue and commit to reach the Stream Table entry directly.
+
+        A read of a chunk the engine does not hold can never become
+        ready (the functional pass records a chunk only once it fills or
+        ends a dimension), so it fails here instead of waiting forever."""
+        waits = []
+        for (_, uid, chunk, last) in dyn.stream_reads:
+            stream = self.engine.stream(uid)
+            if chunk >= stream.num_chunks:
+                raise StreamError(
+                    f"pc {dyn.pc} ({dyn.inst}): stream uid {uid} "
+                    f"(u{stream.info.reg}) read of chunk {chunk}, but the "
+                    f"engine holds {stream.num_chunks} chunks"
+                )
+            stream.rename_read(chunk)
+            waits.append((stream, chunk, last))
+        return tuple(waits)
 
     def _structural_block(self, dec: _Decoded) -> Optional[str]:
         if self._rob >= self._rob_entries:
@@ -712,11 +735,10 @@ class Pipeline:
                 op.wake_at = wake
                 return False
         if op.stream_waits:
-            engine = self.engine
             blocked = False
             known = True
-            for (_, uid, chunk, __) in op.stream_waits:
-                t = engine.chunk_ready(uid, chunk)
+            for (stream, chunk, _) in op.stream_waits:
+                t = stream.ready_cycle(chunk)
                 if t > now:
                     blocked = True
                     if t == math.inf:
@@ -889,13 +911,13 @@ class Pipeline:
                         self.stream_infos[dyn.cfg_uid].reg
                     ] = dyn.cfg_uid
                 if op.stream_waits:
-                    for (_, uid, chunk, last) in op.stream_waits:
+                    for (stream, chunk, last) in op.stream_waits:
                         if last:
-                            engine.commit_read(uid, chunk)
+                            engine.commit_read(stream, chunk)
                 if op.store_streams:
-                    for (_, uid, chunk, last) in op.store_streams:
+                    for (stream, chunk, last) in op.store_streams:
                         if last:
-                            engine.commit_write(uid, chunk, now)
+                            engine.commit_write(stream, chunk, now)
                 if dec.stop_reg >= 0:
                     # Terminate only the stream the register aliases at
                     # this point in program order — never streams

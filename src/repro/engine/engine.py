@@ -13,10 +13,9 @@ what lets miss-speculated iterations re-use buffered data (A3).
 """
 from __future__ import annotations
 
-import bisect
-import math
+from bisect import bisect_right, insort
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.cpu.config import EngineConfig
 from repro.engine.scheduler import StreamScheduler
@@ -25,8 +24,6 @@ from repro.errors import StreamError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.trace import StreamTraceInfo
 from repro.streams.pattern import MemLevel
-
-INFINITY = math.inf
 
 
 class EngineStats:
@@ -68,7 +65,9 @@ class StreamingEngine:
     def __init__(self, config: EngineConfig, hierarchy: MemoryHierarchy) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.scheduler = StreamScheduler(config.scheduler_policy)
+        self.scheduler = StreamScheduler(
+            config.scheduler_policy, config.shared_fifo
+        )
         self.streams: Dict[int, EngineStream] = {}
         #: SCROB: stream configurations retire in order, one per cycle.
         self._scrob_free_at = 0.0
@@ -78,27 +77,33 @@ class StreamingEngine:
         self._outstanding: List[float] = []
         #: per-module dimension-switch stall (cycle until which it is busy)
         self._module_busy = [0.0] * config.processing_modules
-        #: pending store-line issues: (ready_cycle, line, mem_level)
-        self._store_queue: Deque[Tuple[float, int, MemLevel]] = deque()
-        self._store_meta: Deque[EngineStream] = deque()
+        #: committed store chunks awaiting their line writes, oldest
+        #: first: (ready cycle, lines, stream, its level); ``_store_line``
+        #: is the head's next line
+        self._store_queue: Deque[
+            Tuple[float, List[int], EngineStream, MemLevel]
+        ] = deque()
+        self._store_line = 0
         self.stats = EngineStats()
         self.last_drain_cycle = 0.0
-        #: cached per-cycle bookkeeping, refreshed only when stream state
-        #: mutates (configure / chunk fill / commit / squash / terminate):
-        #: occupancy-sample contribution and the number of streams that
-        #: could possibly generate a request.  Both are consumed every
-        #: tick, so keeping them incremental turns the quiescent-tick cost
-        #: from O(streams) into O(1).
-        self._cache_dirty = True
+        #: The FIFO-occupancy sample every cycle takes (load streams not
+        #: terminated, and their summed occupancy).  Like the scheduler's
+        #: candidates (``scheduler.update``), it is kept current by the
+        #: events that change stream state (configure, chunk filled,
+        #: chunk committed, terminate), so a tick neither rescans the
+        #: Stream Table nor sorts.
         self._occ_samples = 0
         self._occ_total = 0
-        self._gen_candidates = 0
+        self._shared_fifo = config.shared_fifo
         self._all_modules = list(range(config.processing_modules))
         self._module_busy_until = 0.0
-        # Hot-path scalars hoisted out of config/hierarchy indirection.
+        # Hot-path scalars and bound methods hoisted out of config and
+        # hierarchy indirection.
         self._l1d = hierarchy.l1d
         self._line_bytes = hierarchy.line_bytes
         self._backlog_limit = 4 * config.memory_request_queue
+        self._translate = hierarchy.tlb.stream_translate
+        self._stream_read = hierarchy.stream_read
         override = config.mem_level_override
         self._level_override = (
             MemLevel[override.upper()] if override else None
@@ -109,9 +114,12 @@ class StreamingEngine:
     def configure(self, info: StreamTraceInfo, now: float) -> float:
         """Register a completed stream configuration; returns the cycle
         the Streaming Engine starts processing it."""
+        streams = self.streams
+        if info.uid in streams:
+            raise StreamError(f"stream uid {info.uid} is already configured")
         start = max(now, self._scrob_free_at) + 1.0
         self._scrob_free_at = start
-        if len(self.streams) >= self.config.max_streams:
+        if len(streams) >= self.config.max_streams:
             # Recycle terminated/fully-committed streams.
             # A stream is recyclable once every chunk of its recorded
             # lifetime has been consumed (loads: committed; stores: fully
@@ -119,60 +127,48 @@ class StreamingEngine:
             # reservation count — keeps freshly-configured streams alive.
             done = [
                 uid
-                for uid, s in self.streams.items()
+                for uid, s in streams.items()
                 if s.terminated
                 or (s.is_load and s.commit_head >= s.num_chunks)
                 or (not s.is_load and s.store_drained >= s.num_chunks)
             ]
             for uid in done:
-                del self.streams[uid]
-            if len(self.streams) >= self.config.max_streams:
+                # Never a scheduling candidate: nothing is left to fetch.
+                self._unsample(streams.pop(uid))
+            if len(streams) >= self.config.max_streams:
                 raise StreamError(
                     f"more than {self.config.max_streams} concurrent streams"
                 )
-        self.streams[info.uid] = EngineStream(
+        level = self._level_override
+        stream = EngineStream(
             info,
             fifo_depth=self.config.fifo_depth,
-            line_bytes=self.hierarchy.line_bytes,
+            line_bytes=self._line_bytes,
             start_cycle=start,
+            level=info.mem_level if level is None else level,
         )
+        streams[info.uid] = stream
         self.stats.configs += 1
-        self._cache_dirty = True
+        if stream.is_load:
+            self._occ_samples += 1
+        self.scheduler.update(stream)
         return start
 
-    def _stream(self, uid: int) -> EngineStream:
+    def stream(self, uid: int) -> EngineStream:
+        """The Stream Table entry of ``uid``."""
         try:
             return self.streams[uid]
         except KeyError:
             raise StreamError(f"unknown stream uid {uid}") from None
 
+    def _unsample(self, stream: EngineStream) -> None:
+        """Take a stream leaving the table, or terminating, out of the
+        FIFO-occupancy sample."""
+        if stream.is_load and not stream.terminated:
+            self._occ_samples -= 1
+            self._occ_total -= stream.gen_next - stream.commit_head
+
     # -- Per-cycle operation -----------------------------------------------------------
-
-    def _refresh_cache(self) -> None:
-        """Recompute the tick-time bookkeeping after a stream mutation.
-
-        ``_gen_candidates`` is deliberately conservative (it ignores
-        ``start_cycle`` and, under a shared FIFO, the pool headroom): a
-        counted stream may still be rejected by the scheduler's exact
-        eligibility test, but a zero count *proves* the scheduler would
-        select nothing, letting tick() skip it entirely."""
-        depth = self.config.fifo_depth
-        shared = self.config.shared_fifo
-        samples = occupancy = candidates = 0
-        for stream in self.streams.values():
-            if stream.is_load and not stream.terminated:
-                samples += 1
-                # inlined fifo_occupancy() for load streams
-                fifo = stream.gen_next - stream.commit_head
-                occupancy += fifo
-                if stream.gen_next < stream.num_chunks and (
-                    shared or fifo < depth
-                ):
-                    candidates += 1
-        self._occ_samples = samples
-        self._occ_total = occupancy
-        self._gen_candidates = candidates
-        self._cache_dirty = False
 
     def tick(self, now: float) -> bool:
         """One engine cycle: schedule streams, generate line requests.
@@ -183,7 +179,7 @@ class StreamingEngine:
         the caller may fast-forward over identical cycles."""
         outstanding = self._outstanding
         if outstanding and outstanding[0] <= now:
-            del outstanding[: bisect.bisect_right(outstanding, now)]
+            del outstanding[: bisect_right(outstanding, now)]
         # Drain prechecks inlined: most cycles the queue head is gated on
         # L1 MSHR availability, so skip the call (not the semantics).
         sq = self._store_queue
@@ -191,13 +187,14 @@ class StreamingEngine:
             bool(sq)
             and sq[0][0] <= now
             and self._l1d.can_accept(now)
-            and self._drain_stores(now) > 0
+            and self._drain_stores(now)
         )
-        if self._cache_dirty:
-            self._refresh_cache()
-        if self._gen_candidates:
-            requests_before = self.stats.line_requests
-            stalls_before = self.stats.request_queue_stalls
+        # Every cycle samples the occupancy its scheduling sees.
+        stats = self.stats
+        if stats.occupancy_samples < (1 << 30):
+            stats.occupancy_samples += self._occ_samples
+            stats.occupancy_total += self._occ_total
+        if self.scheduler.candidates:
             if self._module_busy_until <= now:
                 modules = self._all_modules
             else:
@@ -205,25 +202,15 @@ class StreamingEngine:
                     m for m, busy in enumerate(self._module_busy) if busy <= now
                 ]
             if modules:
-                pool_free = (
-                    self._shared_pool_free() if self.config.shared_fifo else None
-                )
                 chosen = self.scheduler.select(
-                    self.streams.values(), len(modules), now,
-                    pool_free=pool_free,
+                    now,
+                    len(modules),
+                    self._scrob_free_at,  # every stream has started by then
+                    self._shared_fifo and self._shared_pool_free() <= 0,
                 )
                 for module, stream in zip(modules, chosen):
-                    self._generate(stream, module, now)
-            if (
-                self.stats.line_requests != requests_before
-                or self.stats.request_queue_stalls != stalls_before
-            ):
-                progress = True
-
-        stats = self.stats
-        if stats.occupancy_samples < (1 << 30):
-            stats.occupancy_samples += self._occ_samples
-            stats.occupancy_total += self._occ_total
+                    if self._generate(stream, module, now):
+                        progress = True
         return progress
 
     def skip_idle(self, cycles: int) -> None:
@@ -236,8 +223,6 @@ class StreamingEngine:
         if cycles <= 0:
             return
         stats = self.stats
-        if self._cache_dirty:
-            self._refresh_cache()
         samples = self._occ_samples
         occupancy = self._occ_total
         if not samples or stats.occupancy_samples >= (1 << 30):
@@ -249,63 +234,78 @@ class StreamingEngine:
         stats.occupancy_samples += sampling_cycles * samples
         stats.occupancy_total += sampling_cycles * occupancy
 
-    def _generate(self, stream: EngineStream, module: int, now: float) -> None:
-        line = stream.next_line_request()
-        if line is None:
-            return
+    def _generate(self, stream: EngineStream, module: int, now: float) -> bool:
+        """Request the next cache line of ``stream``'s current chunk.
+        Returns True when engine state changed (a line request or a
+        request-queue stall)."""
+        lines = stream.lines
+        if lines is None:
+            lines = stream.lines = stream.chunk_lines(stream.gen_next)
+        index = stream.line_index
+        if index >= len(lines):
+            return False  # a chunk without addresses never fills
+        line = lines[index]
         stats = self.stats
-        hierarchy = self.hierarchy
         addr = line * self._line_bytes
         # The Memory Request Queue stages requests between the address
         # generators and the arbiter (10-byte entries, §VI-C); issued
         # requests are tracked by the cache hierarchy's own MSHRs, so the
-        # queue bounds the *unissued* backlog.  The arbiter issues up to
-        # engine load_ports requests per cycle, which in this reservation
-        # model happens the cycle a request is generated — the queue
-        # therefore only fills when generation outpaces the ports, which
-        # the per-module one-line-per-cycle limit already prevents.  A
-        # safety bound keeps pathological bursts from bypassing it.
+        # queue bounds the *unissued* backlog.  A request is issued the
+        # cycle it is generated, so only a pathological burst of
+        # far-future completions fills it; this bound stalls generation
+        # then.  (The arbiter's port count, ``EngineConfig.load_ports``,
+        # is not modelled: each module issues one line per cycle.)
         outstanding = self._outstanding
-        backlog = len(outstanding) - bisect.bisect_right(outstanding, now + 60)
-        if backlog >= self._backlog_limit:
+        limit = self._backlog_limit
+        if (
+            len(outstanding) >= limit
+            and len(outstanding) - bisect_right(outstanding, now + 60) >= limit
+        ):
             # Page fault on a stream element: the element is flagged and
             # the exception handled when the consuming instruction
             # commits (§IV-A); the engine itself never traps, which is
             # what allows safe prefetching across page boundaries (A2).
-            if not hierarchy.tlb.probe(addr):
+            if not self.hierarchy.tlb.probe(addr):
                 stats.page_faults += 1
             stats.request_queue_stalls += 1
-            return
+            return True
         # TLB translation through the engine's arbiter (A2: streams cross
         # page boundaries safely; faults are flagged, not raised, here).
-        tlb = hierarchy.tlb
-        fused = getattr(tlb, "stream_translate", None)
-        if fused is not None:
-            mapped, delay = fused(addr)
-        else:  # test doubles that only model probe()/translate()
-            mapped = tlb.probe(addr)
-            try:
-                delay = tlb.translate(addr)
-            except Exception:
-                delay = tlb.walk_latency
+        mapped, delay = self._translate(addr)
         if not mapped:
             stats.page_faults += 1
-        level = self._level_override
-        if level is None:
-            level = stream.info.mem_level
-        completion = hierarchy.stream_read(line, now + 1 + delay, level)
-        bisect.insort(outstanding, completion)
+        completion = self._stream_read(line, now + 1 + delay, stream.level)
+        insort(outstanding, completion)
         stats.line_requests += 1
-        finished_chunk = stream.line_issued(completion)
-        if finished_chunk is not None:
-            self.stats.chunks_filled += 1
-            self._cache_dirty = True
-            if stream.crosses_dimension():
-                busy = now + 1 + self.config.dim_switch_penalty
-                self._module_busy[module] = busy
-                if busy > self._module_busy_until:
-                    self._module_busy_until = busy
-                self.stats.dim_switch_stalls += 1
+        if completion > stream.fill_ready:
+            stream.fill_ready = completion
+        index += 1
+        if index < len(lines):
+            stream.line_index = index
+            return True
+        # The chunk's last line: its FIFO entry is ready once every line
+        # has arrived, +2 for the engine fill and the forward into the
+        # register file.
+        chunk = stream.gen_next
+        stream.chunk_ready[chunk] = stream.fill_ready + 2
+        stream.gen_next = chunk + 1
+        stream.lines = None
+        stream.line_index = 0
+        stream.fill_ready = 0.0
+        stats.chunks_filled += 1
+        self._occ_total += 1
+        self.scheduler.update(stream)
+        # The address generator pays one extra cycle to switch
+        # descriptor dimension, charged when the chunk it moves on to
+        # ends a dimension.
+        flags = stream.info.chunk_flags
+        if chunk + 1 < len(flags) and flags[chunk + 1] >= 1:
+            busy = now + 1 + self.config.dim_switch_penalty
+            self._module_busy[module] = busy
+            if busy > self._module_busy_until:
+                self._module_busy_until = busy
+            stats.dim_switch_stalls += 1
+        return True
 
     def _shared_pool_free(self) -> int:
         """Free entries in the pooled load FIFO (§IV-B future work).
@@ -327,72 +327,64 @@ class StreamingEngine:
 
     # -- Pipeline-facing interface -----------------------------------------------------
 
-    def chunk_ready(self, uid: int, chunk: int) -> float:
-        return self._stream(uid).ready_cycle(chunk)
-
-    def rename_read(self, uid: int, chunk: int) -> None:
-        self._stream(uid).rename_read(chunk)
-
-    def commit_read(self, uid: int, chunk: int) -> None:
-        self._stream(uid).commit_read(chunk)
+    def commit_read(self, stream: EngineStream, chunk: int) -> None:
+        """A consuming load committed: free its FIFO entry (the
+        committed pointer only moves forward)."""
+        stream.chunk_ready.pop(chunk, None)
         self.stats.chunks_committed += 1
-        self._cache_dirty = True
+        before = stream.commit_head
+        if chunk >= before:
+            stream.commit_head = chunk + 1
+            if stream.is_load and not stream.terminated:
+                self._occ_total -= chunk + 1 - before
+            self.scheduler.update(stream)
 
     def squash(self, uid: int, chunk: int) -> None:
-        self._stream(uid).squash_to(chunk)
-        self._cache_dirty = True
+        self.stream(uid).squash_to(chunk)
 
-    def reserve_store(self, uid: int) -> bool:
-        return self._stream(uid).reserve_store()
-
-    def commit_write(self, uid: int, chunk: int, now: float) -> None:
-        """Consuming store committed: queue its line writes to the L1."""
-        stream = self._stream(uid)
-        info = stream.info
-        lines = []
-        last = -1
-        for addr in info.chunks[chunk]:
-            line = addr // self.hierarchy.line_bytes
-            if line != last:
-                lines.append(line)
-                last = line
-        for index, line in enumerate(lines):
-            self._store_queue.append((now, line, info.mem_level))
-            # The FIFO entry (one chunk) frees when its final line drains.
-            self._store_meta.append(stream if index == len(lines) - 1 else None)
+    def commit_write(self, stream: EngineStream, chunk: int, now: float) -> None:
+        """Consuming store committed: queue its line writes to the L1.
+        The FIFO entry (one chunk) frees when its final line drains."""
+        lines = stream.store_lines(chunk)
+        if lines:
+            self._store_queue.append((now, lines, stream, stream.info.mem_level))
 
     def terminate(self, uid: int) -> None:
         stream = self.streams.get(uid)
         if stream is not None:
+            self._unsample(stream)
             stream.terminate()
-            self._cache_dirty = True
+            self.scheduler.update(stream)
 
-    def _drain_stores(self, now: float) -> int:
-        """Issue queued stream stores, one per store port per cycle; the
-        L1 applies backpressure through MSHR availability.  Returns the
-        number of lines drained this cycle."""
-        drained = 0
+    def _drain_stores(self, now: float) -> bool:
+        """Issue queued stream store lines, one per store port per cycle,
+        while the head is ready and the L1 accepts it (MSHR
+        backpressure); the caller has checked both for the first line.
+        Returns True when a line drained."""
         queue = self._store_queue
-        meta = self._store_meta
         l1d = self._l1d
-        hierarchy = self.hierarchy
+        stream_write = self.hierarchy.stream_write
+        stats = self.stats
+        drained = False
         for _ in range(self.config.store_ports):
-            if not queue:
-                return drained
-            ready, line, level = queue[0]
-            if ready > now:
-                return drained
-            if not l1d.can_accept(now):
-                return drained
-            queue.popleft()
-            stream = meta.popleft()
-            done = hierarchy.stream_write(line, now, level)
-            if stream is not None:
+            if drained and (
+                not queue or queue[0][0] > now or not l1d.can_accept(now)
+            ):
+                break
+            _, lines, stream, level = queue[0]
+            index = self._store_line
+            done = stream_write(lines[index], now, level)
+            index += 1
+            if index == len(lines):
+                queue.popleft()
+                self._store_line = 0
                 stream.drain_store()
-            self.stats.store_lines += 1
+            else:
+                self._store_line = index
+            stats.store_lines += 1
             if done > self.last_drain_cycle:
                 self.last_drain_cycle = done
-            drained += 1
+            drained = True
         return drained
 
     @property

@@ -5,33 +5,46 @@ An :class:`EngineStream` tracks the address-generation progress (which
 chunk the Stream Processing Modules are iterating, and which cache lines
 of it remain to be requested), the load/store FIFO occupancy, and the
 speculative and committed iteration pointers that support speculative
-execution (paper §IV-A *Miss-Speculation*).
+execution (paper §IV-A *Miss-Speculation*).  The engine itself issues
+the line requests (:meth:`StreamingEngine._generate`); a stream holds
+only the state they advance.
 """
 from __future__ import annotations
 
 import math
+from itertools import groupby, repeat
+from operator import floordiv
 from typing import Dict, List, Optional
 
-from repro.errors import StreamError
 from repro.sim.trace import StreamTraceInfo
+from repro.streams.pattern import MemLevel
 
 INFINITY = math.inf
 
 
-class _ChunkFetch:
-    """In-flight fetch state of one chunk (one FIFO entry)."""
-
-    __slots__ = ("lines", "next_line", "ready", "issued_done")
-
-    def __init__(self, lines: List[int]) -> None:
-        self.lines = lines
-        self.next_line = 0
-        self.ready = 0.0  # max completion over issued lines
-        self.issued_done = False
-
-
 class EngineStream:
     """Timing state of one configured stream."""
+
+    __slots__ = (
+        "info",
+        "fifo_depth",
+        "line_bytes",
+        "start_cycle",
+        "level",
+        "uid",
+        "is_load",
+        "num_chunks",
+        "gen_next",
+        "lines",
+        "line_index",
+        "fill_ready",
+        "chunk_ready",
+        "spec_head",
+        "commit_head",
+        "store_reserved",
+        "store_drained",
+        "terminated",
+    )
 
     def __init__(
         self,
@@ -39,11 +52,15 @@ class EngineStream:
         fifo_depth: int,
         line_bytes: int,
         start_cycle: float,
+        level: MemLevel,
     ) -> None:
         self.info = info
         self.fifo_depth = fifo_depth
         self.line_bytes = line_bytes
         self.start_cycle = start_cycle
+        #: the level the stream's line requests go to (the configured
+        #: one, or the engine's mem_level_override)
+        self.level = level
         # Cached from info: read on the per-cycle scheduler/sampling hot
         # paths, where the double property hop shows up in profiles.
         self.uid = info.uid
@@ -53,7 +70,12 @@ class EngineStream:
         #: chunk index the address generator will fetch next (loads) or
         #: whose store addresses it will generate next (stores)
         self.gen_next = 0
-        self._current: Optional[_ChunkFetch] = None
+        #: distinct cache lines of chunk ``gen_next`` (None until its
+        #: first request), the next one to request, and the latest
+        #: completion among those already requested
+        self.lines: Optional[List[int]] = None
+        self.line_index = 0
+        self.fill_ready = 0.0
         #: ready cycle of each fetched chunk (load FIFO entries)
         self.chunk_ready: Dict[int, float] = {}
         #: speculative consumption pointer (advanced at rename)
@@ -65,7 +87,7 @@ class EngineStream:
         self.store_drained = 0
         self.terminated = False
 
-    # -- Occupancy / scheduling ------------------------------------------------
+    # -- Occupancy ------------------------------------------------------------
 
     def fifo_occupancy(self) -> int:
         """Entries currently held (fetched or reserved, not yet freed)."""
@@ -73,71 +95,29 @@ class EngineStream:
             return self.gen_next - self.commit_head
         return self.store_reserved - self.store_drained
 
-    def wants_generation(self, now: float, shared: bool = False) -> bool:
-        """True when the scheduler may pick this stream this cycle.
+    # -- Cache lines of a chunk ---------------------------------------------------
 
-        ``shared`` lifts the per-stream bound to 4x the nominal depth
-        (the pooled-FIFO future-work design); overall pool capacity is
-        enforced by the engine."""
-        if self.terminated or now < self.start_cycle:
-            return False
-        if not self.is_load:
-            return False  # store address generation is handled at commit
-        if self.gen_next >= self.num_chunks:
-            return False
-        # Fetch-ahead bounded by FIFO space (entries free after commit).
-        bound = 4 * self.fifo_depth if shared else self.fifo_depth
-        return self.gen_next - self.commit_head < bound
+    def chunk_lines(self, index: int) -> List[int]:
+        """The lines a load fetches for chunk ``index``: the
+        engine-internal indirect origin reads first, then the chunk, each
+        distinct line once, in first-touch order."""
+        line_bytes = self.line_bytes
+        addrs = self.info.chunks[index]
+        origin = self.info.origin_reads[index]
+        if origin:
+            addrs = origin + addrs
+        return list({addr // line_bytes: None for addr in addrs})
 
-    # -- Address generation (one line request per call) --------------------------
-
-    def _chunk_lines(self, index: int) -> List[int]:
-        """Distinct cache lines of chunk ``index`` (pattern order),
-        including engine-internal indirect origin reads."""
-        lines: List[int] = []
-        last = -1
-        for addr in self.info.origin_reads[index] + self.info.chunks[index]:
-            line = addr // self.line_bytes
-            if line != last and line not in lines:
-                lines.append(line)
-            last = line
-        return lines
-
-    def next_line_request(self) -> Optional[int]:
-        """Peek the next cache line to request, or None when the current
-        chunk is fully issued."""
-        if self._current is None:
-            if self.gen_next >= self.num_chunks:
-                return None
-            self._current = _ChunkFetch(self._chunk_lines(self.gen_next))
-        fetch = self._current
-        if fetch.next_line >= len(fetch.lines):
-            return None
-        return fetch.lines[fetch.next_line]
-
-    def line_issued(self, completion: float) -> Optional[int]:
-        """Record the completion of the line just requested.  Returns the
-        chunk index if this completed the chunk's issue, else None."""
-        fetch = self._current
-        if fetch is None:
-            raise StreamError("line_issued without an active chunk")
-        fetch.ready = max(fetch.ready, completion)
-        fetch.next_line += 1
-        if fetch.next_line >= len(fetch.lines):
-            chunk = self.gen_next
-            #: +2: engine fill and forward into the register file
-            self.chunk_ready[chunk] = fetch.ready + 2
-            self.gen_next = chunk + 1
-            self._current = None
-            return chunk
-        return None
-
-    def crosses_dimension(self) -> bool:
-        """True when the chunk being generated ends a dimension (the
-        address generator pays one extra cycle to switch descriptors)."""
-        index = self.gen_next
-        flags = self.info.chunk_flags
-        return 0 <= index < len(flags) and flags[index] >= 1
+    def store_lines(self, index: int) -> List[int]:
+        """The lines a store drains for chunk ``index``: its lines in
+        element order, a line repeated only when not consecutive."""
+        line_bytes = self.line_bytes
+        addrs = self.info.chunks[index]
+        return [
+            line for line, _ in groupby(
+                map(floordiv, addrs, repeat(line_bytes))
+            )
+        ]
 
     # -- Consumption interface (pipeline-facing) -----------------------------------
 
@@ -149,10 +129,6 @@ class EngineStream:
 
     def rename_read(self, chunk: int) -> None:
         self.spec_head = max(self.spec_head, chunk + 1)
-
-    def commit_read(self, chunk: int) -> None:
-        self.commit_head = max(self.commit_head, chunk + 1)
-        self.chunk_ready.pop(chunk, None)
 
     def squash_to(self, chunk: int) -> None:
         """Revert the speculative pointer to the commit point (§IV-A):

@@ -11,19 +11,24 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List
 
 from repro.cpu.config import CacheConfig
 from repro.memory.coherence import Event, LineState, next_state
 from repro.memory.slots import SlotReservoir
 
 #: MOESI transitions pre-resolved for the two events the access path
-#: applies (derived from the full table, so they can never drift from it):
-#: a local STORE moves every state to MODIFIED; an EVICT writes back only
-#: dirty (M/O) lines.  Looking these up inline avoids hashing a
-#: ``(state, event)`` tuple on every hot access.
-_STORE_NEXT = {s: next_state(s, Event.STORE)[0] for s in LineState}
-_EVICT_WRITEBACK = {s: next_state(s, Event.EVICT)[2] for s in LineState}
+#: applies, derived from the full table so they can never drift from it:
+#: a local STORE moves every state to the one state unpacked here
+#: (MODIFIED), and an EVICT writes back exactly the states listed here
+#: (the dirty M and O).  Neither lookup hashes a ``LineState``: its
+#: ``Enum.__hash__`` runs in Python, and a tuple test compares identity.
+(_STORED,) = {next_state(s, Event.STORE)[0] for s in LineState}
+_WRITEBACK_STATES = tuple(s for s in LineState if next_state(s, Event.EVICT)[2])
+#: the fill states, bound once: reading a member off an ``Enum`` class
+#: costs about ten times a module global
+_MODIFIED = LineState.MODIFIED
+_EXCLUSIVE = LineState.EXCLUSIVE
 
 
 class _Line:
@@ -79,17 +84,17 @@ class Cache:
         ]
         self._num_sets = config.num_sets
         self._mshr_ready: List[float] = []  # in-flight fill completion times
-        self._ports = SlotReservoir(config.ports, 1.0)
+        #: access ports: one slot per access (a stream read that bypasses
+        #: this level still occupies one, see MemoryHierarchy.stream_read)
+        self.ports = SlotReservoir(config.ports, 1.0)
         self.stats = CacheStats()
         # Hot-path scalars hoisted out of the config dataclass.
         self._hit_latency = config.hit_latency
         self._assoc = config.assoc
         self._mshrs = config.mshrs
-        self._port_lanes = config.ports
-
-    def _reserve_port(self, now: float) -> float:
-        """Occupy one access-port slot; returns the access start."""
-        return self._ports.reserve(now)
+        self._line_bytes = config.line_bytes
+        self._prefetch_mshrs = config.mshrs // 2 or 1
+        self._reserve_port = self.ports.reserve
 
     # -- Lookup helpers --------------------------------------------------------
 
@@ -111,8 +116,11 @@ class Cache:
         Used for flow control by posted-store paths (the commit-side store
         queue and the Streaming Engine store drain), so reservations never
         run unboundedly ahead of simulated time."""
+        ready = self._mshr_ready
+        if len(ready) < self._mshrs:
+            return True
         live = 0
-        for t in self._mshr_ready:
+        for t in ready:
             if t > now:
                 live += 1
         return live < self._mshrs
@@ -128,16 +136,6 @@ class Cache:
                 best = t
         return best
 
-    def _reserve_mshr(self, start: float, ready: float) -> float:
-        """Returns the (possibly delayed) start once an MSHR frees up."""
-        live = [t for t in self._mshr_ready if t > start]
-        if len(live) >= self._mshrs:
-            start = min(live)
-            live = [t for t in live if t > start]
-        self._mshr_ready = live
-        self._mshr_ready.append(ready)
-        return start
-
     # -- Main access path ---------------------------------------------------------
 
     def access(
@@ -146,35 +144,11 @@ class Cache:
         now: float,
         is_write: bool = False,
         pc: int = 0,
-        cacheable: bool = True,
     ) -> float:
         """Access one cache line; returns the data-ready cycle."""
         stats = self.stats
-        if not cacheable:
-            stats.bypasses += 1
-            # One cycle of port occupancy, then forward untouched.
-            start = self._reserve_port(now)
-            return self.next_level.access(line, start + 1, is_write)
-
         stats.accesses += 1
-        # Port reservation, inlined from SlotReservoir.reserve (unit
-        # slots); the reservoir object stays the canonical state so its
-        # introspection helpers keep working.
-        ports = self._ports
-        busy = ports._busy
-        lanes = self._port_lanes
-        index = int(now)
-        count = busy.get(index, 0)
-        while count >= lanes:
-            index += 1
-            count = busy.get(index, 0)
-        busy[index] = count + 1
-        ports._prune_in -= 1
-        if not ports._prune_in:
-            ports._prune_in = 8192
-            ports._prune(index)
-        if index > now:
-            now = float(index)
+        now = self._reserve_port(now)
         cset = self._sets[line % self._num_sets]
         entry = cset.get(line)
         hit_latency = self._hit_latency
@@ -191,55 +165,67 @@ class Cache:
             else:
                 done = now + hit_latency
             if is_write:
-                entry.state = _STORE_NEXT[entry.state]
+                entry.state = _STORED
         else:
             stats.misses += 1
-            start = self._reserve_mshr(now + hit_latency, 0.0)
+            # MSHR reservation: with every MSHR busy past ``start`` the
+            # miss waits for the earliest to free.
+            start = now + hit_latency
+            live = [t for t in self._mshr_ready if t > start]
+            if len(live) >= self._mshrs:
+                start = min(live)
+                live = [t for t in live if t > start]
             fill_ready = self.next_level.access(line, start, False)
-            self._mshr_ready[-1] = fill_ready
-            state = LineState.MODIFIED if is_write else LineState.EXCLUSIVE
-            self._insert(line, fill_ready, state, prefetched=False)
+            live.append(fill_ready)
+            self._mshr_ready = live
+            state = _MODIFIED if is_write else _EXCLUSIVE
+            self._insert(line, fill_ready, state, False)
             done = fill_ready + 1  # fill-to-use forwarding
-        if self.prefetcher is not None:
-            self._run_prefetcher(pc, line, now)
+        prefetcher = self.prefetcher
+        if prefetcher is None:
+            return done
+        targets = prefetcher.observe(pc, line * self._line_bytes)
+        if not targets:
+            return done
+        # Fill the targets not already cached.  Prefetches may use at
+        # most half the MSHRs, so they can never starve demand misses.
+        # The in-flight fills still live at ``now`` are filtered once:
+        # every prefetch issued here completes after ``now`` and joins
+        # them.
+        sets = self._sets
+        num_sets = self._num_sets
+        live = None
+        for target in targets:
+            if target in sets[target % num_sets]:
+                continue
+            if live is None:
+                live = [t for t in self._mshr_ready if t > now]
+            if len(live) >= self._prefetch_mshrs:
+                break  # no prefetch MSHR: drop it (never stall demand)
+            ready = self.next_level.access(target, now + 1, False)
+            live.append(ready)
+            self._mshr_ready = live
+            stats.prefetch_fills += 1
+            self._insert(target, ready, _EXCLUSIVE, True)
         return done
 
     def _insert(
         self, line: int, ready: float, state: LineState, prefetched: bool
     ) -> None:
+        """Install a line not in the cache as the most recently used,
+        evicting the least recently used one from a full set."""
         cset = self._sets[line % self._num_sets]
         cset[line] = _Line(ready, state, prefetched)
-        cset.move_to_end(line)
         if len(cset) > self._assoc:
             victim_line, victim = cset.popitem(last=False)
-            if _EVICT_WRITEBACK[victim.state]:
+            if victim.state in _WRITEBACK_STATES:
                 self.stats.writebacks += 1
                 # Dirty eviction: charge next-level bandwidth, off the
                 # critical path.
                 self.next_level.access(victim_line, ready, True)
 
-    def _run_prefetcher(self, pc: int, line: int, now: float) -> None:
-        targets = self.prefetcher.observe(pc, line * self.config.line_bytes)
-        if not targets:
-            return
-        # Prefetches may use at most half the MSHRs, so they can never
-        # starve demand misses.
-        budget = self._mshrs // 2 or 1
-        sets = self._sets
-        num_sets = self._num_sets
-        next_access = self.next_level.access
-        for target in targets:
-            if target in sets[target % num_sets]:
-                continue
-            live = [t for t in self._mshr_ready if t > now]
-            if len(live) >= budget:
-                break  # no prefetch MSHR: drop it (never stall demand)
-            ready = next_access(target, now + 1, False)
-            live.append(ready)
-            self._mshr_ready = live
-            self.stats.prefetch_fills += 1
-            self._insert(target, ready, LineState.EXCLUSIVE, prefetched=True)
-
     def warm(self, line: int) -> None:
-        """Pre-install a line (warm-cache measurement), bypassing timing."""
-        self._insert(line, 0.0, LineState.EXCLUSIVE, prefetched=False)
+        """Pre-install a line (warm-cache measurement), bypassing timing;
+        a line already cached is installed afresh."""
+        self._sets[line % self._num_sets].pop(line, None)
+        self._insert(line, 0.0, _EXCLUSIVE, False)

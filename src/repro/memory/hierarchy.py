@@ -15,6 +15,11 @@ from repro.memory.prefetchers import AmpmPrefetcher, StridePrefetcher
 from repro.memory.tlb import Tlb
 from repro.streams.pattern import MemLevel
 
+#: the stream levels, bound once: reading a member off an ``Enum`` class
+#: costs about ten times a module global
+_L1 = MemLevel.L1
+_L2 = MemLevel.L2
+
 
 class MemoryHierarchy:
     """Timing-side memory system (functional data lives in
@@ -40,6 +45,11 @@ class MemoryHierarchy:
         self.l2 = Cache(config.l2, self.dram, prefetcher=l2_prefetcher)
         self.l1d = Cache(config.l1d, self.l2, prefetcher=l1_prefetcher)
         self.tlb = Tlb()
+        # The stream line path, bound once: it runs for every line the
+        # Streaming Engine requests.
+        self._l1_bypass_port = self.l1d.ports.reserve
+        self._l1_stats = self.l1d.stats
+        self._l2_access = self.l2.access
 
     # -- Address helpers -------------------------------------------------------
 
@@ -64,16 +74,18 @@ class MemoryHierarchy:
         self, addr: int, now: float, is_write: bool, pc: int = 0
     ) -> float:
         now += self.tlb.translate(addr)
-        return self.l1d.access(self.line_of(addr), now, is_write, pc=pc)
+        return self.l1d.access(addr // self.line_bytes, now, is_write, pc)
 
     # -- Streaming Engine path ------------------------------------------------------
 
     def stream_read(self, line: int, now: float, level: MemLevel) -> float:
-        if level is MemLevel.L1:
+        if level is _L2:
+            # Non-cacheable at L1: one L1 port cycle, counted as a bypass
+            # and not allocated there, then a normal load at L2.
+            self._l1_stats.bypasses += 1
+            return self._l2_access(line, self._l1_bypass_port(now) + 1, False)
+        if level is _L1:
             return self.l1d.access(line, now, False)
-        if level is MemLevel.L2:
-            # Non-cacheable at L1 (one port cycle), normal load at L2.
-            return self.l1d.access(line, now, False, cacheable=False)
         # Direct memory access: non-cacheable at every level.
         return self.dram.access(line, now + 2, False)
 

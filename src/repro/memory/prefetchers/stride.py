@@ -47,19 +47,22 @@ class StridePrefetcher:
                     entry.confidence += 1
             else:
                 entry.stride = stride
-                entry.confidence = max(0, entry.confidence - 1)
+                if entry.confidence > 0:
+                    entry.confidence -= 1
         entry.last_addr = addr
-        if entry.confidence >= 2 and entry.stride != 0:
+        stride = entry.stride
+        if entry.confidence >= 2 and stride != 0:
             self.trained += 1
             line = self.line_bytes
+            degree = self.degree
             current = addr // line
             # Issue up to ``degree`` new lines per trigger, working outward
             # from the prefetch distance (the cache drops duplicates).
             for k in range(self.depth, 0, -1):
-                target = (addr + k * entry.stride) // line
+                target = (addr + k * stride) // line
                 if target >= 0 and target != current and target not in out:
                     out.append(target)
-                if len(out) >= self.degree:
+                if len(out) >= degree:
                     break
             self.issued += len(out)
         return out

@@ -7,6 +7,11 @@ request takes the *first free slot at or after its own arrival time*, so
 work scheduled in the future (posted writebacks, delayed fills) never
 delays requests happening now — causality is preserved in the
 reservation-based timing model.
+
+A saturated resource books slots far ahead of the requests arriving
+(an L2 port fed by the Streaming Engine runs dozens of slots ahead), so
+the search for the first free slot follows skip pointers over full
+slots instead of stepping through them one at a time.
 """
 from __future__ import annotations
 
@@ -19,19 +24,25 @@ class SlotReservoir:
         self.slot_cycles = slot_cycles
         self._unit = slot_cycles == 1.0  # cache ports: skip the division
         self._busy = {}  # slot index -> reservations
+        #: full slot index -> a later slot to look at next.  Exactly the
+        #: full slots have an entry, and following the pointers from one
+        #: reaches the first slot after it with a free lane; the path is
+        #: compressed on every search.
+        self._skip = {}
         self._prune_in = 8192  # reservations until the next prune sweep
         self._low_watermark = 0
 
     def reserve(self, t: float) -> float:
         """Claim the first free slot at or after ``t``; returns its start."""
         index = int(t) if self._unit else int(t / self.slot_cycles)
+        skip = self._skip
+        if index in skip:
+            index = self._first_free(index)
         busy = self._busy
-        lanes = self.lanes
-        count = busy.get(index, 0)
-        while count >= lanes:
-            index += 1
-            count = busy.get(index, 0)
-        busy[index] = count + 1
+        count = busy.get(index, 0) + 1
+        busy[index] = count
+        if count == self.lanes:
+            skip[index] = index + 1
         self._prune_in -= 1
         if not self._prune_in:
             self._prune_in = 8192
@@ -39,12 +50,24 @@ class SlotReservoir:
         start = index * self.slot_cycles
         return t if t >= start else start
 
+    def _first_free(self, index: int) -> int:
+        """The first slot with a free lane after full slot ``index``."""
+        skip = self._skip
+        path = []
+        while index in skip:
+            path.append(index)
+            index = skip[index]
+        for full in path:
+            skip[full] = index
+        return index
+
     def _prune(self, current_index: int) -> None:
         """Drop bookkeeping for slots far in the past."""
         horizon = current_index - 100_000
         if horizon <= self._low_watermark:
             return
         self._busy = {k: v for k, v in self._busy.items() if k >= horizon}
+        self._skip = {k: v for k, v in self._skip.items() if k >= horizon}
         self._low_watermark = horizon
 
     def occupancy(self, t: float) -> int:

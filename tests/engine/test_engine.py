@@ -7,7 +7,6 @@ from repro.common.types import ElementType
 from repro.cpu.config import EngineConfig
 from repro.engine.engine import StreamingEngine
 from repro.engine.scheduler import StreamScheduler
-from repro.engine.table import EngineStream
 from repro.errors import ConfigError, StreamError
 from repro.sim.trace import StreamTraceInfo
 from repro.streams.pattern import Direction, MemLevel
@@ -95,9 +94,16 @@ class TestConfiguration:
         engine.configure(make_info(uid=0, n_chunks=1), 0)
         for cycle in range(30):
             engine.tick(cycle)
-        engine.commit_read(0, 0)
+        engine.commit_read(engine.streams[0], 0)
         engine.configure(make_info(uid=1, reg=1), 40)  # recycles uid 0
         assert 1 in engine.streams
+
+    def test_duplicate_uid_rejected(self):
+        engine, _ = make_engine()
+        engine.configure(make_info(uid=3, reg=0), 0)
+        with pytest.raises(StreamError, match="uid 3 is already configured"):
+            engine.configure(make_info(uid=3, reg=1), 0)
+        assert engine.stats.configs == 1
 
 
 class TestFetchAhead:
@@ -114,7 +120,7 @@ class TestFetchAhead:
         engine.configure(make_info(n_chunks=8), 0)
         for cycle in range(20):
             engine.tick(cycle)
-        engine.commit_read(0, 0)
+        engine.commit_read(engine.streams[0], 0)
         for cycle in range(20, 40):
             engine.tick(cycle)
         assert len(hier.reads) == 3
@@ -124,7 +130,7 @@ class TestFetchAhead:
         engine.configure(make_info(), 0)
         for cycle in range(5):
             engine.tick(cycle)
-        ready = engine.chunk_ready(0, 0)
+        ready = engine.streams[0].ready_cycle(0)
         line, issued_at, _ = hier.reads[0]
         assert ready == issued_at + 10 + 2  # latency + fill/forward
 
@@ -132,7 +138,7 @@ class TestFetchAhead:
         engine, _ = make_engine(fifo_depth=2)
         engine.configure(make_info(n_chunks=8), 0)
         engine.tick(0)
-        assert math.isinf(engine.chunk_ready(0, 7))
+        assert math.isinf(engine.streams[0].ready_cycle(7))
 
     def test_multi_line_chunks_issue_one_line_per_cycle(self):
         engine, hier = make_engine(processing_modules=1)
@@ -170,9 +176,9 @@ class TestSpeculationSupport:
     def test_squash_reverts_to_commit_point(self):
         engine, _ = make_engine()
         engine.configure(make_info(), 0)
-        engine.rename_read(0, 0)
-        engine.rename_read(0, 1)
         stream = engine.streams[0]
+        stream.rename_read(0)
+        stream.rename_read(1)
         assert stream.spec_head == 2
         engine.squash(0, 0)
         assert stream.spec_head == 0  # reverted to commit point
@@ -184,80 +190,126 @@ class TestSpeculationSupport:
         engine.configure(make_info(), 0)
         for cycle in range(10):
             engine.tick(cycle)
-        before = engine.chunk_ready(0, 0)
+        stream = engine.streams[0]
+        before = stream.ready_cycle(0)
         reads_before = len(hier.reads)
-        engine.rename_read(0, 0)
+        stream.rename_read(0)
         engine.squash(0, 0)
         for cycle in range(10, 15):
             engine.tick(cycle)
-        assert engine.chunk_ready(0, 0) == before
+        assert stream.ready_cycle(0) == before
         assert len(hier.reads) == reads_before + 0  # no duplicate loads
 
 
 class TestStores:
-    def make_store(self, engine, n_chunks=4):
-        info = make_info(direction=Direction.STORE, n_chunks=n_chunks)
+    def make_store(self, engine, n_chunks=4, lines_per_chunk=1):
+        info = make_info(direction=Direction.STORE, n_chunks=n_chunks,
+                         lines_per_chunk=lines_per_chunk)
         engine.configure(info, 0)
-        return info
+        return engine.streams[info.uid]
 
     def test_reserve_until_full(self):
         engine, _ = make_engine(fifo_depth=2)
-        self.make_store(engine)
-        assert engine.reserve_store(0)
-        assert engine.reserve_store(0)
-        assert not engine.reserve_store(0)
+        stream = self.make_store(engine)
+        assert stream.reserve_store()
+        assert stream.reserve_store()
+        assert not stream.reserve_store()
 
     def test_commit_write_drains_and_frees(self):
         engine, hier = make_engine(fifo_depth=1)
-        self.make_store(engine)
-        assert engine.reserve_store(0)
-        engine.commit_write(0, 0, now=5)
+        stream = self.make_store(engine)
+        assert stream.reserve_store()
+        engine.commit_write(stream, 0, now=5)
         assert engine.stores_pending
         engine.tick(6)
         assert not engine.stores_pending
         assert hier.writes == [(0, 6)]
-        assert engine.reserve_store(0)  # entry freed after drain
+        assert stream.reserve_store()  # entry freed after drain
 
     def test_drain_rate_one_line_per_port(self):
         engine, hier = make_engine(fifo_depth=8, store_ports=1)
-        self.make_store(engine)
+        stream = self.make_store(engine)
         for c in range(3):
-            engine.reserve_store(0)
-            engine.commit_write(0, c, now=0)
+            stream.reserve_store()
+            engine.commit_write(stream, c, now=0)
         for cycle in range(1, 4):
             engine.tick(cycle)
         assert len(hier.writes) == 3
         assert [t for (_, t) in hier.writes] == [1, 2, 3]
 
+    def test_entry_frees_when_its_last_line_drains(self):
+        engine, hier = make_engine(fifo_depth=1, store_ports=2)
+        stream = self.make_store(engine, lines_per_chunk=3)
+        assert stream.reserve_store()
+        engine.commit_write(stream, 0, now=0)
+        engine.tick(1)  # two ports: lines 0 and 1
+        assert [line for (line, _) in hier.writes] == [0, 1]
+        assert not stream.reserve_store()
+        engine.tick(2)
+        assert hier.writes[-1] == (2, 2)
+        assert not engine.stores_pending
+        assert stream.reserve_store()
+
 
 class TestScheduler:
-    def _stream(self, uid, occupancy, num=10):
-        info = make_info(uid=uid, reg=uid, n_chunks=num)
-        s = EngineStream(info, fifo_depth=8, line_bytes=64, start_cycle=0)
-        s.gen_next = occupancy
-        return s
+    @staticmethod
+    def fetched(engine):
+        return [engine.streams[uid].gen_next for uid in sorted(engine.streams)]
 
     def test_fifo_occupancy_priority(self):
-        sched = StreamScheduler("fifo-occupancy")
-        streams = [self._stream(0, 5), self._stream(1, 1), self._stream(2, 3)]
-        chosen = sched.select(streams, 2, now=0)
-        assert [s.info.uid for s in chosen] == [1, 2]
+        engine, _ = make_engine(processing_modules=1)
+        for uid in range(3):
+            engine.configure(make_info(uid=uid, reg=uid, n_chunks=10), 0)
+        # Starts at 1, 2, 3; least occupied first, uid breaks ties.
+        for cycle in range(10):
+            engine.tick(cycle)
+        assert self.fetched(engine) == [3, 3, 3]
+        streams = engine.streams
+        engine.commit_read(streams[0], 1)  # stream 0 holds 1 chunk
+        engine.commit_read(streams[2], 0)  # stream 2 holds 2
+        assert [s.uid for s in engine.scheduler.candidates] == [0, 2, 1]
+        engine.tick(10)
+        engine.tick(11)  # stream 0 (2 held) wins the tie on uid
+        engine.tick(12)
+        assert self.fetched(engine) == [5, 3, 4]
 
     def test_round_robin_rotates(self):
-        sched = StreamScheduler("round-robin")
-        streams = [self._stream(0, 1), self._stream(1, 1)]
-        first = sched.select(streams, 1, now=0)[0].info.uid
-        second = sched.select(streams, 1, now=1)[0].info.uid
-        assert {first, second} == {0, 1}
+        engine, _ = make_engine(processing_modules=1,
+                                scheduler_policy="round-robin")
+        for uid in range(2):
+            engine.configure(make_info(uid=uid, reg=uid, n_chunks=10), 0)
+        for cycle in range(6):
+            engine.tick(cycle)
+        assert self.fetched(engine) == [3, 2]
+        # Occupancy does not matter: stream 1 holds nothing, yet the
+        # streams still alternate.
+        engine.commit_read(engine.streams[1], 1)
+        engine.tick(6)
+        engine.tick(7)
+        assert self.fetched(engine) == [4, 3]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError):
             StreamScheduler("lifo")
 
+    def test_round_robin_follows_stream_table_order(self):
+        # uids out of configuration order: the table order still rules.
+        engine, _ = make_engine(processing_modules=1,
+                                scheduler_policy="round-robin")
+        for uid in (5, 2, 9):
+            engine.configure(make_info(uid=uid, reg=uid, n_chunks=10), 0)
+        assert [s.uid for s in engine.scheduler.candidates] == [5, 2, 9]
+
     def test_full_fifo_not_selected(self):
-        sched = StreamScheduler()
-        full = self._stream(0, 8)
-        assert sched.select([full], 2, now=0) == []
+        engine, hier = make_engine(fifo_depth=2, processing_modules=2)
+        engine.configure(make_info(n_chunks=8), 0)
+        for cycle in range(10):
+            engine.tick(cycle)
+        stream = engine.streams[0]
+        assert stream.gen_next == 2
+        assert engine.scheduler.candidates == []
+        engine.commit_read(stream, 0)  # a free entry: back in the running
+        assert engine.scheduler.candidates == [stream]
 
 
 class TestDimensionSwitch:
@@ -288,9 +340,10 @@ class TestPageFaults:
     def test_unmapped_page_is_flagged_not_raised(self):
         """A2/§IV-A: the engine flags faulting elements for commit-time
         handling and keeps streaming."""
-        engine, hier = make_engine()
+        hier = FakeHierarchy()
         hier.tlb.probe = lambda addr: False  # every page unmapped
         hier.tlb.stream_translate = lambda addr: (False, 0)
+        engine = StreamingEngine(EngineConfig(), hier)
         engine.configure(make_info(n_chunks=2), 0)
         for cycle in range(20):
             engine.tick(cycle)

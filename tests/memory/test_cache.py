@@ -90,14 +90,6 @@ class TestMshrs:
         assert t0 == t1  # two MSHRs -> both overlap
         assert t2 > t1  # third miss waits for an MSHR
 
-    def test_bypass_skips_allocation(self):
-        cache, nxt = make_cache()
-        done = cache.access(9, 0, cacheable=False)
-        assert not cache.contains(9)
-        assert cache.stats.bypasses == 1
-        assert nxt.accesses == [(9, 1, False)]
-        assert done == 1 + 100
-
 
 class TestPrefetcherIntegration:
     class SequentialPf:

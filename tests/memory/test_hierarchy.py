@@ -39,6 +39,17 @@ class TestStreamPath:
         assert not h.l1d.contains(line)  # no L1 allocation
         assert h.l2.stats.hits == 1
 
+    def test_l2_stream_takes_one_l1_port_cycle_without_allocating(self):
+        h = make_hierarchy()
+        h.warm(0x20000, 64)
+        line = h.line_of(0x20000)
+        done = h.stream_read(line, 0, MemLevel.L2)
+        assert h.l1d.ports.occupancy(0) == 1  # one L1 port slot...
+        assert h.l1d.stats.accesses == 0  # ...but no L1 lookup
+        assert not h.l1d.contains(line)
+        assert h.l2.ports.occupancy(1) == 1  # the L2 access starts at 1
+        assert done == 1 + h.config.l2.hit_latency
+
     def test_l1_stream_allocates_in_l1(self):
         h = make_hierarchy()
         h.warm(0x20000, 64)

@@ -1,4 +1,8 @@
 """Unit tests for the stride and AMPM prefetchers."""
+import random
+
+import pytest
+
 from repro.memory.prefetchers import AmpmPrefetcher, StridePrefetcher
 
 
@@ -101,3 +105,47 @@ class TestAmpm:
         pf = AmpmPrefetcher()
         assert pf.observe(0, 0) == []
         assert pf.observe(0, 64 * 17) == []
+
+
+def reference_ampm_scan(bitmap, offset, base, lpz, degree):
+    """The stride scan as first written, bounds tested per candidate:
+    the oracle for the precomputed scan plans."""
+    out = []
+    for stride in tuple(range(1, 9)) + tuple(range(-1, -9, -1)):
+        index = offset - stride
+        if index < 0 or index >= lpz or not (bitmap >> index) & 1:
+            continue
+        index -= stride
+        if index < 0 or index >= lpz or not (bitmap >> index) & 1:
+            continue
+        target = offset + stride
+        for _ in range(degree):
+            if 0 <= target < lpz:
+                candidate = base + target
+                if candidate not in out:
+                    out.append(candidate)
+            if len(out) >= degree:
+                break
+            target += stride
+        if len(out) >= degree:
+            break
+    return out
+
+
+@pytest.mark.parametrize("degree", (1, 2, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_ampm_scan_matches_reference(seed, degree):
+    rng = random.Random(seed)
+    pf = AmpmPrefetcher(zones=4, degree=degree)
+    lpz = pf.lines_per_zone
+    line = 0
+    for _ in range(3000):
+        # Runs of small strides, random jumps and zone changes.
+        if rng.random() < 0.1:
+            line = rng.randrange(8 * lpz)
+        else:
+            line = max(0, line + rng.choice((1, 1, 2, 3, -1, -2, 5, 8, 9)))
+        zone, offset = divmod(line, lpz)
+        bitmap = pf._zones.get(zone, 0)
+        want = reference_ampm_scan(bitmap, offset, zone * lpz, lpz, degree)
+        assert pf.observe(0, line * 64) == want

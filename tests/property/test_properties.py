@@ -264,15 +264,13 @@ class _FixedMemory:
     line_bytes = 64
 
     class _Tlb:
-        walk_latency = 20
-
-        @staticmethod
-        def translate(addr):
-            return 0
-
         @staticmethod
         def probe(addr):
             return True
+
+        @staticmethod
+        def stream_translate(addr):
+            return True, 0
 
     class _L1:
         @staticmethod
@@ -321,12 +319,13 @@ def test_engine_delivers_every_chunk_once_in_order(chunk_sizes, depth, latency):
     cycle = 0
     # Consume chunks as they become ready, committing immediately.
     next_chunk = 0
+    stream = engine.streams[0]
     while next_chunk < len(chunk_sizes) and cycle < 100_000:
         engine.tick(cycle)
         while (next_chunk < len(chunk_sizes)
-               and engine.chunk_ready(0, next_chunk) <= cycle):
-            ready[next_chunk] = engine.chunk_ready(0, next_chunk)
-            engine.commit_read(0, next_chunk)
+               and stream.ready_cycle(next_chunk) <= cycle):
+            ready[next_chunk] = stream.ready_cycle(next_chunk)
+            engine.commit_read(stream, next_chunk)
             next_chunk += 1
         cycle += 1
     # Every chunk was delivered, in order, with sane timing.

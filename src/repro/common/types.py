@@ -28,6 +28,10 @@ class ElementType(enum.Enum):
     F32 = ("fw", 4, np.float32)
     F64 = ("fd", 8, np.float64)
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact; Enum.__hash__ runs in Python on every dict lookup.
+    __hash__ = object.__hash__
+
     def __init__(self, suffix: str, width: int, dtype) -> None:
         self.suffix = suffix
         self.width = width

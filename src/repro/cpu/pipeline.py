@@ -26,7 +26,7 @@ from repro.cpu.branch_pred import GsharePredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.stats import PipelineStats
 from repro.engine.engine import StreamingEngine
-from repro.errors import ConfigError, StreamError
+from repro.errors import ConfigError, SimulationError, StreamError
 from repro.isa.instructions import Instruction
 from repro.isa.microop import FuCluster, OpClass
 from repro.isa.registers import Reg, RegClass
@@ -42,6 +42,29 @@ _MAC_CLASSES = (OpClass.VEC_MAC, OpClass.FP_MAC)
 #: RAT is a flat list indexed by these keys
 _KEY_BASE = {cls: 32 * i for i, cls in enumerate(RegClass)}
 _RAT_SIZE = 32 * len(RegClass)
+
+
+def stall_limit(config: MachineConfig) -> int:
+    """Cycles without a commit after which a run can never progress.
+
+    A bound no working run comes near (docs/TIMING.md): every entry the
+    ROB, the store queue and, on a streaming core, the Streaming Engine's
+    FIFOs can hold waits in turn for the slowest trip an operation can
+    take: a front-end refill, an L1 and an L2 miss, a DRAM access with
+    its line transfer, and the longest execution latency."""
+    core, dram = config.core, config.dram
+    trip = (
+        core.frontend_depth
+        + config.l1d.hit_latency
+        + config.l2.hit_latency
+        + dram.access_latency
+        + math.ceil(dram.line_transfer_cycles)
+        + max(config.latencies.values())
+    )
+    entries = core.rob_entries + core.sq_entries
+    if config.streaming:
+        entries += config.engine.fifo_depth * config.engine.max_streams
+    return entries * trip
 
 
 def _reg_key(reg: Reg) -> int:
@@ -277,6 +300,9 @@ class Pipeline:
         #: cycles elided by the event-horizon fast path (diagnostic; not
         #: part of PipelineStats, which must be identical with it off)
         self.ff_skipped_cycles = 0
+        #: the progress watchdog: a run that commits nothing for this many
+        #: cycles raises SimulationError
+        self.stall_limit = stall_limit(config)
         #: optional callable(event, dyn_op, cycle) receiving "rename",
         #: "issue", and "commit" events (used by repro.sim.debug)
         self.observer = None
@@ -297,7 +323,8 @@ class Pipeline:
         issue = self._issue
         rename = self._rename
         fetch = self._fetch
-        guard = 0
+        stall = self.stall_limit
+        deadline = stall  # the watchdog: the last commit + stall_limit
         while True:
             # Every stage reports whether it changed any machine state
             # this cycle; a fully quiescent cycle is eligible for the
@@ -317,6 +344,7 @@ class Pipeline:
                 if head_t is not None and head_t <= cycle - 1:
                     commit(cycle)
                     progress = True
+                    deadline = cycle + stall
             if self._iq and issue(cycle):
                 progress = True
             fetch_stalls_before = stats.fetch_stall_cycles
@@ -350,9 +378,8 @@ class Pipeline:
                     self.ff_skipped_cycles += skipped
                     cycle += skipped
             cycle += 1
-            guard += 1
-            if guard > 200_000_000:
-                raise ConfigError("timing simulation exceeded cycle guard")
+            if cycle > deadline:
+                raise SimulationError(self._stall_report(cycle))
         end = cycle
         if self.engine is not None:
             end = max(end, self.engine.last_drain_cycle)
@@ -363,6 +390,57 @@ class Pipeline:
         self.stats.branch_mispredicts = self.predictor.mispredictions
         self.stats.branches = self.predictor.predictions
         return self.stats
+
+    def _stall_report(self, now: float) -> str:
+        """Why a run that stopped committing cannot progress."""
+        lines = [
+            f"timing run wedged: no instruction committed for "
+            f"{self.stall_limit} cycles (cycle {now:.0f})"
+        ]
+        if self._rob_q:
+            head = self._rob_q[0]
+            dyn = head.dyn
+            lines.append(
+                f"ROB head: seq {dyn.seq}, pc {dyn.pc} ({dyn.inst}), "
+                f"waiting on {self._waiting_on(head, now)}"
+            )
+        else:
+            lines.append(
+                f"ROB empty: {len(self._decode)} op(s) in the decode queue, "
+                f"{len(self._post_stores)} committed store(s) draining"
+            )
+        if self.engine is not None:
+            for stream in self.engine.streams.values():
+                lines.append(
+                    f"engine stream uid {stream.uid} (u{stream.info.reg}): "
+                    f"num_chunks {stream.num_chunks}, gen_next "
+                    f"{stream.gen_next}, commit_head {stream.commit_head}"
+                )
+        return "\n".join(lines)
+
+    def _waiting_on(self, op: _Op, now: float) -> str:
+        if op.issued:
+            return f"its own execution (completes at cycle {op.complete})"
+        for producer, early, _ in op.producers:
+            t = producer.early_complete if early else producer.complete
+            if t is None or t > now:
+                d = producer.dyn
+                return f"producer seq {d.seq}, pc {d.pc} ({d.inst})"
+        for stream, chunk, _ in op.stream_waits:
+            if stream.ready_cycle(chunk) > now:
+                return f"stream uid {stream.uid} chunk {chunk}"
+        if op.is_load:
+            for line in op.mem_lines:
+                for store in self._store_by_line.get(line, ()):
+                    if store.dyn.seq >= op.dyn.seq:
+                        break
+                    if store.complete is None or store.complete > now:
+                        d = store.dyn
+                        return (
+                            f"older store seq {d.seq}, pc {d.pc} ({d.inst}) "
+                            f"to line {line}"
+                        )
+        return "an issue slot"
 
     # ----------------------------------------------------- event horizon --
 
@@ -464,7 +542,7 @@ class Pipeline:
                 if now < c < best:
                     best = c
         if best == inf:
-            return now + 1.0  # no known event: tick normally (guarded)
+            return now + 1.0  # no known event: tick normally (watchdog)
         return float(best)
 
     # ---------------------------------------------------------------- fetch --

@@ -45,6 +45,10 @@ class ConfigError(ReproError):
     """Inconsistent simulator configuration."""
 
 
+class SimulationError(ReproError):
+    """The timing model stopped making progress (a wedged run)."""
+
+
 class IRError(ReproError):
     """Structurally invalid loop-nest IR (see ``repro.ir.validate``)."""
 

@@ -42,6 +42,10 @@ class OpClass(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact; Enum.__hash__ runs in Python on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_mem(self) -> bool:
         return self in _MEM
@@ -74,6 +78,8 @@ class FuCluster(enum.Enum):
     FP = "fp"  # 2x Int-vector/FP FUs
     MEM = "mem"  # 2x load + 1x store ports
     NONE = "none"  # handled outside the execution clusters
+
+    __hash__ = object.__hash__  # identity, as OpClass
 
 
 _MEM = {

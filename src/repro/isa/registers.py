@@ -22,6 +22,10 @@ class RegClass(enum.Enum):
     V = "u"  # vector (UVE u / SVE z / NEON v)
     P = "p"  # predicate
 
+    # Members are singletons compared by identity, so the identity hash
+    # is exact; Enum.__hash__ runs in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 _BANK_SIZES = {RegClass.X: 32, RegClass.F: 32, RegClass.V: 32, RegClass.P: 16}
 

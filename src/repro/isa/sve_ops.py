@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.types import ElementType
+from repro.errors import IsaError
 from repro.isa import semantics
 from repro.isa.instructions import (
     Instruction,
@@ -24,12 +25,15 @@ from repro.isa.instructions import (
 )
 from repro.isa.microop import OpClass
 from repro.isa.registers import P0, Reg, RegClass
-from repro.isa.vector import VecValue
+from repro.isa.vector import VecValue, all_valid
 
 
 @dataclass(frozen=True)
 class WhileLt(Instruction):
-    """``whilelt pd, rs1, rs2``: lane *i* valid iff ``rs1 + i < rs2``."""
+    """``whilelt pd, rs1, rs2``: lane *i* valid iff ``rs1 + i < rs2``.
+
+    The lanes it sets are always a prefix, of ``rs2 - rs1`` lanes clamped
+    to ``[0, lanes]``, and it records that prefix."""
 
     pd: Reg
     rs1: Reg
@@ -43,7 +47,8 @@ class WhileLt(Instruction):
         write_pred, pd = state.write_pred, self.pd
 
         def execute(state) -> Optional[str]:
-            write_pred(pd, np.arange(lanes(etype)) + xregs[a] < xregs[b])
+            count = xregs[b] - xregs[a]
+            write_pred(pd, prefix=min(max(count, 0), lanes(etype)))
             return None
 
         return execute
@@ -69,7 +74,7 @@ class PTrue(Instruction):
     opclass = OpClass.VEC_MISC
 
     def execute(self, state) -> Optional[str]:
-        state.write_pred(self.pd, np.ones(state.lanes(self.etype), dtype=bool))
+        state.write_pred(self.pd, prefix=state.lanes(self.etype))
         return None
 
     @property
@@ -91,17 +96,31 @@ class BranchPred(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.BRANCH
 
-    def execute(self, state) -> Optional[str]:
-        mask = state.read_pred(self.pg, state.lanes(self.etype))
-        if self.kind == "first":
-            taken = bool(mask[0]) if len(mask) else False
-        elif self.kind == "any":
-            taken = bool(mask.any())
-        elif self.kind == "none":
-            taken = not mask.any()
-        else:
-            raise ValueError(f"unknown predicate-branch kind {self.kind!r}")
-        return self.label if taken else None
+    def __post_init__(self) -> None:
+        if self.kind not in ("first", "any", "none"):
+            raise IsaError(f"unknown predicate-branch kind {self.kind!r}")
+
+    def bind(self, state):
+        lanes_of, etype = state.lanes, self.etype
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
+        label, first = self.label, self.kind == "first"
+        # ``first`` and ``any`` branch when a lane is active, ``none``
+        # when none is.
+        when_active = self.kind != "none"
+
+        def execute(state) -> Optional[str]:
+            lanes = lanes_of(etype)
+            prefix = prefixes[pg]
+            if prefix >= 0:
+                # Of a prefix, lane 0 is active exactly when any lane is.
+                active = prefix > 0 and lanes > 0
+            elif first:
+                active = lanes > 0 and bool(preds[pg, 0])
+            else:
+                active = bool(preds[pg, :lanes].any())
+            return label if active == when_active else None
+
+        return execute
 
     @property
     def srcs(self):
@@ -134,7 +153,7 @@ class Ld1(Instruction):
     def bind(self, state):
         etype, lanes_of, write_v = self.etype, state.lanes, state.write_v
         width, dtype, vd = etype.width, etype.dtype, self.vd
-        preds, pg = state.preds, self.pg.index
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
         xregs, base = state.xregs, self.base.index
         src, index = _index_source(state, self.index)
         read_block = state.mem.read_block
@@ -143,12 +162,15 @@ class Ld1(Instruction):
 
         def execute(state) -> Optional[str]:
             lanes = lanes_of(etype)
-            mask = preds[pg, :lanes]
             start = xregs[base] + src[index] * width
-            if mask.all():  # fast path: full contiguous load
+            prefix = prefixes[pg]
+            if prefix >= lanes or (prefix < 0 and preds[pg, :lanes].all()):
+                # Every lane active: one contiguous block.
                 data = read_block(start, lanes, etype)
                 addrs = range(start, start + lanes * width, width)
+                valid = all_valid(lanes)
             else:
+                mask = preds[pg, :lanes]
                 data = np.zeros(lanes, dtype=dtype)
                 addrs = []
                 for i in range(lanes):
@@ -156,8 +178,9 @@ class Ld1(Instruction):
                         addr = start + i * width
                         data[i] = read(addr)
                         addrs.append(addr)
+                valid = mask.copy()
             record(addrs)
-            write_v(vd, VecValue(data, mask.copy()), etype)
+            write_v(vd, VecValue(data, valid), etype)
             return None
 
         return execute
@@ -185,15 +208,28 @@ class Ld1R(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_LOAD
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        mask = state.read_pred(self.pg, lanes)
-        addr = state.read_x(self.base)
-        value = state.mem.read_scalar(addr, self.etype)
-        state.record_mem_read([addr])
-        data = np.full(lanes, value, dtype=self.etype.dtype)
-        state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
-        return None
+    def bind(self, state):
+        etype, lanes_of, write_v = self.etype, state.lanes, state.write_v
+        dtype, vd = etype.dtype, self.vd
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
+        xregs, base = state.xregs, self.base.index
+        read = state.mem.scalar_reader(etype)
+        record = state.record_mem_read
+
+        def execute(state) -> Optional[str]:
+            lanes = lanes_of(etype)
+            addr = xregs[base]
+            value = read(addr)
+            record((addr,))
+            if prefixes[pg] >= lanes:
+                valid = all_valid(lanes)
+            else:
+                valid = preds[pg, :lanes].copy()
+            data = np.full(lanes, value, dtype=dtype)
+            write_v(vd, VecValue(data, valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -221,7 +257,7 @@ class St1(Instruction):
     def bind(self, state):
         etype, lanes_of, read_v = self.etype, state.lanes, state.read_v
         width, vs = etype.width, self.vs
-        preds, pg = state.preds, self.pg.index
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
         xregs, base = state.xregs, self.base.index
         src, index = _index_source(state, self.index)
         write_block = state.mem.write_block
@@ -230,13 +266,15 @@ class St1(Instruction):
 
         def execute(state) -> Optional[str]:
             lanes = lanes_of(etype)
-            mask = preds[pg, :lanes]
             value = read_v(vs, etype)
             start = xregs[base] + src[index] * width
-            if mask.all():  # fast path: full contiguous store
+            prefix = prefixes[pg]
+            if prefix >= lanes or (prefix < 0 and preds[pg, :lanes].all()):
+                # Every lane active: one contiguous block.
                 write_block(start, value.data)
                 addrs = range(start, start + lanes * width, width)
             else:
+                mask = preds[pg, :lanes]
                 addrs = []
                 for i in range(lanes):
                     if mask[i]:
@@ -359,19 +397,25 @@ class VOp(Instruction):
     def bind(self, state):
         fn, etype, lanes_of = semantics.binary(self.op), self.etype, state.lanes
         dtype = etype.dtype
-        preds, pg = state.preds, self.pg.index
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
         read_v, write_v = state.read_v, state.write_v
         vs1, vs2, vd = self.vs1, self.vs2, self.vd
 
         def execute(state) -> Optional[str]:
-            mask = preds[pg, :lanes_of(etype)]
+            lanes = lanes_of(etype)
             a = read_v(vs1, etype)
             b = read_v(vs2, etype)
-            old = read_v(vd, etype)
             with np.errstate(divide="ignore", invalid="ignore"):
                 result = fn(a.data, b.data)
-            data = np.where(mask, result, old.data).astype(dtype)
-            valid = np.where(mask, a.valid & b.valid, old.valid)
+            if prefixes[pg] >= lanes:
+                # Every lane active: nothing of vd to merge.
+                data = result.astype(dtype)
+                valid = a.valid if a.valid is b.valid else a.valid & b.valid
+            else:
+                mask = preds[pg, :lanes]
+                old = read_v(vd, etype)
+                data = np.where(mask, result, old.data).astype(dtype)
+                valid = np.where(mask, a.valid & b.valid, old.valid)
             write_v(vd, VecValue(data, valid), etype)
             return None
 
@@ -403,17 +447,34 @@ class Fmla(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MAC
 
-    def execute(self, state) -> Optional[str]:
-        lanes = state.lanes(self.etype)
-        mask = state.read_pred(self.pg, lanes)
-        a = state.read_v(self.vs1, self.etype)
-        b = state.read_v(self.vs2, self.etype)
-        acc = state.read_v(self.vd, self.etype)
-        result = acc.data + a.data * b.data
-        data = np.where(mask, result, acc.data).astype(self.etype.dtype)
-        valid = np.where(mask, a.valid & b.valid & acc.valid, acc.valid)
-        state.write_v(self.vd, VecValue(data, valid), self.etype)
-        return None
+    def bind(self, state):
+        etype, lanes_of = self.etype, state.lanes
+        dtype = etype.dtype
+        preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
+        read_v, write_v = state.read_v, state.write_v
+        vs1, vs2, vd = self.vs1, self.vs2, self.vd
+
+        def execute(state) -> Optional[str]:
+            lanes = lanes_of(etype)
+            a = read_v(vs1, etype)
+            b = read_v(vs2, etype)
+            acc = read_v(vd, etype)
+            result = acc.data + a.data * b.data
+            if prefixes[pg] >= lanes:
+                # Every lane active: nothing of the accumulator to merge.
+                data = result.astype(dtype)
+                if a.valid is b.valid is acc.valid:
+                    valid = acc.valid
+                else:
+                    valid = a.valid & b.valid & acc.valid
+            else:
+                mask = preds[pg, :lanes]
+                data = np.where(mask, result, acc.data).astype(dtype)
+                valid = np.where(mask, a.valid & b.valid & acc.valid, acc.valid)
+            write_v(vd, VecValue(data, valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):

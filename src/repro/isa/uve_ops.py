@@ -26,10 +26,11 @@ from repro.isa.instructions import (
     Operand,
     operand_regs,
     raw_source,
+    scalar_dest,
 )
 from repro.isa.microop import OpClass
 from repro.isa.registers import P0, Reg, RegClass
-from repro.isa.vector import VecValue
+from repro.isa.vector import ALL_VALID, VecValue
 from repro.streams.descriptor import (
     IndirectBehavior,
     Param,
@@ -333,22 +334,8 @@ class SoDup(Instruction):
         return f"so.v.dup.{self.etype.suffix} {self.ud}, {self.src}"
 
 
-class _StreamAwareCompute(Instruction):
-    """Shared machinery for compute ops with stream-aware operands."""
-
-    pred: Reg = P0
-
-    def _read_sources(self, state, etype, *regs):
-        """Read operand registers, consuming each bound stream once."""
-        values = {}
-        for reg in regs:
-            if reg not in values:
-                values[reg] = state.read_operand(reg, etype)
-        return [values[reg] for reg in regs]
-
-
 @dataclass(frozen=True)
-class SoOp(_StreamAwareCompute):
+class SoOp(Instruction):
     """``so.a.<op>.fp``: element-wise op with implicit stream load/store."""
 
     op: str
@@ -366,26 +353,37 @@ class SoOp(_StreamAwareCompute):
         return semantics.vector_opclass(self.op)
 
     def bind(self, state):
-        fn, etype, lanes = semantics.binary(self.op), self.etype, state.lanes
+        fn, etype, lanes_of = semantics.binary(self.op), self.etype, state.lanes
         dtype = etype.dtype
-        preds, pred = state.preds, self.pred.index
+        preds, prefixes, pred = state.preds, state.pred_prefix, self.pred.index
         read, write = state.read_operand, state.write_operand
+        full_of = ALL_VALID.get
         ud, us1, us2 = self.ud, self.us1, self.us2
         same = us1 == us2  # a register named twice consumes one chunk
 
         def execute(state) -> Optional[str]:
             a = read(us1, etype)
             b = a if same else read(us2, etype)
-            mask = preds[pred, :lanes(etype)]
+            lanes = lanes_of(etype)
             with np.errstate(divide="ignore", invalid="ignore"):
                 result = fn(a.data, b.data)
-            # Lanes the Streaming Engine disabled (stream padding) act as a
-            # false predicate: where only one operand is valid, its value
-            # passes through unchanged (merging semantics).
-            both = a.valid & b.valid
-            merged = np.where(both, result, np.where(a.valid, a.data, b.data))
-            valid = (a.valid | b.valid) & mask
-            write(ud, VecValue(merged.astype(dtype), valid), etype)
+            av = a.valid
+            if av is b.valid and av is full_of(lanes):
+                # Both operands fully valid: no padding lane to merge.
+                data = result.astype(dtype)
+                if prefixes[pred] >= lanes:
+                    valid = av
+                else:
+                    valid = av & preds[pred, :lanes]
+            else:
+                # Lanes the Streaming Engine disabled (stream padding) act
+                # as a false predicate: where only one operand is valid,
+                # its value passes through unchanged (merging semantics).
+                both = av & b.valid
+                merged = np.where(both, result, np.where(av, a.data, b.data))
+                data = merged.astype(dtype)
+                valid = (av | b.valid) & preds[pred, :lanes]
+            write(ud, VecValue(data, valid), etype)
             return None
 
         return execute
@@ -404,7 +402,7 @@ class SoOp(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoOpScalar(_StreamAwareCompute):
+class SoOpScalar(Instruction):
     """Vector-scalar op: ``ud = us1 <op> scalar`` (scalar reg or imm)."""
 
     op: str
@@ -455,7 +453,7 @@ class SoOpScalar(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoMac(_StreamAwareCompute):
+class SoMac(Instruction):
     """``so.a.mac.fp``: ``ud += us1 * us2`` (``ud`` must be a plain
     register — a stream cannot be simultaneously read and written,
     see the Fig. 4 caption)."""
@@ -467,22 +465,41 @@ class SoMac(_StreamAwareCompute):
     pred: Reg = P0
     opclass = OpClass.VEC_MAC
 
-    def execute(self, state) -> Optional[str]:
-        if state.is_stream(self.ud.index):
-            raise IsaError(
-                f"so.a.mac destination {self.ud} is stream-bound; a stream "
-                "cannot operate in both read and write modes"
-            )
-        a, b = self._read_sources(state, self.etype, self.us1, self.us2)
-        acc = state.read_v(self.ud, self.etype)
-        mask = state.read_pred(self.pred, state.lanes(self.etype))
-        active = a.valid & b.valid & mask
-        data = np.where(active, acc.data + a.data * b.data, acc.data)
-        valid = acc.valid | active
-        state.write_v(
-            self.ud, VecValue(data.astype(self.etype.dtype), valid), self.etype
-        )
-        return None
+    def bind(self, state):
+        etype, lanes_of = self.etype, state.lanes
+        dtype = etype.dtype
+        preds, prefixes, pred = state.preds, state.pred_prefix, self.pred.index
+        read, read_v, write_v = state.read_operand, state.read_v, state.write_v
+        is_stream, full_of = state.is_stream, ALL_VALID.get
+        ud, us1, us2 = self.ud, self.us1, self.us2
+        same = us1 == us2  # a register named twice consumes one chunk
+
+        def execute(state) -> Optional[str]:
+            # Stream binding is dynamic, so the destination is checked on
+            # every execution.
+            if is_stream(ud.index):
+                raise IsaError(
+                    f"so.a.mac destination {ud} is stream-bound; a stream "
+                    "cannot operate in both read and write modes"
+                )
+            a = read(us1, etype)
+            b = a if same else read(us2, etype)
+            acc = read_v(ud, etype)
+            lanes = lanes_of(etype)
+            av = a.valid
+            full = av is b.valid and av is full_of(lanes)
+            if full and prefixes[pred] >= lanes:
+                # Every lane active: nothing of the accumulator to merge.
+                data = acc.data + a.data * b.data
+                valid = av
+            else:
+                active = av & b.valid & preds[pred, :lanes]
+                data = np.where(active, acc.data + a.data * b.data, acc.data)
+                valid = acc.valid | active
+            write_v(ud, VecValue(data.astype(dtype), valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -498,7 +515,7 @@ class SoMac(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoMacScalar(_StreamAwareCompute):
+class SoMacScalar(Instruction):
     """``so.a.mac.sc``: ``ud += us1 * scalar`` (vector MAC with a scalar
     multiplier; ``ud`` must be a plain register)."""
 
@@ -509,31 +526,40 @@ class SoMacScalar(_StreamAwareCompute):
     pred: Reg = P0
     opclass = OpClass.VEC_MAC
 
-    def execute(self, state) -> Optional[str]:
-        if state.is_stream(self.ud.index):
-            raise IsaError(
-                f"so.a.mac.sc destination {self.ud} is stream-bound; a "
-                "stream cannot operate in both read and write modes"
-            )
-        (a,) = self._read_sources(state, self.etype, self.us1)
-        if isinstance(self.scalar, Reg):
-            if self.scalar.cls is RegClass.F:
-                s = state.read_f(self.scalar)
+    def bind(self, state):
+        etype, lanes_of = self.etype, state.lanes
+        dtype = etype.dtype
+        preds, prefixes, pred = state.preds, state.pred_prefix, self.pred.index
+        read, read_v, write_v = state.read_operand, state.read_v, state.write_v
+        is_stream, full_of = state.is_stream, ALL_VALID.get
+        ud, us1 = self.ud, self.us1
+        src, scalar = raw_source(state, self.scalar)
+
+        def execute(state) -> Optional[str]:
+            # Stream binding is dynamic, so the destination is checked on
+            # every execution.
+            if is_stream(ud.index):
+                raise IsaError(
+                    f"so.a.mac.sc destination {ud} is stream-bound; a "
+                    "stream cannot operate in both read and write modes"
+                )
+            a = read(us1, etype)
+            s = dtype.type(src[scalar])
+            acc = read_v(ud, etype)
+            lanes = lanes_of(etype)
+            av = a.valid
+            if av is full_of(lanes) and prefixes[pred] >= lanes:
+                # Every lane active: nothing of the accumulator to merge.
+                data = acc.data + a.data * s
+                valid = av
             else:
-                s = state.read_x(self.scalar)
-        else:
-            s = self.scalar
-        acc = state.read_v(self.ud, self.etype)
-        mask = state.read_pred(self.pred, state.lanes(self.etype))
-        active = a.valid & mask
-        data = np.where(
-            active, acc.data + a.data * self.etype.dtype.type(s), acc.data
-        )
-        valid = acc.valid | active
-        state.write_v(
-            self.ud, VecValue(data.astype(self.etype.dtype), valid), self.etype
-        )
-        return None
+                active = av & preds[pred, :lanes]
+                data = np.where(active, acc.data + a.data * s, acc.data)
+                valid = acc.valid | active
+            write_v(ud, VecValue(data.astype(dtype), valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -549,7 +575,7 @@ class SoMacScalar(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoUnary(_StreamAwareCompute):
+class SoUnary(Instruction):
     """``so.a.<op>.u``: element-wise unary op with stream-aware source."""
 
     op: str
@@ -566,7 +592,7 @@ class SoUnary(_StreamAwareCompute):
         return OpClass.VEC_DIV if self.op == "sqrt" else OpClass.VEC_ALU
 
     def execute(self, state) -> Optional[str]:
-        (a,) = self._read_sources(state, self.etype, self.us)
+        a = state.read_operand(self.us, self.etype)
         mask = state.read_pred(self.pred, state.lanes(self.etype))
         with np.errstate(invalid="ignore"):
             result = semantics.unary(self.op)(a.data)
@@ -590,7 +616,7 @@ class SoUnary(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoMove(_StreamAwareCompute):
+class SoMove(Instruction):
     """``so.v.mv``: vector move (consumes a stream chunk when the source
     is stream-bound — Fig. 2's ``vectormove``)."""
 
@@ -599,10 +625,15 @@ class SoMove(_StreamAwareCompute):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MISC
 
-    def execute(self, state) -> Optional[str]:
-        (a,) = self._read_sources(state, self.etype, self.us)
-        state.write_operand(self.ud, a, self.etype)
-        return None
+    def bind(self, state):
+        read, write = state.read_operand, state.write_operand
+        etype, ud, us = self.etype, self.ud, self.us
+
+        def execute(state) -> Optional[str]:
+            write(ud, read(us, etype), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -617,7 +648,7 @@ class SoMove(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoRed(_StreamAwareCompute):
+class SoRed(Instruction):
     """``so.r.<op>``: horizontal reduction over valid lanes, producing a
     single element (into lane 0 of a register, or one element of an
     output stream — Fig. 2's ``horizontal_max``)."""
@@ -634,7 +665,7 @@ class SoRed(_StreamAwareCompute):
     opclass = OpClass.VEC_RED
 
     def execute(self, state) -> Optional[str]:
-        (a,) = self._read_sources(state, self.etype, self.us)
+        a = state.read_operand(self.us, self.etype)
         mask = state.read_pred(self.pred, state.lanes(self.etype))
         active = a.data[a.valid & mask]
         result = semantics.reduce_fn(self.op)(active) if len(active) else 0
@@ -663,7 +694,7 @@ class SoRed(_StreamAwareCompute):
 
 
 @dataclass(frozen=True)
-class SoRedScalar(_StreamAwareCompute):
+class SoRedScalar(Instruction):
     """Horizontal reduction into a scalar register."""
 
     op: str
@@ -678,7 +709,7 @@ class SoRedScalar(_StreamAwareCompute):
     opclass = OpClass.VEC_RED
 
     def execute(self, state) -> Optional[str]:
-        (a,) = self._read_sources(state, self.etype, self.us)
+        a = state.read_operand(self.us, self.etype)
         mask = state.read_pred(self.pred, state.lanes(self.etype))
         active = a.data[a.valid & mask]
         result = semantics.reduce_fn(self.op)(active) if len(active) else 0
@@ -711,13 +742,15 @@ class SoScalarRead(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MISC
 
-    def execute(self, state) -> Optional[str]:
-        value = state.stream_read_scalar(self.us.index)
-        if self.rd.cls is RegClass.F:
-            state.write_f(self.rd, float(value))
-        else:
-            state.write_x(self.rd, int(value))
-        return None
+    def bind(self, state):
+        read, index = state.stream_read_scalar, self.us.index
+        regs, rd, convert = scalar_dest(state, self.rd)
+
+        def execute(state) -> Optional[str]:
+            regs[rd] = convert(read(index))
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -769,7 +802,7 @@ class SoScalarWrite(Instruction):
 
 
 @dataclass(frozen=True)
-class SoPredComp(_StreamAwareCompute):
+class SoPredComp(Instruction):
     """Vector compare into a predicate register."""
 
     cond: str
@@ -784,7 +817,11 @@ class SoPredComp(_StreamAwareCompute):
     opclass = OpClass.VEC_MISC
 
     def execute(self, state) -> Optional[str]:
-        a, b = self._read_sources(state, self.etype, self.us1, self.us2)
+        a = state.read_operand(self.us1, self.etype)
+        if self.us2 == self.us1:
+            b = a  # a register named twice consumes one chunk
+        else:
+            b = state.read_operand(self.us2, self.etype)
         mask = semantics.compare(self.cond)(a.data, b.data) & a.valid & b.valid
         state.write_pred(self.pd, mask)
         return None
@@ -841,10 +878,14 @@ class SoBranchEnd(Instruction):
     negate: bool = True  # default: branch while NOT ended (loop back)
     opclass = OpClass.BRANCH
 
-    def execute(self, state) -> Optional[str]:
-        ended = state.stream_ended(self.u.index)
-        taken = (not ended) if self.negate else ended
-        return self.label if taken else None
+    def bind(self, state):
+        ended, index = state.stream_ended, self.u.index
+        label, negate = self.label, self.negate
+
+        def execute(state) -> Optional[str]:
+            return label if ended(index) != negate else None
+
+        return execute
 
     @property
     def srcs(self):
@@ -870,10 +911,14 @@ class SoBranchDim(Instruction):
     complete: bool = True
     opclass = OpClass.BRANCH
 
-    def execute(self, state) -> Optional[str]:
-        done = state.stream_dim_complete(self.u.index, self.dim)
-        taken = done if self.complete else not done
-        return self.label if taken else None
+    def bind(self, state):
+        dim_complete, index = state.stream_dim_complete, self.u.index
+        dim, label, complete = self.dim, self.label, self.complete
+
+        def execute(state) -> Optional[str]:
+            return label if dim_complete(index, dim) == complete else None
+
+        return execute
 
     @property
     def srcs(self):

@@ -4,10 +4,14 @@ A :class:`VecValue` is the architectural content of one vector register:
 a lane array (NumPy, typed by the element type) plus a per-lane validity
 mask.  Invalid lanes exist because of predication and because streams pad
 partial tails (paper feature F5); they read as zero and are never stored.
+
+A value's arrays are never written in place: an instruction builds new
+arrays for its result.  That lets values share arrays, such as the one
+read-only all-valid mask per lane count that :func:`all_valid` returns.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,24 @@ class VecValue(NamedTuple):
     def active(self) -> np.ndarray:
         """Lane values where valid (compacted)."""
         return self.data[self.valid]
+
+
+#: lane count -> the shared all-valid mask (see :func:`all_valid`)
+ALL_VALID: Dict[int, np.ndarray] = {}
+
+
+def all_valid(lanes: int) -> np.ndarray:
+    """The shared all-true mask of ``lanes`` lanes.
+
+    It is read-only, so an in-place write raises instead of changing
+    every value that carries it.  A value whose ``valid`` *is* this
+    array has every lane valid: consumers test that by identity."""
+    mask = ALL_VALID.get(lanes)
+    if mask is None:
+        mask = np.ones(lanes, dtype=bool)
+        mask.flags.writeable = False
+        ALL_VALID[lanes] = mask
+    return mask
 
 
 def zeros(lanes: int, etype: ElementType) -> VecValue:

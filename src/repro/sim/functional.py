@@ -21,7 +21,7 @@ from repro.errors import ExecutionError, IsaError, StreamError
 from repro.isa.microop import OpClass
 from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
-from repro.isa.vector import VecValue, zeros
+from repro.isa.vector import VecValue, all_valid, zeros
 from repro.memory.backing import Memory
 from repro.sim.trace import DynOp, StreamEvent, StreamTraceInfo, TraceSummary
 from repro.streams.descriptor import (
@@ -98,6 +98,9 @@ class _RuntimeStream:
     dimension-0 instance as one NumPy address vector, and vector reads /
     writes slice whole chunks out of the buffered run (chunks never cross
     a dimension-0 boundary, so a chunk is always a slice of one run).
+    Whether a run is contiguous is decided once, from its stride, when it
+    is fetched: every chunk of a contiguous run is one block access, and
+    every chunk of any other run a gather or scatter.
     Scalar accesses and context restores step through the same buffered
     run, so every access follows one element order: the order
     :class:`~repro.streams.iterator.StreamIterator` defines.
@@ -119,6 +122,13 @@ class _RuntimeStream:
         self.mem = memory
         self.trace = trace
         self.origin_pending: List[int] = []
+        # Facts fixed at configure.
+        self.direction = pattern.direction
+        self.etype = pattern.etype
+        self._width = pattern.etype.width
+        #: the ``dims_ended`` flag of the stream's last element
+        self._last_dim = pattern.ndims - 1
+        self._full = all_valid(lanes)
 
         def read_element(addr: int, etype: ElementType):
             self.origin_pending.append(addr)
@@ -127,8 +137,10 @@ class _RuntimeStream:
         reader = read_element if pattern.has_indirection else None
         self._runs = iter(RunIterator(pattern, reader))
         self._run_addrs: Optional[np.ndarray] = None
+        self._run_len = 0
         self._run_pos = 0
         self._run_flags = -1
+        self._run_contiguous = False
         self.last_flags = -1
         self.ended = False
         self.suspended = False
@@ -150,44 +162,40 @@ class _RuntimeStream:
             _, taken, self.last_flags = self._take(remaining)
             remaining -= taken
         self.elements_done = count
-        self.ended = count > 0 and self.last_flags == self.pattern.ndims - 1
-
-    @property
-    def direction(self) -> Direction:
-        return self.pattern.direction
+        self.ended = count > 0 and self.last_flags == self._last_dim
 
     def _take(self, limit: int) -> Tuple[np.ndarray, int, int]:
         """Consume up to ``limit`` elements of the buffered dimension-0
         run, fetching the next run once this one is spent, and return
         ``(addresses, count, flags)``: ``flags`` is the run's flag if
         the run ends with these elements, else -1."""
-        addrs = self._run_addrs
-        if addrs is None or self._run_pos == len(addrs):
+        pos = self._run_pos
+        if pos == self._run_len:
             try:
                 run = next(self._runs)
             except StopIteration:
                 raise StreamError(
                     f"stream u{self.reg} iterated past its end"
                 ) from None
-            addrs = self._run_addrs = run.addresses
-            self._run_pos = 0
+            self._run_addrs = run.addresses
+            self._run_len = len(run.addresses)
             self._run_flags = run.dims_ended
-        pos = self._run_pos
-        count = min(limit, len(addrs) - pos)
+            self._run_contiguous = (
+                run.stride == self._width or self._run_len == 1
+            )
+            pos = 0
+        count = min(limit, self._run_len - pos)
         end = self._run_pos = pos + count
-        flags = self._run_flags if end == len(addrs) else -1
-        return addrs[pos:end], count, flags
+        flags = self._run_flags if end == self._run_len else -1
+        return self._run_addrs[pos:end], count, flags
 
-    def _close_chunk(self) -> None:
-        self.trace.chunks.append(self._open_chunk)
+    def _close_chunk(self, addresses: List[int]) -> None:
+        self.trace.chunks.append(addresses)
         self.trace.origin_reads.append(self.origin_pending)
         self.trace.chunk_flags.append(self.last_flags)
         self.origin_pending = []
         self._open_chunk = []
         self._chunk_count += 1
-
-    def _chunk_id(self) -> int:
-        return self._chunk_count
 
     # -- Vector-granular access --------------------------------------------
 
@@ -195,85 +203,83 @@ class _RuntimeStream:
         """Consume one chunk (up to ``lanes`` elements, never crossing a
         dimension-0 boundary) and return its value and chunk id."""
         self._check_active("read")
-        etype = self.pattern.etype
-        chunk_id = self._chunk_id()
+        chunk_id = self._chunk_count
         if self._open_chunk:
             raise StreamError(
                 f"stream u{self.reg}: vector read after partial scalar "
                 "consumption of the current chunk"
             )
-        data = np.zeros(self.lanes, dtype=etype.dtype)
-        valid = np.zeros(self.lanes, dtype=bool)
-        chunk, count, flags = self._take(self.lanes)
-        # Contiguity fast path.  The *whole* address vector must step by
-        # exactly one element width — checking only the endpoints would
-        # let a permuted interior (e.g. [0, 8, 100, 24]) read the wrong
-        # bytes through read_block.
-        if count == 1 or bool((chunk[1:] - chunk[:-1] == etype.width).all()):
-            data[:count] = self.mem.read_block(int(chunk[0]), count, etype)
+        lanes, etype = self.lanes, self.etype
+        chunk, count, flags = self._take(lanes)
+        if self._run_contiguous and count == lanes:
+            # A full chunk of a contiguous run is one block read, and the
+            # block is the value.
+            data = self.mem.read_block(int(chunk[0]), count, etype)
+            valid = self._full
         else:
-            data[:count] = self.mem.read_gather(chunk, etype)
-        self._open_chunk = chunk.tolist()
-        valid[:count] = True
+            data = np.zeros(lanes, dtype=etype.dtype)
+            if self._run_contiguous:
+                data[:count] = self.mem.read_block(int(chunk[0]), count, etype)
+            else:
+                data[:count] = self.mem.read_gather(chunk, etype)
+            valid = np.zeros(lanes, dtype=bool)
+            valid[:count] = True
         self.last_flags = flags
-        self._close_chunk()
+        self._close_chunk(chunk.tolist())
         self.elements_done += count
-        self.ended = self.last_flags == self.pattern.ndims - 1
+        self.ended = flags == self._last_dim
         return VecValue(data, valid), chunk_id
 
     def write_vector(self, value: VecValue) -> int:
         """Produce one chunk of the output pattern from ``value``."""
         self._check_active("write")
-        etype = self.pattern.etype
-        chunk_id = self._chunk_id()
+        chunk_id = self._chunk_count
         if self._open_chunk:
             raise StreamError(
                 f"stream u{self.reg}: vector write after partial scalar "
                 "production of the current chunk"
             )
         chunk, count, flags = self._take(self.lanes)
-        # Same full-vector contiguity check as read_vector; scattered
-        # chunks (including duplicate addresses, which resolve
-        # last-write-wins in element order) go through write_scatter.
-        if count == 1 or bool((chunk[1:] - chunk[:-1] == etype.width).all()):
+        # Chunks of other runs (including duplicate addresses, which
+        # resolve last-write-wins in element order) are scattered.
+        if self._run_contiguous:
             self.mem.write_block(int(chunk[0]), value.data[:count])
         else:
-            self.mem.write_scatter(chunk, value.data[:count], etype)
-        self._open_chunk = chunk.tolist()
+            self.mem.write_scatter(chunk, value.data[:count], self.etype)
         self.last_flags = flags
-        self._close_chunk()
+        self._close_chunk(chunk.tolist())
         self.elements_done += count
-        self.ended = self.last_flags == self.pattern.ndims - 1
+        self.ended = flags == self._last_dim
         return chunk_id
 
     # -- Element-granular (scalar) access ------------------------------------
 
     def read_scalar(self) -> Tuple[object, int]:
         self._check_active("read")
-        chunk_id = self._chunk_id()
+        chunk_id = self._chunk_count
         chunk, _, flags = self._take(1)
         addr = int(chunk[0])
-        value = self.mem.read_scalar(addr, self.pattern.etype)
+        value = self.mem.read_scalar(addr, self.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1
         self.last_flags = flags
-        self.ended = flags == self.pattern.ndims - 1
+        self.ended = flags == self._last_dim
         if flags >= 0 or len(self._open_chunk) == self.lanes:
-            self._close_chunk()
+            self._close_chunk(self._open_chunk)
         return value, chunk_id
 
     def write_scalar(self, value) -> int:
         self._check_active("write")
-        chunk_id = self._chunk_id()
+        chunk_id = self._chunk_count
         chunk, _, flags = self._take(1)
         addr = int(chunk[0])
-        self.mem.write_scalar(addr, value, self.pattern.etype)
+        self.mem.write_scalar(addr, value, self.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1
         self.last_flags = flags
-        self.ended = flags == self.pattern.ndims - 1
+        self.ended = flags == self._last_dim
         if flags >= 0 or len(self._open_chunk) == self.lanes:
-            self._close_chunk()
+            self._close_chunk(self._open_chunk)
         return chunk_id
 
     def _check_active(self, what: str) -> None:
@@ -308,6 +314,12 @@ class MachineState:
         self.vreg_etype: List[ElementType] = [ElementType.F32] * 32
         self.preds = np.zeros((16, _MAX_PRED_LANES), dtype=bool)
         self.preds[0, :] = True  # p0 hardwired all-true
+        #: per predicate register, its *active prefix*: the number of
+        #: leading true lanes when its writer knew the row is exactly
+        #: that many true lanes followed by false ones, else -1
+        #: (unknown).  A reader whose lanes the prefix covers skips the
+        #: mask test.
+        self.pred_prefix = [_MAX_PRED_LANES] + [0] * 15
         self.vl_elems: Optional[int] = None  # ss.setvl override
         self.halted = False
 
@@ -389,11 +401,25 @@ class MachineState:
     def read_pred(self, reg: Reg, lanes: int) -> np.ndarray:
         return self.preds[reg.index, :lanes]
 
-    def write_pred(self, reg: Reg, mask: np.ndarray) -> None:
+    def write_pred(
+        self, reg: Reg, mask: Optional[np.ndarray] = None, prefix: int = -1
+    ) -> None:
+        """Write predicate ``reg``: its low lanes from ``mask``, or, with
+        no mask, ``prefix`` true lanes; every other lane reads false.
+
+        ``prefix`` is recorded as the register's active prefix.  A writer
+        passes it only when it knows the row is exactly that many true
+        lanes; -1 records "unknown", which readers test lane by lane."""
         if reg.index == 0:
             raise IsaError("predicate p0 is hardwired and cannot be written")
-        self.preds[reg.index, :] = False
-        self.preds[reg.index, : len(mask)] = mask
+        row = self.preds[reg.index]
+        row[:] = False
+        if mask is None:
+            assert prefix >= 0, "a write without a mask needs its prefix"
+            row[:prefix] = True
+        else:
+            row[: len(mask)] = mask
+        self.pred_prefix[reg.index] = prefix
 
     # -- Stream-aware operand access (UVE F1/F4) ------------------------------
 

@@ -212,12 +212,15 @@ class StreamRun(NamedTuple):
     ``addresses`` are the byte addresses of every element of the
     instance, in iteration order (always non-empty; empty instances are
     skipped, exactly as :class:`StreamIterator` yields no element for
-    them).  ``dims_ended`` is the flag of the run's *last* element; every
-    earlier element of the run carries ``-1``, so runs are a lossless
-    regrouping of the element sequence.
+    them).  ``stride`` is the byte step between consecutive elements:
+    ``addresses[i] == addresses[0] + i * stride``.  ``dims_ended`` is the
+    flag of the run's *last* element; every earlier element of the run
+    carries ``-1``, so runs are a lossless regrouping of the element
+    sequence.
     """
 
     addresses: np.ndarray
+    stride: int
     dims_ended: int
 
 
@@ -260,8 +263,9 @@ class RunIterator:
         ]
         width = pattern.etype.width
         top = pattern.ndims - 1
-        for addresses, ended in self._gen_level(pattern, working, top, 0):
-            yield StreamRun(addresses * width, ended)
+        runs = self._gen_level(pattern, working, top, 0)
+        for addresses, stride, ended in runs:
+            yield StreamRun(addresses * width, stride * width, ended)
 
     def _gen_level(
         self,
@@ -279,8 +283,10 @@ class RunIterator:
             # zero) yields no run, as StreamIterator yields no element.
             if count > 0:
                 base = displacement + desc.offset
+                stride = desc.stride
                 yield (
-                    base + np.arange(count, dtype=np.int64) * desc.stride,
+                    base + np.arange(count, dtype=np.int64) * stride,
+                    stride,
                     0,
                 )
             return
@@ -341,11 +347,11 @@ class RunIterator:
     @staticmethod
     def _promote(inner: Iterator, level_idx: int, last: bool) -> Iterator:
         """Lift end-of-dimension flags across this level's last iteration."""
-        for addresses, ended in inner:
+        for addresses, stride, ended in inner:
             if last and ended == level_idx - 1:
-                yield addresses, level_idx
+                yield addresses, stride, level_idx
             else:
-                yield addresses, ended
+                yield addresses, stride, ended
 
     def _origin_values(self, mod: IndirectModifier) -> Iterator[int]:
         """Origin-stream values, pulled (and recorded by ``read_element``)

@@ -1,23 +1,31 @@
-"""Scalar instruction forms the fuzz lowerings never emit.
+"""Instruction forms the fuzz lowerings never emit, and the bound vector
+classes.
 
 The differential fuzzer checks the ISS on whatever the lowerings emit, and
 they emit no ``IntOp`` ``div``, ``sll`` or ``srl``, no F-register integer
 operand, no ``x0`` destination and no ``Move``.  Every other operand form
 of the scalar classes is checked here against hand-computed values, once
 through ``FunctionalSimulator.run()`` (which binds each instruction to
-the state once per run) and once through ``inst.execute(state)``.
+the state once per run) and once through ``inst.execute(state)``.  The
+vector classes the paper kernels run most (SVE ``fmla``, predicate
+branches and ``ld1r``; UVE MACs, moves, scalar reads and stream
+branches) are checked the same way, on full and padded stream chunks
+and full and partial predicates.
 """
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.common.types import ElementType
-from repro.isa import ProgramBuilder, f, x
+from repro.errors import IsaError
+from repro.isa import P0, ProgramBuilder, f, p, u, x
 from repro.isa import neon_ops, rvv_ops, scalar_ops as sc, sve_ops, uve_ops
 from repro.isa.instructions import Instruction
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator, MachineState
+from repro.streams.pattern import Direction
 
 #: x1 = 13, x2 = 3, f1 = 1.5, f2 = 3.75, x5 = BASE, x6 = OFFSET
 BASE, OFFSET = 256, 16
@@ -180,3 +188,234 @@ def test_class_implements_execute_or_bind(cls):
         if getattr(cls, name) is not getattr(Instruction, name)
     ]
     assert len(overrides) == 1, overrides
+
+
+# -- Bound vector classes ----------------------------------------------------
+
+F32 = ElementType.F32
+#: a 20-element F32 stream: one full 16-lane chunk, then 4 valid lanes
+VALUES = np.arange(1, 21, dtype=np.float32)
+
+
+def vector_states(build, values=VALUES):
+    """The state after ``build(base)``'s instructions, where ``base`` is
+    the element index of ``values`` in memory, run as a program and
+    executed one instruction at a time."""
+    states = []
+    for as_program in (True, False):
+        mem = Memory(1 << 12)
+        base = mem.alloc_array(values) // 4
+        insts = SETUP + tuple(build(base))
+        if as_program:
+            b = ProgramBuilder("vector-forms")
+            b.emit(*insts, sc.Halt())
+            sim = FunctionalSimulator(b.build(), memory=mem)
+            sim.run()
+            states.append(sim.state)
+        else:
+            state = MachineState(memory=mem)
+            for inst in insts:
+                assert inst.execute(state) is None
+            states.append(state)
+    return states
+
+
+def load_stream(base, n=len(VALUES)):
+    return uve_ops.SsConfig1D(u(1), Direction.LOAD, base, n, 1)
+
+
+def assert_vec(state, reg, data, valid):
+    value = state.read_v(reg, F32)
+    assert value.data.tolist() == list(data)
+    assert value.valid.tolist() == list(valid)
+
+
+FULL, TAIL = VALUES[:16], np.concatenate([VALUES[16:], np.zeros(12)])
+TAIL_VALID = [True] * 4 + [False] * 12
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["two", "same"])
+def test_so_mac_on_full_and_padded_chunks(same):
+    us2 = u(1) if same else u(2)
+
+    def build(base):
+        return (
+            load_stream(base),
+            uve_ops.SoDup(u(2), 2.0),
+            uve_ops.SoDup(u(3), 0.5),
+            uve_ops.SoMac(u(3), u(1), us2),
+            uve_ops.SoMove(u(4), u(3)),
+            uve_ops.SoMac(u(4), u(1), us2),
+        )
+
+    for state in vector_states(build):
+        m1 = FULL if same else 2.0
+        first = 0.5 + FULL * m1
+        assert_vec(state, u(3), first, [True] * 16)
+        # The padded chunk's invalid lanes keep the accumulator.
+        m2 = TAIL if same else 2.0
+        second = np.where(TAIL_VALID, first + TAIL * m2, first)
+        assert_vec(state, u(4), second, [True] * 16)
+        assert state.stream_ended(1)
+
+
+@pytest.mark.parametrize(
+    "scalar, factor", [(f(1), 1.5), (x(1), 13.0), (3, 3.0)],
+    ids=["f", "x", "imm"],
+)
+def test_so_mac_scalar(scalar, factor):
+    def build(base):
+        return (
+            load_stream(base),
+            uve_ops.SoDup(u(3), 1.0),
+            uve_ops.SoMacScalar(u(3), u(1), scalar),
+            uve_ops.SoMacScalar(u(3), u(1), scalar),
+        )
+
+    for state in vector_states(build):
+        first = 1.0 + FULL * np.float32(factor)
+        want = np.where(TAIL_VALID, first + TAIL * np.float32(factor), first)
+        assert_vec(state, u(3), want.astype(np.float32), [True] * 16)
+
+
+def test_so_mac_destination_must_not_be_a_stream():
+    state = MachineState(memory=Memory(1 << 12))
+    base = state.mem.alloc_array(VALUES) // 4
+    load_stream(base).execute(state)
+    uve_ops.SsConfig1D(u(2), Direction.LOAD, base, 4, 1).execute(state)
+    with pytest.raises(IsaError, match="stream-bound"):
+        uve_ops.SoMac(u(2), u(1), u(1)).execute(state)
+    with pytest.raises(IsaError, match="stream-bound"):
+        uve_ops.SoMacScalar(u(2), u(1), 2.0).execute(state)
+
+
+def test_so_move_consumes_one_chunk_each():
+    def build(base):
+        return (
+            load_stream(base),
+            uve_ops.SoMove(u(5), u(1)),
+            uve_ops.SoMove(u(6), u(1)),
+        )
+
+    for state in vector_states(build):
+        assert_vec(state, u(5), FULL, [True] * 16)
+        assert_vec(state, u(6), TAIL, TAIL_VALID)
+
+
+def test_so_scalar_read_converts_per_bank():
+    def build(base):
+        return (
+            load_stream(base, 3),
+            uve_ops.SoScalarRead(f(3), u(1)),
+            uve_ops.SoScalarRead(x(7), u(1)),
+            uve_ops.SoScalarRead(x(0), u(1)),
+        )
+
+    for state in vector_states(build, np.array([1.5, 2.75, 9.0], np.float32)):
+        assert state.read_f(f(3)) == 1.5
+        assert state.read_x(x(7)) == 2
+        assert state.xregs[0] == 0
+        assert state.stream_ended(1)
+
+
+def stream_branch_program(branch):
+    """A 2 x 3 stream read one element at a time; ``x9`` counts the
+    elements before ``branch`` first falls through."""
+    mem = Memory(1 << 12)
+    base = mem.alloc_array(np.arange(6, dtype=np.float32)) // 4
+    b = ProgramBuilder("stream-branch")
+    b.emit(
+        uve_ops.SsSta(u(1), Direction.LOAD, base, 3, 1),
+        uve_ops.SsApp(u(1), 0, 2, 3, last=True),
+    )
+    b.label("loop")
+    b.emit(uve_ops.SoScalarRead(x(8), u(1)), sc.IntOp("add", x(9), x(9), 1))
+    b.emit(branch, sc.Halt())
+    return b.build(), mem
+
+
+@pytest.mark.parametrize(
+    "branch, count",
+    [
+        (uve_ops.SoBranchEnd(u(1), "loop"), 6),
+        (uve_ops.SoBranchDim(u(1), 0, "loop", complete=False), 3),
+        (uve_ops.SoBranchDim(u(1), 1, "loop", complete=False), 6),
+    ],
+    ids=["nend", "dim0nc", "dim1nc"],
+)
+def test_stream_branches(branch, count):
+    program, mem = stream_branch_program(branch)
+    sim = FunctionalSimulator(program, memory=mem)
+    sim.run()
+    assert sim.state.read_x(x(9)) == count
+    assert sim.summary.taken_branches == count - 1
+
+
+@pytest.mark.parametrize("negate", [True, False])
+def test_stream_branch_execute(negate):
+    program, mem = stream_branch_program(uve_ops.SoBranchEnd(u(1), "loop"))
+    state = MachineState(memory=mem)
+    program.instructions[0].execute(state)
+    program.instructions[1].execute(state)
+    end = uve_ops.SoBranchEnd(u(1), "loop", negate=negate)
+    dim0 = uve_ops.SoBranchDim(u(1), 0, "loop", complete=True)
+    for i in range(6):
+        state.stream_read_scalar(1)
+        ended = i == 5
+        assert end.execute(state) == ("loop" if ended != negate else None)
+        assert dim0.execute(state) == ("loop" if i in (2, 5) else None)
+
+
+def test_sve_fmla_and_ld1r_under_full_and_partial_predicates():
+    def build(base):
+        return (
+            sc.Li(x(3), base * 4 + 8),  # VALUES[2] == 3.0
+            sc.Li(x(4), 0),
+            sc.Li(x(10), 5),
+            sve_ops.WhileLt(p(1), x(4), x(10), F32),
+            sve_ops.Dup(u(2), 2.0, F32),
+            sve_ops.Ld1R(u(1), P0, x(3), F32),
+            sve_ops.Ld1R(u(4), p(1), x(3), F32),
+            sve_ops.Dup(u(5), 1.0, F32),
+            sve_ops.Fmla(u(5), P0, u(1), u(2), F32),
+            sve_ops.Dup(u(6), 1.0, F32),
+            sve_ops.Fmla(u(6), p(1), u(1), u(2), F32),
+            sve_ops.Fmla(u(5), p(1), u(4), u(2), F32),
+        )
+
+    part = [True] * 5 + [False] * 11
+    for state in vector_states(build):
+        assert_vec(state, u(1), [3.0] * 16, [True] * 16)
+        assert_vec(state, u(4), [3.0] * 16, part)
+        assert_vec(state, u(6), [7.0] * 5 + [1.0] * 11, [True] * 16)
+        # u5: 1 + 3*2 everywhere, then + 3*2 on the five active lanes.
+        assert_vec(state, u(5), [13.0] * 5 + [7.0] * 11, [True] * 16)
+
+
+@pytest.mark.parametrize("count", [0, 1, 16])
+@pytest.mark.parametrize("kind", ["first", "any", "none"])
+def test_branch_pred(kind, count):
+    taken = (count > 0) if kind != "none" else count == 0
+    b = ProgramBuilder("pred-branch")
+    b.emit(
+        sc.Li(x(4), 0), sc.Li(x(10), count),
+        sve_ops.WhileLt(p(2), x(4), x(10), F32),
+        sve_ops.BranchPred(kind, p(2), "skip", F32),
+        sc.Li(x(9), 1),
+    )
+    b.label("skip")
+    b.emit(sc.Halt())
+    sim = FunctionalSimulator(b.build(), memory=Memory(1 << 12))
+    sim.run()
+    assert sim.state.read_x(x(9)) == (0 if taken else 1)
+
+    state = MachineState(memory=Memory(1 << 12))
+    state.write_x(x(10), count)
+    sve_ops.WhileLt(p(2), x(4), x(10), F32).execute(state)
+    label = sve_ops.BranchPred(kind, p(2), "skip", F32).execute(state)
+    assert label == ("skip" if taken else None)
+
+
+def test_branch_pred_checks_its_kind_at_construction():
+    with pytest.raises(IsaError, match="predicate-branch kind"):
+        sve_ops.BranchPred("all", p(2), "skip")

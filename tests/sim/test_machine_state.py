@@ -9,7 +9,7 @@ from repro.isa import ProgramBuilder, f, p, u, x
 from repro.isa import scalar_ops as sc
 from repro.isa import uve_ops as uve
 from repro.isa.registers import P0
-from repro.isa.vector import VecValue, from_list
+from repro.isa.vector import VecValue, all_valid, from_list
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator, MachineState
 from repro.streams.pattern import Direction, MemLevel
@@ -85,6 +85,19 @@ class TestBlankVectorRegisters:
         for index in range(32):
             if index != 5:
                 self.assert_blank(state.read_v(u(index), F32), bits)
+
+    def test_shared_all_valid_mask_is_read_only(self, bits):
+        # A full contiguous stream chunk carries the one all-valid mask
+        # of its lane count; an in-place write to it must raise.
+        lanes = bits // 32
+        state, addr = state_with_array(np.arange(lanes, dtype=np.float32))
+        state = MachineState(memory=state.mem, vector_bits=bits)
+        configure_load(state, 1, addr, lanes)
+        value = state.read_operand(u(1), F32)
+        assert value.valid is all_valid(lanes)
+        with pytest.raises(ValueError):
+            value.valid[0] = False
+        assert all_valid(lanes).all()
 
 
 class TestPredicates:

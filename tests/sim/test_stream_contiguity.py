@@ -1,25 +1,27 @@
-"""Regression tests for the stream contiguity fast path and the
-scalar/vector interleave contract of `_RuntimeStream`.
+"""The stream access paths of `_RuntimeStream` and its scalar/vector
+interleave contract.
 
-The fast path dispatches a chunk to ``read_block``/``write_block`` only
-when the *entire* address vector steps by exactly one element width.
-The historical bug checked just the endpoints, so a permuted interior
-(e.g. ``[b, b+8, b+4, b+12]`` — endpoints 3 widths apart) silently read
-and wrote the wrong bytes.  These tests inject crafted runs directly
-into the stream's run iterator so the exact address vectors are under
-test control.
+A run's stride decides its path once, when the run is fetched: a run
+whose stride is one element width (or that has a single element) is
+contiguous, and each of its chunks is one ``read_block``/``write_block``;
+every other run is gathered and scattered in stream order.  The stride
+is trusted, so ``tests/streams/test_run_iterator.py`` checks that every
+run's addresses are exactly ``addresses[0] + i * stride``: a run with a
+permuted interior (e.g. ``[b, b+8, b+4, b+12]``, once read in address
+order by an endpoint-only contiguity test) cannot claim to be
+contiguous.  These tests inject runs directly into the stream's run
+iterator so the exact address vectors are under test control.
 """
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from repro.common.types import ElementType
 from repro.errors import StreamError
-from repro.isa.vector import VecValue
+from repro.isa.vector import VecValue, all_valid
 from repro.memory.backing import Memory
 from repro.sim.functional import _RuntimeStream
 from repro.sim.trace import StreamTraceInfo
+from repro.streams.iterator import StreamRun
 from repro.streams.pattern import (
     Descriptor,
     Direction,
@@ -33,11 +35,36 @@ WIDTH = F32.width
 LANES = 4
 
 
-def make_stream(direction, addrs, lanes=LANES):
-    """A 1-D stream whose next run is exactly ``addrs`` (byte addresses)."""
-    mem = Memory(1 << 12)
+class RecordingMemory(Memory):
+    """A memory that records which access path each vector access took."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.paths = []
+
+    def read_block(self, addr, count, etype):
+        self.paths.append("block")
+        return super().read_block(addr, count, etype)
+
+    def write_block(self, addr, values):
+        self.paths.append("block")
+        super().write_block(addr, values)
+
+    def read_gather(self, addrs, etype):
+        self.paths.append("gather")
+        return super().read_gather(addrs, etype)
+
+    def write_scatter(self, addrs, values, etype):
+        self.paths.append("scatter")
+        super().write_scatter(addrs, values, etype)
+
+
+def make_stream(direction, base, count, stride, lanes=LANES):
+    """A 1-D stream whose next run is ``count`` elements from byte
+    address ``base``, ``stride`` bytes apart."""
+    mem = RecordingMemory(1 << 12)
     pattern = StreamPattern(
-        levels=[Level(Descriptor(0, len(addrs), 1))],
+        levels=[Level(Descriptor(0, count, 1))],
         etype=F32,
         direction=direction,
     )
@@ -51,96 +78,114 @@ def make_stream(direction, addrs, lanes=LANES):
         storage_bytes=0,
     )
     stream = _RuntimeStream(0, 0, pattern, lanes, mem, trace)
-    run = SimpleNamespace(
-        addresses=np.asarray(addrs, dtype=np.int64), dims_ended=0
-    )
-    stream._runs = iter([run])
-    return stream, mem
+    addrs = base + np.arange(count, dtype=np.int64) * stride
+    stream._runs = iter([StreamRun(addrs, stride, 0)])
+    return stream, mem, addrs.tolist()
 
 
 def fill(mem, addrs, values):
     for addr, value in zip(addrs, values):
         mem.write_scalar(addr, value, F32)
+    mem.paths.clear()
 
 
-class TestContiguityFastPath:
-    def test_permuted_interior_read_is_gathered(self):
-        # Endpoints are exactly (count-1) widths apart, but the interior
-        # is permuted: an endpoint-only contiguity check takes the block
-        # path here and returns the elements in address order instead of
-        # stream order.
-        addrs = [64, 64 + 2 * WIDTH, 64 + WIDTH, 64 + 3 * WIDTH]
-        stream, mem = make_stream(Direction.LOAD, addrs)
-        fill(mem, sorted(addrs), [1.0, 2.0, 3.0, 4.0])
-        value, _ = stream.read_vector()
-        np.testing.assert_array_equal(
-            value.data, np.array([1.0, 3.0, 2.0, 4.0], dtype=np.float32)
-        )
-        assert value.valid.all()
+def full_value(values):
+    return VecValue(np.array(values, dtype=np.float32), all_valid(len(values)))
 
-    def test_permuted_interior_write_is_scattered(self):
-        addrs = [64, 64 + 2 * WIDTH, 64 + WIDTH, 64 + 3 * WIDTH]
-        stream, mem = make_stream(Direction.STORE, addrs)
-        data = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
-        stream.write_vector(VecValue(data, np.ones(LANES, dtype=bool)))
-        got = [mem.read_scalar(a, F32) for a in sorted(addrs)]
-        # Stream element i lands at addrs[i]: address order is 1, 3, 2, 4.
-        assert got == [1.0, 3.0, 2.0, 4.0]
 
-    def test_reversed_chunk_is_not_contiguous(self):
-        # Descending addresses: first-minus-last endpoint arithmetic can
-        # look contiguous under a sign error; the full check cannot.
-        addrs = [64 + 3 * WIDTH, 64 + 2 * WIDTH, 64 + WIDTH, 64]
-        stream, mem = make_stream(Direction.LOAD, addrs)
-        fill(mem, sorted(addrs), [1.0, 2.0, 3.0, 4.0])
-        value, _ = stream.read_vector()
-        np.testing.assert_array_equal(
-            value.data, np.array([4.0, 3.0, 2.0, 1.0], dtype=np.float32)
-        )
-
-    def test_contiguous_chunk_reads_block(self):
-        addrs = [64 + i * WIDTH for i in range(LANES)]
-        stream, mem = make_stream(Direction.LOAD, addrs)
+class TestRunStridePaths:
+    def test_contiguous_chunk_reads_one_block(self):
+        stream, mem, addrs = make_stream(Direction.LOAD, 64, LANES, WIDTH)
         fill(mem, addrs, [5.0, 6.0, 7.0, 8.0])
         value, _ = stream.read_vector()
         np.testing.assert_array_equal(
             value.data, np.array([5.0, 6.0, 7.0, 8.0], dtype=np.float32)
         )
+        assert mem.paths == ["block"]
+        # A full chunk carries the shared read-only all-valid mask.
+        assert value.valid is all_valid(LANES)
+        assert stream.trace.chunks == [addrs]
 
-    def test_contiguous_chunk_writes_block(self):
-        addrs = [64 + i * WIDTH for i in range(LANES)]
-        stream, mem = make_stream(Direction.STORE, addrs)
-        data = np.array([5.0, 6.0, 7.0, 8.0], dtype=np.float32)
-        stream.write_vector(VecValue(data, np.ones(LANES, dtype=bool)))
+    def test_contiguous_tail_chunk_is_padded(self):
+        stream, mem, addrs = make_stream(Direction.LOAD, 64, LANES + 2, WIDTH)
+        fill(mem, addrs, [float(i) for i in range(LANES + 2)])
+        stream.read_vector()
+        value, _ = stream.read_vector()
+        np.testing.assert_array_equal(
+            value.data, np.array([4.0, 5.0, 0.0, 0.0], dtype=np.float32)
+        )
+        assert value.valid.tolist() == [True, True, False, False]
+        assert value.valid.flags.writeable
+        assert mem.paths == ["block", "block"]
+        assert stream.trace.chunks == [addrs[:LANES], addrs[LANES:]]
+        assert stream.ended
+
+    def test_contiguous_chunk_writes_one_block(self):
+        stream, mem, addrs = make_stream(Direction.STORE, 64, LANES, WIDTH)
+        stream.write_vector(full_value([5.0, 6.0, 7.0, 8.0]))
+        assert mem.paths == ["block"]
         assert [mem.read_scalar(a, F32) for a in addrs] == [5.0, 6.0, 7.0, 8.0]
 
-    def test_duplicate_write_addresses_last_wins(self):
-        # Two stream elements target the same address; the scalar
-        # reference applies them in order, so the last one must win.
-        addrs = [64, 64 + WIDTH, 64 + WIDTH, 64 + 2 * WIDTH]
-        stream, mem = make_stream(Direction.STORE, addrs)
-        data = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
-        stream.write_vector(VecValue(data, np.ones(LANES, dtype=bool)))
-        assert mem.read_scalar(64 + WIDTH, F32) == 3.0
-
-    def test_single_element_chunk(self):
-        stream, mem = make_stream(Direction.LOAD, [128], lanes=1)
-        fill(mem, [128], [9.0])
+    def test_reversed_run_is_gathered(self):
+        # Descending addresses step by minus one width: not contiguous.
+        stream, mem, addrs = make_stream(
+            Direction.LOAD, 64 + 3 * WIDTH, LANES, -WIDTH
+        )
+        fill(mem, sorted(addrs), [1.0, 2.0, 3.0, 4.0])
         value, _ = stream.read_vector()
-        assert value.data[0] == 9.0
-        assert value.valid[0]
+        np.testing.assert_array_equal(
+            value.data, np.array([4.0, 3.0, 2.0, 1.0], dtype=np.float32)
+        )
+        assert mem.paths == ["gather"]
+        assert value.valid.all()
 
-    def test_strided_chunk_reads_written_values(self):
-        # Evenly spaced but not contiguous: gathered, in stream order.
-        addrs = [64 + i * 3 * WIDTH for i in range(LANES)]
+    def test_reversed_run_is_scattered(self):
+        stream, mem, addrs = make_stream(
+            Direction.STORE, 64 + 3 * WIDTH, LANES, -WIDTH
+        )
+        stream.write_vector(full_value([1.0, 2.0, 3.0, 4.0]))
+        assert mem.paths == ["scatter"]
+        # Stream element i lands at addrs[i]: address order is 4, 3, 2, 1.
+        got = [mem.read_scalar(a, F32) for a in sorted(addrs)]
+        assert got == [4.0, 3.0, 2.0, 1.0]
+
+    def test_strided_run_reads_written_values(self):
         values = [1.5, -2.0, 0.25, 7.0]
-        stream, mem = make_stream(Direction.LOAD, addrs)
+        stream, mem, addrs = make_stream(Direction.LOAD, 64, LANES, 3 * WIDTH)
         fill(mem, addrs, values)
         value, _ = stream.read_vector()
         np.testing.assert_array_equal(
             value.data, np.array(values, dtype=np.float32)
         )
+        assert mem.paths == ["gather"]
         assert value.valid.all()
+
+    def test_zero_stride_write_last_wins(self):
+        # Every element targets one address; the scalar reference applies
+        # them in order, so the last one must win.
+        stream, mem, _ = make_stream(Direction.STORE, 64, LANES, 0)
+        stream.write_vector(full_value([1.0, 2.0, 3.0, 4.0]))
+        assert mem.paths == ["scatter"]
+        assert mem.read_scalar(64, F32) == 4.0
+
+    @pytest.mark.parametrize("stride", [WIDTH, 0, -WIDTH, 3 * WIDTH])
+    def test_single_element_run_is_one_block(self, stride):
+        stream, mem, _ = make_stream(Direction.LOAD, 128, 1, stride, lanes=1)
+        fill(mem, [128], [9.0])
+        value, _ = stream.read_vector()
+        assert value.data.tolist() == [9.0]
+        assert value.valid.tolist() == [True]
+        assert mem.paths == ["block"]
+
+    def test_single_element_tail_of_a_strided_run_is_gathered(self):
+        stream, mem, addrs = make_stream(
+            Direction.LOAD, 64, LANES + 1, 2 * WIDTH
+        )
+        fill(mem, addrs, [float(i) for i in range(LANES + 1)])
+        stream.read_vector()
+        value, _ = stream.read_vector()
+        assert value.data.tolist() == [4.0, 0.0, 0.0, 0.0]
+        assert mem.paths == ["gather", "gather"]
 
 
 class TestScalarVectorInterleave:
@@ -149,14 +194,12 @@ class TestScalarVectorInterleave:
     (or the chunk boundary) may close."""
 
     def _load_stream(self, n=8):
-        addrs = [64 + i * WIDTH for i in range(n)]
-        stream, mem = make_stream(Direction.LOAD, addrs)
+        stream, mem, addrs = make_stream(Direction.LOAD, 64, n, WIDTH)
         fill(mem, addrs, [float(i) for i in range(n)])
         return stream
 
     def _store_stream(self, n=8):
-        addrs = [64 + i * WIDTH for i in range(n)]
-        stream, _ = make_stream(Direction.STORE, addrs)
+        stream, _, _ = make_stream(Direction.STORE, 64, n, WIDTH)
         return stream
 
     def test_vector_read_after_partial_scalar_read_raises(self):

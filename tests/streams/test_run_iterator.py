@@ -9,14 +9,20 @@ The functional simulator executes every stream through
 * every run is non-empty and ends a dimension-0 instance: its
   ``dims_ended`` is its last element's flag, and every earlier element's
   flag is -1;
+* every run steps by its ``stride``: ``addresses[i] == addresses[0] +
+  i * stride``.  The functional simulator trusts the stride to decide
+  that a run is contiguous, so a run with a permuted interior (such as
+  ``[b, b+8, b+4, b+12]``) must never claim a stride;
 * the indirect-origin reader is called at the same addresses, in the
   same order, each after the same number of elements;
 * slicing each run into ``lanes``-element chunks gives the chunks of
   :class:`VectorChunker`.
 
 The patterns are every stream the UVE lowering of 16 fuzz programs
-configures, captured by wrapping the simulator's ``RunIterator``, plus
-the static-modifier and indirect patterns of ``test_iterator.py``.
+configures, captured by wrapping the simulator's ``RunIterator``, the
+static-modifier and indirect patterns of ``test_iterator.py``, and
+random patterns with static and indirect modifiers and zero, negative
+and non-unit strides.
 """
 from unittest import mock
 
@@ -45,7 +51,7 @@ from repro.streams import (
     repeated,
 )
 from repro.streams.descriptor import IndirectBehavior, StaticBehavior
-from repro.streams.iterator import RunIterator, StreamElement
+from repro.streams.iterator import RunIterator, StreamElement, StreamRun
 
 I32 = ElementType.I32
 FUZZ_CASES = [(seed, index) for seed in (7, 42) for index in range(8)]
@@ -80,6 +86,18 @@ def run_trace(pattern, read):
     return runs, calls
 
 
+def assert_run_steps_by_stride(run):
+    assert isinstance(run.stride, int)
+    steps = run.addresses[0] + np.arange(len(run.addresses)) * run.stride
+    assert run.addresses.tolist() == steps.tolist(), "run is not its stride"
+
+
+def test_stride_check_rejects_a_permuted_interior():
+    run = StreamRun(np.array([64, 72, 68, 76], dtype=np.int64), 4, 0)
+    with pytest.raises(AssertionError, match="not its stride"):
+        assert_run_steps_by_stride(run)
+
+
 def assert_runs_regroup_elements(pattern, read=None):
     elements, element_calls = element_trace(pattern, read)
     runs, run_calls = run_trace(pattern, read)
@@ -87,6 +105,7 @@ def assert_runs_regroup_elements(pattern, read=None):
     for run in runs:
         count = len(run.addresses)
         assert count > 0, "empty run"
+        assert_run_steps_by_stride(run)
         assert run.dims_ended >= 0, "run does not end a dimension-0 instance"
         flags = [-1] * (count - 1) + [run.dims_ended]
         regrouped += zip(run.addresses.tolist(), flags)
@@ -195,6 +214,55 @@ INDIRECT_PATTERNS = {
 def test_indirect_pattern(name):
     pattern, table = INDIRECT_PATTERNS[name]
     assert_runs_regroup_elements(pattern, table_reader(table))
+
+
+STRIDES = (-3, -1, 0, 1, 2, 5)
+ETYPES = (ElementType.I8, ElementType.I32, ElementType.F32, ElementType.F64)
+
+
+def random_level(rng, table_size):
+    """A level above dimension 0: a descriptor with up to two static
+    modifiers and, one time in three, an indirect one."""
+    mods = []
+    for _ in range(int(rng.integers(0, 3))):
+        mods.append(StaticModifier(
+            rng.choice(list(Param)),
+            rng.choice(list(StaticBehavior)),
+            int(rng.integers(-2, 4)),
+            int(rng.integers(0, 5)),
+        ))
+    size = int(rng.integers(0, 5))
+    if rng.random() < 1 / 3:
+        # Longer than the level can grow, so the origin never runs dry.
+        origin = linear(
+            base=int(rng.integers(0, table_size // 4)),
+            size=table_size // 2, etype=I32,
+        )
+        mods.append(IndirectModifier(
+            rng.choice(list(Param)), rng.choice(list(IndirectBehavior)),
+            origin,
+        ))
+    return modifier_level(size, int(rng.choice(STRIDES)), *mods)
+
+
+def random_pattern(rng, table_size):
+    levels = [Level(Descriptor(
+        int(rng.integers(-4, 20)), int(rng.integers(0, 7)),
+        int(rng.choice(STRIDES)),
+    ))]
+    for _ in range(int(rng.integers(0, 3))):
+        levels.append(random_level(rng, table_size))
+    return StreamPattern(levels=levels, etype=ETYPES[int(rng.integers(4))])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_pattern(seed):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-2, 7, size=64).tolist()
+    for _ in range(5):
+        pattern = random_pattern(rng, len(table))
+        read = table_reader(table) if pattern.has_indirection else None
+        assert_runs_regroup_elements(pattern, read)
 
 
 def simulated_patterns(seed, index):

@@ -12,18 +12,21 @@ import os
 import pytest
 
 from conftest import bench_scale
+from repro.cpu.config import baseline_machine, uve_machine
 from repro.harness import bench
+from repro.sim.simulator import record_kernel
 
 
 @pytest.mark.parametrize("kernel,isa", bench.DEFAULT_CASES)
 def test_timing_loop_speedup(benchmark, kernel, isa):
     scale = bench_scale()
-    mat = bench.materialize(kernel, isa, scale=scale)
+    config = uve_machine() if isa == "uve" else baseline_machine()
+    recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=scale)
 
-    off_s, off_pipe = bench.time_run(mat, fast_forward=False)
+    off_s, off_pipe = bench.time_run(recording, config, False)
     on_s, on_pipe = benchmark.pedantic(
-        bench.time_run, args=(mat, True), rounds=1, iterations=1,
-        warmup_rounds=0,
+        bench.time_run, args=(recording, config, True), rounds=1,
+        iterations=1, warmup_rounds=0,
     )
 
     # Equivalence gate: fast-forward must be invisible in the stats.

@@ -325,6 +325,10 @@ class Pipeline:
         fetch = self._fetch
         stall = self.stall_limit
         deadline = stall  # the watchdog: the last commit + stall_limit
+        # Set when a quiescent cycle finds no known event: until a stage
+        # makes progress the machine is frozen, so no event can appear
+        # and the horizon need not be recomputed.
+        frozen = False
         while True:
             # Every stage reports whether it changed any machine state
             # this cycle; a fully quiescent cycle is eligible for the
@@ -362,8 +366,12 @@ class Pipeline:
                     or (engine is not None and engine.stores_pending)
                 ):
                     break
-            if fast_forward and not progress:
-                skipped = int(self._event_horizon(cycle) - cycle) - 1
+            if progress:
+                frozen = False
+            elif fast_forward and not frozen:
+                horizon = self._event_horizon(cycle)
+                frozen = horizon == math.inf
+                skipped = 0 if frozen else int(horizon - cycle) - 1
                 if skipped > 0:
                     # Nothing can change before the horizon, so every
                     # skipped cycle would have repeated this cycle's
@@ -472,7 +480,9 @@ class Pipeline:
         too-early cycle is always safe (the resumed cycle simply makes
         no progress and skips again); returning a too-late cycle never
         happens because each collected horizon is exactly the first
-        cycle its condition can flip.
+        cycle its condition can flip.  With no known event it returns
+        ``inf``: the machine is wedged, and ``run`` ticks normally until
+        a stage progresses or the watchdog fires.
         """
         inf = math.inf
         ceil = math.ceil
@@ -541,8 +551,6 @@ class Pipeline:
                 c = ceil(t)
                 if now < c < best:
                     best = c
-        if best == inf:
-            return now + 1.0  # no known event: tick normally (watchdog)
         return float(best)
 
     # ---------------------------------------------------------------- fetch --

@@ -13,12 +13,13 @@ of the same initial memory image and demands that
 * a lowering that raises (StreamError, MemoryAccessError, ...) is a
   failure in its own right.
 
-Optionally (``check_timing``), the UVE program also runs through the
-cycle-level :class:`~repro.sim.simulator.Simulator` twice — with the
-event-horizon fast-forward on and off — and the oracle asserts the
-timing invariants: identical :class:`PipelineStats` counters both ways,
-no skipped cycles when fast-forward is off, at least one cycle, and
-committed instructions within the machine's commit bandwidth.
+Optionally (``check_timing``), the UVE program's differential run is
+recorded (:func:`repro.sim.simulator.record`) and that one recording is
+timed twice — with the event-horizon fast-forward on and off — and the
+oracle asserts the timing invariants: identical :class:`PipelineStats`
+counters both ways, no skipped cycles when fast-forward is off, at
+least one cycle, and committed instructions within the machine's commit
+bandwidth.
 """
 from __future__ import annotations
 
@@ -31,10 +32,9 @@ from repro.cpu.config import uve_machine
 from repro.fuzz.lowering import ISAS, lower
 from repro.fuzz.reference import Artifacts, materialize
 from repro.fuzz.spec import CaseSpec
-from repro.isa.program import Program
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Recording, record
 
 
 @dataclass
@@ -135,17 +135,23 @@ def run_case(
         art = materialize(spec)
     report = CaseReport(spec)
     outputs: Dict[str, np.ndarray] = {}
-    uve_program = None
+    # A timing case times the UVE run's own recording; when lowering or
+    # the run raised, the timing check reports that exception instead.
+    uve_recording: Optional[Recording] = None
+    uve_error: Optional[Exception] = None
     for isa in ISAS:
         try:
             program = lower(spec, art, isa, inject if isa == "uve" else None)
-            if isa == "uve":
-                uve_program = program
             mem = clone_memory(art.memory)
-            FunctionalSimulator(
-                program, memory=mem, vector_bits=spec.vector_bits
-            ).run()
+            if check_timing and isa == "uve":
+                uve_recording = record(program, mem, spec.vector_bits)
+            else:
+                FunctionalSimulator(
+                    program, memory=mem, vector_bits=spec.vector_bits
+                ).run()
         except Exception as exc:  # noqa: BLE001 — any blow-up is a finding
+            if isa == "uve":
+                uve_error = exc
             report.failures.append(
                 Failure(isa, "exception", f"{type(exc).__name__}: {exc}")
             )
@@ -179,34 +185,32 @@ def run_case(
                 )
     if check_timing:
         report.timing_checked = True
-        _check_timing(spec, art, inject, uve_program, report.failures)
+        _check_timing(spec, uve_recording, uve_error, report.failures)
     return report
 
 
 def _check_timing(
     spec: CaseSpec,
-    art: Artifacts,
-    inject: Optional[str],
-    program: Optional[Program],
+    recording: Optional[Recording],
+    error: Optional[Exception],
     failures: List[Failure],
 ) -> None:
-    """Timing-model invariants on the UVE lowering ``program`` (see module
-    docs).  ``program`` is None when lowering raised; it is lowered again
-    here, so the case also reports a ``timing`` exception."""
-    try:
-        if program is None:
-            program = lower(spec, art, "uve", inject)
-        results = {}
-        for ff in (True, False):
-            config = uve_machine().with_(
-                vector_bits=spec.vector_bits, fast_forward=ff
-            )
-            results[ff] = Simulator(
-                program, clone_memory(art.memory), config=config
-            ).run()
-    except Exception as exc:  # noqa: BLE001
+    """Timing-model invariants on the UVE run's ``recording`` (see module
+    docs).  ``error`` is what lowering or recording raised instead; the
+    case then also reports it as a ``timing`` exception."""
+    if error is None:
+        try:
+            results = {
+                ff: recording.time(uve_machine().with_(
+                    vector_bits=spec.vector_bits, fast_forward=ff
+                ))
+                for ff in (True, False)
+            }
+        except Exception as exc:  # noqa: BLE001
+            error = exc
+    if error is not None:
         failures.append(
-            Failure("timing", "exception", f"{type(exc).__name__}: {exc}")
+            Failure("timing", "exception", f"{type(error).__name__}: {error}")
         )
         return
     on, off = results[True], results[False]

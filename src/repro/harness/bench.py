@@ -32,14 +32,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
 from repro.cpu.pipeline import Pipeline
-from repro.kernels import get_kernel
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.functional import FunctionalSimulator
+from repro.sim.simulator import Recording, record_kernel
 
 #: kernel × ISA pairs benchmarked by default: four memory-bound 1-D
 #: cases, where fast-forward dominates, then a 2-D kernel, an indirect
@@ -59,55 +56,14 @@ DEFAULT_CASES: Tuple[Tuple[str, str], ...] = (
 GATE_TOLERANCE = 0.10
 
 
-@dataclass
-class MaterializedRun:
-    """A trace replay decoupled from the functional simulator."""
-
-    kernel: str
-    isa: str
-    config: MachineConfig
-    trace: List
-    stream_infos: Dict
-    mem_bytes: int
-
-
-def materialize(
-    kernel_name: str, isa: str, scale: float = 1.0, seed: int = 0
-) -> MaterializedRun:
-    """Record the dynamic trace in one functional pass, so repeated
-    timing runs measure only the timing model."""
-    kernel = get_kernel(kernel_name)
-    wl = kernel.workload(seed=seed, scale=scale)
-    cfg = uve_machine() if isa == "uve" else baseline_machine()
-    program = kernel.build(isa, wl, cfg.vector_bits)
-    functional = FunctionalSimulator(
-        program, memory=wl.memory, vector_bits=cfg.vector_bits
-    )
-    trace = list(functional.trace())
-    return MaterializedRun(
-        kernel=kernel_name,
-        isa=isa,
-        config=cfg,
-        trace=trace,
-        stream_infos=dict(functional.summary.streams),
-        mem_bytes=wl.memory._brk,
-    )
-
-
-def fresh_pipeline(mat: MaterializedRun, config: MachineConfig) -> Pipeline:
-    """A pipeline ready to time the materialised trace under ``config``,
-    over a fresh hierarchy warmed as ``Simulator.run`` warms it."""
-    hierarchy = MemoryHierarchy(config)
-    hierarchy.warm(0, mat.mem_bytes)
-    return Pipeline(config, hierarchy, dict(mat.stream_infos))
-
-
-def time_run(mat: MaterializedRun, fast_forward: bool) -> Tuple[float, Pipeline]:
-    """One timed ``Pipeline.run`` over the materialised trace; returns
-    (wall seconds, finished pipeline)."""
-    pipeline = fresh_pipeline(mat, mat.config.with_(fast_forward=fast_forward))
+def time_run(
+    recording: Recording, config: MachineConfig, fast_forward: bool
+) -> Tuple[float, Pipeline]:
+    """One timed ``Pipeline.run`` over the recorded trace under
+    ``config``; returns (wall seconds, finished pipeline)."""
+    pipeline = recording.pipeline(config.with_(fast_forward=fast_forward))
     start = time.perf_counter()
-    pipeline.run(iter(mat.trace))
+    pipeline.run(recording.trace)
     return time.perf_counter() - start, pipeline
 
 
@@ -116,13 +72,14 @@ def bench_case(
 ) -> Dict[str, object]:
     """Benchmark one kernel × ISA: fast-forward off vs on (best-of-N),
     verifying that both produce identical PipelineStats."""
-    mat = materialize(kernel, isa, scale=scale)
+    config = uve_machine() if isa == "uve" else baseline_machine()
+    recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=scale)
     off_s, off_pipe = min(
-        (time_run(mat, fast_forward=False) for _ in range(repeats)),
+        (time_run(recording, config, False) for _ in range(repeats)),
         key=lambda r: r[0],
     )
     on_s, on_pipe = min(
-        (time_run(mat, fast_forward=True) for _ in range(repeats)),
+        (time_run(recording, config, True) for _ in range(repeats)),
         key=lambda r: r[0],
     )
     off_stats = off_pipe.stats.as_dict()

@@ -15,7 +15,12 @@ hand their runs to :meth:`CampaignExecutor.run_specs`, which:
    (``jobs=N``), or, when handed an
    :class:`~repro.harness.serve.ExperimentService`, that campaign's
    queue and ``jobs`` worker shards, which store the artifacts
-   themselves and survive crashes and restarts;
+   themselves and survive crashes and restarts.  In-process and on the
+   pool, the misses are grouped by trace key
+   (:meth:`~repro.harness.runner.RunSpec.trace_key`): a group records
+   its trace once and times it under each run's config
+   (:meth:`~repro.harness.runner.Runner.simulate`), and on the pool it
+   travels as one task.  The service back end runs one job per run;
 4. leaves every record in ``runner``'s cache, from which the figure
    tables and sweep rows are built serially — so the back end and its
    width never change the output.
@@ -31,15 +36,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.harness.report import ExperimentResult
-from repro.harness.runner import Runner, RunSpec
+from repro.harness.runner import Runner, RunRecord, RunSpec
 
 
 class CampaignInterrupted(ReproError):
@@ -82,12 +86,26 @@ class RunEvent:
         return tag
 
 
-def _execute_spec(spec: RunSpec, scale: float, seed: int, lowering: str = "ir"):
-    """Pool worker: rebuild a Runner from the picklable spec and run it."""
-    start = time.perf_counter()
+#: the misses that share one trace key, as (fingerprint, spec) pairs
+Group = List[Tuple[str, RunSpec]]
+
+
+def _run_group(
+    group: Group, scale: float, seed: int, lowering: str = "ir"
+) -> Iterator[Tuple[str, RunSpec, RunRecord, float, int]]:
+    """Simulate one group in a fresh Runner, yielding ``(key, spec,
+    record, seconds, pid)`` as each run is timed."""
     runner = Runner(scale=scale, seed=seed, lowering=lowering)
-    record = runner.run_spec(spec)
-    return record, time.perf_counter() - start, os.getpid()
+    timed = runner.simulate([spec for _, spec in group])
+    for (key, spec), (record, wall) in zip(group, timed):
+        yield key, spec, record, wall, os.getpid()
+
+
+def _execute_group(
+    group: Group, scale: float, seed: int, lowering: str = "ir"
+):
+    """Pool task: one whole group, its runs returned together."""
+    return list(_run_group(group, scale, seed, lowering))
 
 
 class CampaignExecutor:
@@ -168,9 +186,9 @@ class CampaignExecutor:
             if self.service is not None:
                 self._run_service(pending)
             elif self.jobs == 1:
-                self._run_serial(pending)
+                self._run_serial(self._groups(pending))
             else:
-                self._run_pool(pending)
+                self._run_pool(self._groups(pending))
         except KeyboardInterrupt:
             # Each back end emits one event per finished run, and those
             # runs are already cached.
@@ -185,30 +203,37 @@ class CampaignExecutor:
             self.cache.store(key, record)
         self._emit(spec, key, "miss", wall, worker, remaining)
 
-    def _run_serial(self, pending: Dict[str, RunSpec]) -> None:
-        remaining = len(pending)
+    def _groups(self, pending: Dict[str, RunSpec]) -> List[Group]:
+        """The misses grouped by trace key, in first-appearance order."""
+        groups: Dict[tuple, Group] = {}
         for key, spec in pending.items():
-            record, wall, worker = _execute_spec(
-                spec, self.scale, self.seed, self.lowering
-            )
-            remaining -= 1
-            self._finish(key, spec, record, wall, worker, remaining)
+            trace_key = spec.trace_key(self.scale, self.seed, self.lowering)
+            groups.setdefault(trace_key, []).append((key, spec))
+        return list(groups.values())
 
-    def _run_pool(self, pending: Dict[str, RunSpec]) -> None:
-        remaining = len(pending)
+    def _run_serial(self, groups: List[Group]) -> None:
+        remaining = sum(len(group) for group in groups)
+        for group in groups:
+            for key, spec, record, wall, worker in _run_group(
+                group, self.scale, self.seed, self.lowering
+            ):
+                remaining -= 1
+                self._finish(key, spec, record, wall, worker, remaining)
+
+    def _run_pool(self, groups: List[Group]) -> None:
+        remaining = sum(len(group) for group in groups)
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futures = {
-                pool.submit(_execute_spec, spec, self.scale, self.seed,
-                            self.lowering):
-                    (key, spec)
-                for key, spec in pending.items()
-            }
+            futures = [
+                pool.submit(_execute_group, group, self.scale, self.seed,
+                            self.lowering)
+                for group in groups
+            ]
             try:
                 for future in as_completed(futures):
-                    key, spec = futures[future]
-                    record, wall, worker = future.result()
-                    remaining -= 1
-                    self._finish(key, spec, record, wall, worker, remaining)
+                    for key, spec, record, wall, worker in future.result():
+                        remaining -= 1
+                        self._finish(key, spec, record, wall, worker,
+                                     remaining)
             except KeyboardInterrupt:
                 # Drop the queued futures now instead of waiting out
                 # every in-flight simulation.

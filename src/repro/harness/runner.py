@@ -7,17 +7,23 @@ a :class:`~repro.harness.executor.CampaignExecutor` worker can rebuild a
 ``Runner`` from — and cached under a canonical content fingerprint (see
 :mod:`repro.harness.fingerprint`), so semantically equal configurations
 hit regardless of how they were constructed.
+
+Runs whose build and functional pass are the same share a *trace key*
+(:meth:`RunSpec.trace_key`); :meth:`Runner.simulate` records such a
+group's trace once, verifies it once and times it under each run's
+config.  A single run is the group of one.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
 from repro.errors import ConfigError
 from repro.harness.fingerprint import run_fingerprint
 from repro.kernels import get_kernel
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult, record_kernel
 
 
 @dataclass
@@ -70,6 +76,18 @@ class RunSpec:
             lowering=self.resolved_lowering(lowering),
         )
 
+    def trace_key(
+        self, scale: float, seed: int, lowering: str = "ir"
+    ) -> tuple:
+        """Every input of the build and the functional pass.  Runs with
+        equal trace keys record the same trace; the rest of the config
+        only touches timing."""
+        return (
+            self.kernel, self.isa, self.unroll,
+            self.resolved_lowering(lowering),
+            self.resolved_config().vector_bits, scale, seed,
+        )
+
 
 class Runner:
     """Runs and caches simulations for the experiment harness."""
@@ -107,8 +125,6 @@ class Runner:
         return self.run_spec(RunSpec(kernel_name, isa, config, unroll))
 
     def run_spec(self, spec: RunSpec) -> RunRecord:
-        cfg = spec.resolved_config()
-        _check_consistent(spec.isa, cfg)
         key = spec.key(self.scale, self.seed, self.lowering)
         record = self._cache.get(key)
         if record is None and self.disk_cache is not None:
@@ -116,10 +132,7 @@ class Runner:
             if record is not None:
                 self._cache[key] = record
         if record is None:
-            record = self._simulate(
-                spec.kernel, spec.isa, cfg, spec.unroll,
-                spec.resolved_lowering(self.lowering),
-            )
+            record, _ = next(self.simulate([spec]))
             self._cache[key] = record
             if self.disk_cache is not None:
                 self.disk_cache.store(key, record)
@@ -132,44 +145,59 @@ class Runner:
     def cached(self, key: str) -> Optional[RunRecord]:
         return self._cache.get(key)
 
-    def _simulate(
-        self,
-        kernel_name: str,
-        isa: str,
-        cfg: MachineConfig,
-        unroll: int = 0,
-        lowering: str = "ir",
-    ) -> RunRecord:
-        kernel = get_kernel(kernel_name)
-        wl = kernel.workload(seed=self.seed, scale=self.scale)
-        if unroll:
-            program = kernel.build_uve_unrolled(
-                wl, cfg.vector_bits // 32, unroll=unroll
-            )
-        else:
-            program = kernel.build(
-                isa, wl, cfg.vector_bits, lowering=lowering
-            )
-        result: SimulationResult = Simulator(program, wl.memory, cfg).run()
-        wl.verify()
-        engine = result.pipeline.engine
-        return RunRecord(
-            kernel=kernel_name,
-            letter=kernel.letter,
-            isa=isa,
-            committed=result.committed,
-            cycles=result.cycles,
-            ipc=result.ipc,
-            rename_blocks_per_cycle=result.rename_blocks_per_cycle,
-            bus_utilization=result.bus_utilization,
-            dram_bytes=result.hierarchy.dram.total_bytes,
-            mispredict_rate=result.timing.mispredict_rate,
-            fifo_occupancy=(
-                engine.stats.mean_fifo_occupancy if engine is not None else 0.0
-            ),
-            l1_miss_rate=result.hierarchy.l1d.stats.miss_rate,
-            l2_miss_rate=result.hierarchy.l2.stats.miss_rate,
+    def simulate(
+        self, specs: Sequence[RunSpec]
+    ) -> Iterator[Tuple[RunRecord, float]]:
+        """Simulate runs that share one trace key: build and record the
+        trace once, verify the kernel once, then time each spec's config.
+
+        Yields ``(record, host seconds)`` per spec, in order, as each run
+        is timed, so a caller can finish (cache, report) every run before
+        the next one starts.  The first run's seconds include the shared
+        build, recording and verification.  Neither cache is consulted.
+        """
+        start = time.perf_counter()
+        if len({spec.trace_key(self.scale, self.seed, self.lowering)
+                for spec in specs}) > 1:
+            raise ConfigError("runs of one group must share a trace key")
+        for spec in specs:
+            _check_consistent(spec.isa, spec.resolved_config())
+        first = specs[0]
+        recording, wl = record_kernel(
+            first.kernel, first.isa, first.resolved_config().vector_bits,
+            scale=self.scale, seed=self.seed, unroll=first.unroll,
+            lowering=first.resolved_lowering(self.lowering),
         )
+        wl.verify()
+        letter = get_kernel(first.kernel).letter
+        for spec in specs:
+            result = recording.time(spec.resolved_config())
+            seconds = time.perf_counter() - start
+            yield _run_record(spec, letter, result), seconds
+            start = time.perf_counter()
+
+
+def _run_record(
+    spec: RunSpec, letter: str, result: SimulationResult
+) -> RunRecord:
+    engine = result.pipeline.engine
+    return RunRecord(
+        kernel=spec.kernel,
+        letter=letter,
+        isa=spec.isa,
+        committed=result.committed,
+        cycles=result.cycles,
+        ipc=result.ipc,
+        rename_blocks_per_cycle=result.rename_blocks_per_cycle,
+        bus_utilization=result.bus_utilization,
+        dram_bytes=result.hierarchy.dram.total_bytes,
+        mispredict_rate=result.timing.mispredict_rate,
+        fifo_occupancy=(
+            engine.stats.mean_fifo_occupancy if engine is not None else 0.0
+        ),
+        l1_miss_rate=result.hierarchy.l1d.stats.miss_rate,
+        l2_miss_rate=result.hierarchy.l2.stats.miss_rate,
+    )
 
 
 def _check_consistent(isa: str, cfg: MachineConfig) -> None:

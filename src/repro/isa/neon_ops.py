@@ -23,7 +23,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.microop import OpClass
 from repro.isa.registers import Reg, RegClass
-from repro.isa.vector import VecValue
+from repro.isa.vector import VecValue, all_valid
 
 #: NEON register width in bits.
 NEON_BITS = 128
@@ -52,13 +52,13 @@ class NVLoad(Instruction):
         src, offset = int_source(state, self.offset)
         read_block, record = state.mem.read_block, state.record_mem_read
         regs, _ = x_dest(state, self.base)
-        post_inc, all_valid = self.post_inc, np.ones(lanes, dtype=bool)
+        post_inc, valid = self.post_inc, all_valid(lanes)
 
         def execute(state) -> Optional[str]:
             start = xregs[base] + src[offset]
             data = read_block(start, lanes, etype)
             record(range(start, start + lanes * width, width))
-            write_v(vd, VecValue(data, all_valid.copy()), etype)
+            write_v(vd, VecValue(data, valid), etype)
             if post_inc:
                 regs[base] = xregs[base] + NEON_BITS // 8
             return None
@@ -151,14 +151,14 @@ class NVOp(Instruction):
         lanes, dtype = neon_lanes(etype), etype.dtype
         read_v, write_v = state.read_v, state.write_v
         vs1, vs2, vd = self.vs1, self.vs2, self.vd
-        all_valid = np.ones(lanes, dtype=bool)
+        valid = all_valid(lanes)
 
         def execute(state) -> Optional[str]:
             a = read_v(vs1, etype)
             b = read_v(vs2, etype)
             with np.errstate(divide="ignore", invalid="ignore"):
                 result = fn(a.data[:lanes], b.data[:lanes])
-            write_v(vd, VecValue(result.astype(dtype), all_valid.copy()), etype)
+            write_v(vd, VecValue(result.astype(dtype), valid), etype)
             return None
 
         return execute
@@ -194,7 +194,7 @@ class NVFma(Instruction):
             self.etype.dtype
         )
         state.write_v(
-            self.vd, VecValue(data, np.ones(lanes, dtype=bool)), self.etype
+            self.vd, VecValue(data, all_valid(lanes)), self.etype
         )
         return None
 
@@ -230,7 +230,7 @@ class NVDup(Instruction):
             value = self.src
         data = np.full(lanes, value, dtype=self.etype.dtype)
         state.write_v(
-            self.vd, VecValue(data, np.ones(lanes, dtype=bool)), self.etype
+            self.vd, VecValue(data, all_valid(lanes)), self.etype
         )
         return None
 
@@ -305,7 +305,7 @@ class NVUnary(Instruction):
             result = semantics.unary(self.op)(a.data[:lanes])
         state.write_v(
             self.vd,
-            VecValue(result.astype(self.etype.dtype), np.ones(lanes, dtype=bool)),
+            VecValue(result.astype(self.etype.dtype), all_valid(lanes)),
             self.etype,
         )
         return None

@@ -156,7 +156,7 @@ class Ld1(Instruction):
         preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
         xregs, base = state.xregs, self.base.index
         src, index = _index_source(state, self.index)
-        read_block = state.mem.read_block
+        read_block, size = state.mem.read_block, state.mem.size
         read = state.mem.scalar_reader(etype)
         record = state.record_mem_read
 
@@ -169,6 +169,14 @@ class Ld1(Instruction):
                 data = read_block(start, lanes, etype)
                 addrs = range(start, start + lanes * width, width)
                 valid = all_valid(lanes)
+            elif prefix >= 0 and start >= 0 and start + prefix * width <= size:
+                # The first ``prefix`` lanes active and in bounds: one
+                # shorter block.  Out of bounds, the lane loop raises at
+                # the first bad lane.
+                data = np.zeros(lanes, dtype=dtype)
+                data[:prefix] = read_block(start, prefix, etype)
+                addrs = range(start, start + prefix * width, width)
+                valid = preds[pg, :lanes].copy()
             else:
                 mask = preds[pg, :lanes]
                 data = np.zeros(lanes, dtype=dtype)
@@ -260,7 +268,7 @@ class St1(Instruction):
         preds, prefixes, pg = state.preds, state.pred_prefix, self.pg.index
         xregs, base = state.xregs, self.base.index
         src, index = _index_source(state, self.index)
-        write_block = state.mem.write_block
+        write_block, size = state.mem.write_block, state.mem.size
         write = state.mem.scalar_writer(etype)
         record = state.record_mem_write
 
@@ -273,6 +281,12 @@ class St1(Instruction):
                 # Every lane active: one contiguous block.
                 write_block(start, value.data)
                 addrs = range(start, start + lanes * width, width)
+            elif prefix >= 0 and start >= 0 and start + prefix * width <= size:
+                # The first ``prefix`` lanes active and in bounds: one
+                # shorter block.  Out of bounds, the lane loop writes the
+                # lanes before the first bad one and raises there.
+                write_block(start, value.data[:prefix])
+                addrs = range(start, start + prefix * width, width)
             else:
                 mask = preds[pg, :lanes]
                 addrs = []

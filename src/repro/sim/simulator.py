@@ -1,15 +1,30 @@
-"""Combined functional + timing simulation.
+"""Combined functional + timing simulation: record once, time many.
 
 The Streaming Engine runs ahead of the core (paper §IV-B): it starts
 fetching a stream's chunks as soon as the stream is configured, long
 before the instructions that consume them are fetched.  The functional
 simulator produces chunk addresses only as those instructions execute,
 so the timing pipeline needs a finished functional run before timing
-starts.  Simulation therefore runs the functional simulator once, keeps
-its dynamic trace (one :class:`DynOp` per committed instruction) in a
-plain list, and times that list with the same run's per-stream chunk
-records (``summary.streams``).  The timing model consumes exactly the
-trace the engine metadata came from, so the two cannot diverge.
+starts.  Simulation therefore has two steps:
+
+* :func:`record` runs the functional simulator once over a program, a
+  memory image and a vector width.  The :class:`Recording` it returns
+  holds the dynamic trace (one :class:`DynOp` per committed
+  instruction) in a plain list, the run's :class:`TraceSummary` with
+  its per-stream chunk records, and the allocation break the cache
+  warm-up covers.
+* :meth:`Recording.time` times that recording under a
+  :class:`MachineConfig`, on a fresh memory hierarchy warmed with the
+  allocated data and a fresh :class:`Pipeline`.
+
+:meth:`Simulator.run` is the two in a row.  The functional pass takes
+nothing from the config but its vector width, and timing only reads the
+trace and the chunk records, so one recording may be timed under every
+config of that width: the campaign executor times each group of runs
+that share a trace this way, and the fuzz oracle its timing cases.
+Timing a recording under another vector width raises
+:class:`~repro.errors.ConfigError`.  The timing model consumes exactly
+the trace the engine metadata came from, so the two cannot diverge.
 
 The held trace costs about 172 bytes per committed instruction (see
 docs/TIMING.md for measured peaks).
@@ -17,12 +32,14 @@ docs/TIMING.md for measured peaks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cpu.config import MachineConfig
 from repro.cpu.pipeline import Pipeline
 from repro.cpu.stats import PipelineStats
+from repro.errors import ConfigError
 from repro.isa.program import Program
+from repro.kernels import Workload, get_kernel
 from repro.memory.backing import Memory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.sim.functional import FunctionalSimulator
@@ -87,6 +104,92 @@ class SimulationResult:
         return out
 
 
+#: the per-instruction pipeline hook: ``observer(event, dyn_op, cycle)``
+#: with event "rename", "issue" or "commit" (used by repro.sim.debug)
+Observer = Callable[[str, DynOp, float], None]
+
+
+@dataclass
+class Recording:
+    """One functional pass, ready to be timed under any config of its
+    vector width."""
+
+    program: str
+    vector_bits: int
+    trace: List[DynOp]
+    summary: TraceSummary
+    #: allocation break of the memory image: the warm-up pre-installs
+    #: ``[0, mem_bytes)`` into the L2
+    mem_bytes: int
+
+    def pipeline(self, config: MachineConfig, warm: bool = True) -> Pipeline:
+        """A fresh pipeline over a fresh hierarchy, ready to time the
+        trace under ``config``."""
+        if config.vector_bits != self.vector_bits:
+            raise ConfigError(
+                f"{self.program!r} was recorded with {self.vector_bits}-bit "
+                f"vectors and cannot be timed under a "
+                f"{config.vector_bits}-bit config"
+            )
+        hierarchy = MemoryHierarchy(config)
+        if warm:
+            hierarchy.warm(0, self.mem_bytes)
+        return Pipeline(config, hierarchy, dict(self.summary.streams))
+
+    def time(
+        self,
+        config: MachineConfig,
+        warm: bool = True,
+        observer: Optional[Observer] = None,
+    ) -> SimulationResult:
+        """Time the trace under ``config``; ``observer``, if given, is
+        installed as the pipeline's per-instruction hook."""
+        pipeline = self.pipeline(config, warm)
+        pipeline.observer = observer
+        timing = pipeline.run(self.trace)
+        return SimulationResult(
+            program=self.program,
+            summary=self.summary,
+            timing=timing,
+            hierarchy=pipeline.hierarchy,
+            pipeline=pipeline,
+        )
+
+
+def record(program: Program, memory: Memory, vector_bits: int) -> Recording:
+    """Run ``program`` functionally over ``memory`` and keep its trace."""
+    functional = FunctionalSimulator(
+        program, memory=memory, vector_bits=vector_bits
+    )
+    trace = list(functional.trace())
+    return Recording(
+        program.name, vector_bits, trace, functional.summary, memory._brk
+    )
+
+
+def record_kernel(
+    kernel_name: str,
+    isa: str,
+    vector_bits: int,
+    scale: float = 1.0,
+    seed: int = 0,
+    unroll: int = 0,
+    lowering: str = "ir",
+) -> Tuple[Recording, Workload]:
+    """Generate a kernel's workload, build it for ``isa`` and record it.
+    ``unroll > 0`` selects the unrolled UVE build (Fig. 8.E).  The
+    returned workload holds the memory after the run, for ``verify``."""
+    kernel = get_kernel(kernel_name)
+    wl = kernel.workload(seed=seed, scale=scale)
+    if unroll:
+        program = kernel.build_uve_unrolled(
+            wl, vector_bits // 32, unroll=unroll
+        )
+    else:
+        program = kernel.build(isa, wl, vector_bits, lowering=lowering)
+    return record(program, wl.memory, vector_bits), wl
+
+
 class Simulator:
     """Runs a program functionally and through the timing model."""
 
@@ -104,30 +207,11 @@ class Simulator:
         #: measurement); working sets beyond the L2 capacity overflow.
         self.warm = warm
 
-    def run(
-        self, observer: Optional[Callable[[str, DynOp, float], None]] = None
-    ) -> SimulationResult:
+    def run(self, observer: Optional[Observer] = None) -> SimulationResult:
         """Record the trace in one functional pass, then time it.
 
         ``observer``, if given, is installed as the pipeline's
         per-instruction rename/issue/commit hook.
         """
-        functional = FunctionalSimulator(
-            self.program, memory=self.memory,
-            vector_bits=self.config.vector_bits,
-        )
-        trace = list(functional.trace())
-        summary = functional.summary
-        hierarchy = MemoryHierarchy(self.config)
-        if self.warm:
-            hierarchy.warm(0, self.memory._brk)
-        pipeline = Pipeline(self.config, hierarchy, dict(summary.streams))
-        pipeline.observer = observer
-        timing = pipeline.run(trace)
-        return SimulationResult(
-            program=self.program.name,
-            summary=summary,
-            timing=timing,
-            hierarchy=hierarchy,
-            pipeline=pipeline,
-        )
+        recording = record(self.program, self.memory, self.config.vector_bits)
+        return recording.time(self.config, self.warm, observer)

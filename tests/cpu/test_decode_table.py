@@ -1,17 +1,18 @@
 """The timing model decodes each static instruction once per Pipeline.
 
-Latencies and MAC accumulator forwarding are per config, and the bench
-harness, the fast-path tests and latency sweeps replay one recorded
-trace (the same Instruction and DynOp objects) under several configs.
-A decode cached on the instruction, the dynamic op or a module global
-would time one config with another's latencies.
+Latencies and MAC accumulator forwarding are per config, and the
+campaign executor, the fuzz oracle, the bench harness and the fast-path
+tests time one recording (the same Instruction and DynOp objects) under
+several configs.  A decode cached on the instruction, the dynamic op or
+a module global would time one config with another's latencies.
 """
 from dataclasses import replace
 
 import pytest
 
-from repro.harness import bench
+from repro.cpu.config import baseline_machine, uve_machine
 from repro.isa.microop import OpClass
+from repro.sim.simulator import record_kernel
 
 SCALE = 0.1
 
@@ -29,13 +30,13 @@ def slow_forwarding_macs(config):
 def replay_in_order(kernel, isa, order):
     """Build the kernel afresh, record its trace once and replay it under
     each named config in ``order``; returns name -> PipelineStats dict."""
-    mat = bench.materialize(kernel, isa, scale=SCALE)
-    configs = {"default": mat.config, "mac": slow_forwarding_macs(mat.config)}
-    stats = {}
-    for name in order:
-        pipeline = bench.fresh_pipeline(mat, configs[name])
-        stats[name] = pipeline.run(iter(mat.trace)).as_dict()
-    return stats
+    config = uve_machine() if isa == "uve" else baseline_machine()
+    recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=SCALE)
+    configs = {"default": config, "mac": slow_forwarding_macs(config)}
+    return {
+        name: recording.time(configs[name]).timing.as_dict()
+        for name in order
+    }
 
 
 @pytest.mark.parametrize("kernel,isa", [("gemm", "sve"), ("gemm", "uve")])

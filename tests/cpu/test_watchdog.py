@@ -66,6 +66,29 @@ def test_engine_that_never_fills_raises_within_a_second(
     ]
 
 
+def test_wedged_fast_forward_stops_computing_horizons(monkeypatch):
+    """Once a quiescent cycle finds no known event, nothing can change
+    until a stage progresses, so the wedged run steps its 81,216 cycles
+    without recomputing the event horizon on each of them."""
+    monkeypatch.setattr(
+        StreamingEngine, "_generate", lambda self, stream, module, now: False
+    )
+    calls = []
+    horizon = Pipeline._event_horizon
+
+    def counting(self, now):
+        calls.append(now)
+        return horizon(self, now)
+
+    monkeypatch.setattr(Pipeline, "_event_horizon", counting)
+    mem = Memory(1 << 20)
+    with pytest.raises(SimulationError):
+        Simulator(sum_program(mem), mem, uve_machine()).run()
+    # The last commit is at cycle 4; the watchdog fires 81,216 cycles on.
+    after_last_commit = [now for now in calls if now > 4]
+    assert 0 < len(after_last_commit) <= 5, calls[:10]
+
+
 def test_working_runs_stay_far_below_the_limit():
     """The largest gap between commits of a paper kernel at full scale
     is about 200 cycles (docs/TIMING.md); the limit is over 100x that."""

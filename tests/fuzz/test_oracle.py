@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+import repro.fuzz.oracle as oracle
 from repro.fuzz.generator import generate_spec
 from repro.fuzz.lowering import INJECTIONS, ISAS, lower
 from repro.fuzz.oracle import clone_memory, run_case
 from repro.fuzz.reference import materialize
 from repro.memory.backing import Memory
+from repro.sim.functional import FunctionalSimulator
 
 
 def test_clean_cases_pass():
@@ -21,6 +23,44 @@ def test_timing_invariants_checked_when_requested():
     report = run_case(spec, check_timing=True)
     assert report.timing_checked
     assert run_case(spec).timing_checked is False
+
+
+def test_timing_case_runs_each_program_functionally_once(monkeypatch):
+    """The timing check times the recording of the differential UVE run,
+    so a timing case makes one functional pass per lowering, not one
+    more per fast_forward setting."""
+    passes = []
+    trace = FunctionalSimulator.trace
+
+    def counting(self, **kwargs):
+        passes.append(self.program.name.rsplit("-", 1)[-1])
+        return trace(self, **kwargs)
+
+    monkeypatch.setattr(FunctionalSimulator, "trace", counting)
+    report = run_case(generate_spec(5, 0), check_timing=True)
+    assert report.ok and report.timing_checked
+    assert sorted(passes) == sorted(ISAS)
+
+
+def test_timing_check_reports_what_the_uve_run_raised(monkeypatch):
+    """A UVE lowering that raises fails the timing check with the same
+    exception, without being lowered again."""
+    lowered = []
+
+    def lower_or_fail(spec, art, isa, inject=None):
+        lowered.append(isa)
+        if isa == "uve":
+            raise RuntimeError("no UVE program")
+        return lower(spec, art, isa, inject)
+
+    monkeypatch.setattr(oracle, "lower", lower_or_fail)
+    report = run_case(generate_spec(5, 0), check_timing=True)
+    failures = [(fl.isa, fl.kind, fl.detail) for fl in report.failures]
+    assert failures[0] == ("uve", "exception", "RuntimeError: no UVE program")
+    assert failures[-1] == (
+        "timing", "exception", "RuntimeError: no UVE program"
+    )
+    assert lowered.count("uve") == 1
 
 
 def test_every_lowering_produces_a_program():

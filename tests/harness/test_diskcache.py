@@ -164,6 +164,6 @@ class TestRunnerDiskIntegration:
         # instead of simulating.
         second = Runner(scale=0.1, disk_cache=cache)
         monkey_called = []
-        second._simulate = lambda *a, **k: monkey_called.append(a)
+        second.simulate = lambda *a, **k: monkey_called.append(a)
         assert second.run("saxpy", "uve") == rec
         assert not monkey_called

@@ -4,11 +4,18 @@ A cheap two-experiment campaign at tiny scale keeps these fast while
 still covering spec collection, pool execution, determinism, and the
 disk-cache life cycle.
 """
+import multiprocessing
+from pathlib import Path
+
 import pytest
 
+from repro.errors import ConfigError
 from repro.harness import EXPERIMENTS
 from repro.harness.diskcache import ResultCache
 from repro.harness.executor import CampaignExecutor, CampaignInterrupted
+from repro.harness.runner import Runner, RunSpec
+from repro.harness.sweep import SweepSpec
+from repro.sim.functional import FunctionalSimulator
 
 CAMPAIGN = ["fig8e", "ext-shared-fifo"]
 SCALE = 0.1
@@ -52,7 +59,7 @@ class TestSpecDeclarations:
         """After prefetch, building the tables must simulate nothing —
         i.e. the declared specs are complete for these experiments."""
         executor, _ = serial
-        executor.runner._simulate = lambda *a, **k: pytest.fail(
+        executor.runner.simulate = lambda *a, **k: pytest.fail(
             "build required an undeclared simulation"
         )
         for name in CAMPAIGN:
@@ -141,17 +148,17 @@ class TestInterrupt:
 
         cache = ResultCache(tmp_path, salt="s")
         executor = CampaignExecutor(scale=SCALE, jobs=1, cache=cache)
-        real = executor_mod._execute_spec
+        real = executor_mod._run_group
         calls = []
 
-        def interrupt_after_two(spec, *args, **kwargs):
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            calls.append(spec)
-            return real(spec, *args, **kwargs)
+        def interrupt_after_two(group, *args, **kwargs):
+            for run in real(group, *args, **kwargs):
+                if len(calls) == 2:
+                    raise KeyboardInterrupt
+                calls.append(run)
+                yield run
 
-        monkeypatch.setattr(executor_mod, "_execute_spec",
-                            interrupt_after_two)
+        monkeypatch.setattr(executor_mod, "_run_group", interrupt_after_two)
         with pytest.raises(CampaignInterrupted) as info:
             executor.run_campaign(["fig8e"])
         assert info.value.completed == 2
@@ -194,3 +201,52 @@ class TestInterrupt:
         payload = json.loads(out.read_text())
         assert payload["interrupted"] == {"completed_runs": 3,
                                           "cancelled_runs": 5}
+
+
+class TestRecordOncePerTraceKey:
+    """Runs that differ only in timing share one functional pass: the
+    mini sweep's 24 runs have 6 trace keys (2 kernels x 3 widths)."""
+
+    MINI = Path(__file__).parents[2] / "examples" / "sweeps" / "mini.json"
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        points = SweepSpec.from_file(self.MINI).expand()
+        return {p.spec.key(SCALE, 0): p.spec for p in points}
+
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="pool workers count their passes through a forked patch",
+        )),
+    ])
+    def test_one_functional_pass_per_trace_key(
+            self, specs, jobs, monkeypatch, tmp_path):
+        # Pool workers are forked, so they run the patched class too and
+        # append to the shared log.
+        log = tmp_path / "passes.log"
+        trace = FunctionalSimulator.trace
+
+        def logged(self, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(self.program.name + "\n")
+            return trace(self, **kwargs)
+
+        monkeypatch.setattr(FunctionalSimulator, "trace", logged)
+        executor = CampaignExecutor(scale=SCALE, seed=0, jobs=jobs)
+        executor.run_specs(specs)
+        trace_keys = {spec.trace_key(SCALE, 0) for spec in specs.values()}
+        assert len(specs) == 24 and len(trace_keys) == 6
+        assert len(log.read_text().splitlines()) == len(trace_keys)
+        assert executor.cache_summary()["miss"] == len(specs)
+
+        monkeypatch.setattr(FunctionalSimulator, "trace", trace)
+        alone = Runner(scale=SCALE, seed=0)
+        for key, spec in specs.items():
+            assert executor.runner.cached(key) == alone.run_spec(spec), spec
+
+    def test_a_group_shares_one_trace_key(self):
+        mixed = [RunSpec("saxpy", "uve"), RunSpec("memcpy", "uve")]
+        with pytest.raises(ConfigError, match="share a trace key"):
+            next(Runner(scale=SCALE, seed=0).simulate(mixed))

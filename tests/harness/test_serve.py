@@ -146,17 +146,17 @@ class TestIdempotentReplay:
 
         calls = []
         import repro.harness.runner as runner_mod
-        orig = runner_mod.Runner._simulate
+        orig = runner_mod.Runner.simulate
 
         def counting(self, *a, **k):
             calls.append(a)
             return orig(self, *a, **k)
 
-        runner_mod.Runner._simulate = counting
+        runner_mod.Runner.simulate = counting
         try:
             worker_loop(service.root, shard_id="w1")
         finally:
-            runner_mod.Runner._simulate = orig
+            runner_mod.Runner.simulate = orig
         assert not calls, "re-leased job resimulated despite artifact"
         assert service.result_for(submit.key).record == record
         assert service.result_for(submit.key).requeues == 1

@@ -18,9 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.cpu.config import baseline_machine, uve_machine
-from repro.harness import bench
 from repro.kernels import all_kernels, get_kernel
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, record_kernel
 
 KERNELS = [k.name for k in all_kernels()]
 ISAS = ("uve", "sve", "neon")
@@ -110,13 +109,13 @@ def test_timing_matches_golden(timing_results, golden, name, isa):
 def test_fast_paths_match_golden(golden, name, isa):
     """fast_forward is a pure fast path: the trace, recorded once,
     replays to the golden with it off, every cycle simulated."""
-    mat = bench.materialize(name, isa, scale=SCALE)
-    pipeline = bench.fresh_pipeline(mat, mat.config.with_(fast_forward=False))
-    pipeline.run(iter(mat.trace))
+    cfg = uve_machine() if isa == "uve" else baseline_machine()
+    recording, _ = record_kernel(name, isa, cfg.vector_bits, scale=SCALE)
+    result = recording.time(cfg.with_(fast_forward=False))
     assert_matches_golden(
         golden,
         f"{name}/{isa}",
-        timing_fields(len(mat.trace), pipeline),
+        timing_fields(result.committed, result.pipeline),
         " (fast_forward=False)",
     )
 

@@ -8,10 +8,13 @@ the row it describes, and run every reader under a full, a partial, an
 empty, a non-prefix and an unknown-but-full predicate against values
 computed here from the mask alone.
 """
+import re
+
 import numpy as np
 import pytest
 
 from repro.common.types import ElementType
+from repro.errors import MemoryAccessError
 from repro.isa import P0, ProgramBuilder, p, u, x
 from repro.isa import scalar_ops as sc
 from repro.isa import sve_ops as sve
@@ -192,3 +195,73 @@ def test_unknown_full_predicate_reads_as_full():
         a, b = known.read_v(reg, F32), unknown.read_v(reg, F32)
         assert a.data.tolist() == b.data.tolist()
         assert a.valid.tolist() == b.valid.tolist()
+
+
+# -- ld1/st1 under a partial prefix: one block of the active lanes -----------
+
+
+def prefix_state(prefix, etype, size=1 << 12):
+    """A 512-bit state whose p1 ``whilelt`` wrote with ``prefix`` lanes."""
+    state = MachineState(memory=Memory(size), vector_bits=512)
+    state.write_x(x(1), 0)
+    state.write_x(x(2), prefix)
+    sve.WhileLt(p(1), x(1), x(2), etype).execute(state)
+    assert state.pred_prefix[1] == prefix
+    return state
+
+
+@pytest.mark.parametrize("etype", ETYPES, ids=lambda e: e.name)
+@pytest.mark.parametrize("misalign", [0, 1, 3])
+@pytest.mark.parametrize("prefix", [0, 1, 3])
+def test_partial_prefix_access_reads_and_writes_the_active_lanes(
+        etype, misalign, prefix):
+    """Data, validity and recorded addresses are those of the lanes the
+    prefix covers, aligned or not."""
+    state = prefix_state(prefix, etype)
+    lanes, width = state.lanes(etype), etype.width
+    start = 64 + misalign
+    values = (np.arange(lanes) + 3).astype(etype.dtype)
+    state.mem.data[start:start + lanes * width] = values.view(np.uint8)
+    state.write_x(x(5), start)
+    active = [start + i * width for i in range(prefix)]
+
+    sve.Ld1(u(1), p(1), x(5), etype=etype).execute(state)
+    loaded = state.read_v(u(1), etype)
+    want = np.where(np.arange(lanes) < prefix, values, 0)
+    assert loaded.data.tobytes() == want.astype(etype.dtype).tobytes()
+    assert loaded.valid.tolist() == [i < prefix for i in range(lanes)]
+    assert list(state.ev_mem_reads) == active
+
+    state.write_v(u(2), full(lanes, etype, 9), etype)
+    sve.St1(u(2), p(1), x(5), etype=etype).execute(state)
+    stored = state.mem.data[start:start + lanes * width].copy().view(
+        etype.dtype)
+    assert stored.tolist() == np.where(
+        np.arange(lanes) < prefix, 9, values).tolist()
+    assert list(state.ev_mem_writes) == active
+
+
+@pytest.mark.parametrize("in_bounds", [0, 2])
+def test_partial_prefix_out_of_bounds_fails_like_the_lane_loop(in_bounds):
+    """A tail past the end of memory raises at its first bad lane, and a
+    store writes the lanes before it, as a lane-by-lane access does."""
+    size = 1 << 10
+    state = prefix_state(5, F32, size)
+    start = size - 4 * in_bounds
+    state.write_x(x(5), start)
+    message = re.escape(f"access [{size}, {size + 4}) outside memory")
+    with pytest.raises(MemoryAccessError, match=message):
+        sve.Ld1(u(1), p(1), x(5), etype=F32).execute(state)
+    state.write_v(u(2), from_list(range(1, 17), F32, 16), F32)
+    with pytest.raises(MemoryAccessError, match=message):
+        sve.St1(u(2), p(1), x(5), etype=F32).execute(state)
+    written = state.mem.ndarray(start, (in_bounds,), np.float32)
+    assert written.tolist() == [1.0, 2.0][:in_bounds]
+
+
+def test_partial_prefix_below_address_zero_fails_at_lane_zero():
+    state = prefix_state(3, F32)
+    state.write_x(x(5), -8)
+    with pytest.raises(MemoryAccessError,
+                       match=re.escape("access [-8, -4) outside memory")):
+        sve.Ld1(u(1), p(1), x(5), etype=F32).execute(state)

@@ -1,9 +1,14 @@
 """Unit tests for VecValue helpers and the SlotReservoir internals."""
 import numpy as np
+import pytest
 
 from repro.common.types import ElementType
-from repro.isa.vector import VecValue, from_list, full, zeros
+from repro.isa import f, u, x
+from repro.isa import neon_ops as neon
+from repro.isa.vector import VecValue, all_valid, from_list, full, zeros
+from repro.memory.backing import Memory
 from repro.memory.slots import SlotReservoir
+from repro.sim.functional import MachineState
 
 F32 = ElementType.F32
 
@@ -29,6 +34,33 @@ class TestVecValue:
     def test_dtype_follows_etype(self):
         v = full(4, ElementType.I64, 7)
         assert v.data.dtype == np.int64
+
+
+class TestNeonSharesTheAllValidMask:
+    """Every NEON result is fully valid and carries the one shared,
+    read-only mask instead of a private copy."""
+
+    WRITERS = (
+        neon.NVLoad(u(1), x(5)),
+        neon.NVOp("add", u(2), u(1), u(1)),
+        neon.NVFma(u(2), u(1), u(1)),
+        neon.NVDup(u(3), f(1)),
+        neon.NVUnary("sqrt", u(4), u(1)),
+    )
+
+    @pytest.mark.parametrize("inst", WRITERS, ids=lambda i: type(i).__name__)
+    def test_result_carries_the_shared_mask(self, inst):
+        state = MachineState(memory=Memory(1 << 12), vector_bits=512)
+        addr = state.mem.alloc_array(np.arange(1, 5, dtype=np.float32))
+        state.write_x(x(5), addr)
+        for setup in self.WRITERS[:2]:
+            setup.execute(state)
+        inst.execute(state)
+        valid = state.vregs[inst.vd.index].valid
+        assert valid is all_valid(4)
+        assert not valid.flags.writeable
+        with pytest.raises(ValueError):
+            valid[0] = False
 
 
 class TestSlotReservoirPruning:

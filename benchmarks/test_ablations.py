@@ -6,14 +6,14 @@
 """
 from dataclasses import replace
 
-from repro.cpu.config import PrefetcherConfig
+from repro.cpu.config import PrefetcherConfig, default_machine
 
 from conftest import run_figure
 from repro.harness.report import ExperimentResult
 
 
 def _run_with(runner, kernel, isa, mutate):
-    cfg = mutate(runner.config_for(isa))
+    cfg = mutate(default_machine(isa))
     return runner.run(kernel, isa, cfg)
 
 
@@ -94,7 +94,7 @@ def mac_forwarding(runner) -> ExperimentResult:
     for kernel in ("gemm", "haccmk"):
         for isa in ("uve", "sve"):
             plain = runner.run(kernel, isa)
-            cfg = runner.config_for(isa)
+            cfg = default_machine(isa)
             cfg = cfg.with_(core=replace(cfg.core, mac_forwarding=True))
             fwd = runner.run(kernel, isa, cfg)
             rows.append(

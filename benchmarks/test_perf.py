@@ -12,7 +12,7 @@ import os
 import pytest
 
 from conftest import bench_scale
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.harness import bench
 from repro.sim.simulator import record_kernel
 
@@ -20,7 +20,7 @@ from repro.sim.simulator import record_kernel
 @pytest.mark.parametrize("kernel,isa", bench.DEFAULT_CASES)
 def test_timing_loop_speedup(benchmark, kernel, isa):
     scale = bench_scale()
-    config = uve_machine() if isa == "uve" else baseline_machine()
+    config = default_machine(isa)
     recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=scale)
 
     off_s, off_pipe = bench.time_run(recording, config, False)

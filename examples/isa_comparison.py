@@ -8,7 +8,7 @@ the paper's Fig. 8 row for this benchmark.
 """
 import sys
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.kernels import get_kernel, kernel_names
 from repro.sim.simulator import Simulator
 
@@ -24,7 +24,7 @@ def main() -> None:
 
     results = {}
     for isa in ("uve", "sve", "neon"):
-        config = uve_machine() if isa == "uve" else baseline_machine()
+        config = default_machine(isa)
         wl = kernel.workload(seed=0)
         program = kernel.build(isa, wl, config.vector_bits)
         result = Simulator(program, wl.memory, config).run()

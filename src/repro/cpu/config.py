@@ -195,3 +195,9 @@ def baseline_machine(**kwargs) -> MachineConfig:
     """The paper's baseline ARM configuration (SVE/NEON): identical core,
     no Streaming Engine, stride + AMPM prefetchers."""
     return MachineConfig(streaming=False, **kwargs)
+
+
+def default_machine(isa: str) -> MachineConfig:
+    """The machine ``isa`` runs on unless a run names another: the UVE
+    core for UVE, the baseline core for every other ISA."""
+    return uve_machine() if isa == "uve" else baseline_machine()

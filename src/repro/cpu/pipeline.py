@@ -177,7 +177,6 @@ class _Op:
         "wake_at",
         "mem_lines",
         "allocs",
-        "mispredicted",
     )
 
     def __init__(self, dyn: DynOp, dec: _Decoded) -> None:
@@ -204,7 +203,6 @@ class _Op:
         self.mem_lines: List[int] = []
         #: ((bank, count), ...) of physical registers allocated at rename
         self.allocs = ()
-        self.mispredicted = False
 
 
 class Pipeline:
@@ -290,7 +288,6 @@ class Pipeline:
         #: committed demand stores awaiting L1 acceptance (SQ drains here)
         self._post_stores: Deque = deque()
         self._block_branch: Optional[_Op] = None
-        self._resume_fetch_at = 0.0
         self._trace_done = False
         #: Stream Alias Table at commit: architectural stream register ->
         #: uid of the latest *committed* configuration.  ``stream.stop``
@@ -467,7 +464,6 @@ class Pipeline:
           forwarding bonus already folded in), and older same-line
           stores blocking a load;
         * a blocked branch's resolution plus the front-end redirect;
-        * ``_resume_fetch_at``;
         * Streaming Engine state: SCROB free time, module dimension-
           switch busy times, stream start cycles, and load-FIFO
           ``chunk_ready`` times (these cover stream_waits);
@@ -490,10 +486,6 @@ class Pipeline:
         blocker = self._block_branch
         if blocker is not None and blocker.complete is not None:
             c = ceil(blocker.complete + self.config.core.frontend_depth)
-            if now < c < best:
-                best = c
-        if self._resume_fetch_at > now:
-            c = ceil(self._resume_fetch_at)
             if now < c < best:
                 best = c
         if self._rob_q:
@@ -571,9 +563,6 @@ class Pipeline:
                 return False
             self._block_branch = None
             progress = True
-        if now < self._resume_fetch_at:
-            self.stats.fetch_stall_cycles += 1
-            return progress
         width = self._fetch_width
         room = self._decode_queue - len(self._decode)
         if room <= 0:
@@ -601,7 +590,6 @@ class Pipeline:
             if dec.is_branch:
                 wrong = self.predictor.record_outcome(dyn.pc, dyn.taken)
                 if wrong:
-                    op.mispredicted = True
                     self._block_branch = op
                     return True
                 if dyn.taken:

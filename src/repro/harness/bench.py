@@ -34,7 +34,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
+from repro.cpu.config import MachineConfig, default_machine
 from repro.cpu.pipeline import Pipeline
 from repro.sim.simulator import Recording, record_kernel
 
@@ -72,7 +72,7 @@ def bench_case(
 ) -> Dict[str, object]:
     """Benchmark one kernel × ISA: fast-forward off vs on (best-of-N),
     verifying that both produce identical PipelineStats."""
-    config = uve_machine() if isa == "uve" else baseline_machine()
+    config = default_machine(isa)
     recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=scale)
     off_s, off_pipe = min(
         (time_run(recording, config, False) for _ in range(repeats)),

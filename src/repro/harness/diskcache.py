@@ -75,18 +75,19 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         addressed = hashlib.sha256(
             f"{CACHE_FORMAT}:{self.salt}:{key}".encode()
         ).hexdigest()
-        return self.root / addressed[:2] / f"{addressed}.json"
+        return os.path.join(self.root, addressed[:2], addressed + ".json")
 
     def load(self, key: str) -> Optional[RunRecord]:
         """Return the cached record for ``key``, or None on any miss —
         including unreadable, corrupted, or schema-incompatible entries."""
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
             record = self.record_cls(**payload["record"])
         except (OSError, ValueError, TypeError, KeyError):
             self.misses += 1
@@ -116,10 +117,11 @@ class ResultCache:
             "record": body,
         }
         tmp = ""
+        shard, name = os.path.split(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(shard, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), prefix=path.stem, suffix=".tmp"
+                dir=shard, prefix=os.path.splitext(name)[0], suffix=".tmp"
             )
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
@@ -136,10 +138,16 @@ class ResultCache:
     def entries(self) -> List[Tuple[Path, float, int]]:
         """Every cache entry as ``(path, mtime, size_bytes)``, across all
         salts/formats sharing this root (GC is salt-agnostic: stale-salt
-        entries are exactly the ones worth evicting first)."""
+        entries are exactly the ones worth evicting first).  Temp files
+        count too: a writer killed before its rename leaves one behind
+        that nothing else removes, and evicting a live writer's costs
+        only that one best-effort store."""
         out = []
         try:
-            paths = list(self.root.rglob("*.json"))
+            paths = [
+                path for path in self.root.rglob("*")
+                if path.suffix in (".json", ".tmp")
+            ]
         except OSError:
             return out
         for path in paths:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.harness.report import ExperimentResult
 from repro.harness.runner import Runner, RunSpec
 
@@ -30,12 +30,11 @@ SHARED_FIFO_KERNELS = ("stream", "jacobi-2d", "gemm", "mamr")
 
 
 def _vl_config(isa: str, bits: int):
-    cfg = uve_machine() if isa == "uve" else baseline_machine()
-    return cfg.with_(vector_bits=bits)
+    return default_machine(isa).with_(vector_bits=bits)
 
 
-def _pooled_config(runner: Runner):
-    cfg = runner.config_for("uve")
+def _pooled_config():
+    cfg = default_machine("uve")
     return cfg.with_(engine=replace(cfg.engine, shared_fifo=True))
 
 
@@ -46,7 +45,7 @@ def rvv_comparison_specs(runner: Runner) -> List[RunSpec]:
             (
                 RunSpec(name, "uve"),
                 RunSpec(name, "sve"),
-                RunSpec(name, "rvv", runner.config_for("sve")),
+                RunSpec(name, "rvv", default_machine("sve")),
                 RunSpec(name, "neon"),
             )
         )
@@ -66,7 +65,7 @@ def shared_fifo_specs(runner: Runner) -> List[RunSpec]:
     specs = []
     for name in SHARED_FIFO_KERNELS:
         specs.append(RunSpec(name, "uve"))
-        specs.append(RunSpec(name, "uve", _pooled_config(runner)))
+        specs.append(RunSpec(name, "uve", _pooled_config()))
     return specs
 
 
@@ -75,7 +74,7 @@ def rvv_comparison(runner: Runner) -> ExperimentResult:
     for name in RVV_KERNELS:
         uve = runner.run(name, "uve")
         sve = runner.run(name, "sve")
-        rvv = runner.run(name, "rvv", runner.config_for("sve"))
+        rvv = runner.run(name, "rvv", default_machine("sve"))
         neon = runner.run(name, "neon")
         rows.append(
             (
@@ -128,7 +127,7 @@ def shared_fifo(runner: Runner) -> ExperimentResult:
     rows = []
     for name in SHARED_FIFO_KERNELS:
         fixed = runner.run(name, "uve")
-        pooled = runner.run(name, "uve", _pooled_config(runner))
+        pooled = runner.run(name, "uve", _pooled_config())
         rows.append(
             (
                 name,

@@ -3,12 +3,30 @@
 ``repr(cfg)`` is a fragile cache key: it depends on field ordering, dict
 insertion order, and float formatting, and two semantically equal
 configurations built through different code paths need not compare equal.
-This module derives a *canonical* fingerprint by recursively walking
-dataclass fields (enums by qualified name, dicts sorted by key) and
-hashing the sorted-JSON form, so equal configs always hit and any nested
-field change always misses.  The same fingerprint keys the in-process
-:class:`~repro.harness.runner.Runner` cache and the on-disk
-:class:`~repro.harness.diskcache.ResultCache`.
+This module derives a *canonical* fingerprint by walking dataclass fields
+(tagged ``__dataclass__`` with the class name), naming enums by class and
+member (``"Cls.NAME"``), sorting dicts by key string and turning tuples
+into lists, then hashing the sorted-JSON form, so equal configs always
+hit and any nested field change always misses.  The same fingerprint keys
+the in-process :class:`~repro.harness.runner.Runner` cache, the on-disk
+:class:`~repro.harness.diskcache.ResultCache` and the service's job queue.
+
+A key is one walk.  ``str``, ``int``, ``float``, ``bool`` and ``None``
+are returned as they are; every other class is looked at once, when a
+value of it is first met, and given its walk by the rules above in this
+order: dataclass (field names kept), dict, list or tuple, enum, other
+subclass of ``int``/``float``/``str``, and otherwise ``TypeError``.  So an
+``IntEnum`` member is ``"Cls.NAME"``, an ``OrderedDict`` walks as a dict
+and a ``NamedTuple`` as a list, and every key is byte for byte what a
+plain recursive walk of the same rules computes, except for a proxy
+whose ``__class__`` names another type: ``isinstance`` believes it, but
+the walk goes by ``type(value)``.  Nothing is remembered per value:
+``MachineConfig.latencies`` is a mutable dict inside a frozen dataclass.
+
+Dict keys are compared as strings, so keys that stringify alike (``1``
+and ``"1"``) collapse into one entry.  The code-version salt skips the
+harness, so a change to a key's bytes must bump ``CACHE_FORMAT``
+(docs/HARNESS.md, "What a cache hit costs").
 """
 from __future__ import annotations
 
@@ -16,30 +34,86 @@ import dataclasses
 import hashlib
 import json
 from enum import Enum
-from typing import Optional
+from typing import Callable, Dict, Optional
 
 from repro.cpu.config import MachineConfig
 
+#: exact types that are their own canonical form
+_ATOMS = frozenset((str, int, float, bool, type(None)))
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonicalize(value):
-    """Recursively convert ``value`` into a JSON-stable structure."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {"__dataclass__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = canonicalize(getattr(value, f.name))
-        return out
-    if isinstance(value, dict):
-        items = [(_key(k), canonicalize(v)) for k, v in value.items()]
-        return {k: v for k, v in sorted(items)}
-    if isinstance(value, (list, tuple)):
-        return [canonicalize(v) for v in value]
-    if isinstance(value, Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if value is None or isinstance(value, (bool, int, float, str)):
+    """Convert ``value`` into a JSON-stable structure."""
+    cls = type(value)
+    if cls in _ATOMS:
         return value
-    raise TypeError(
-        f"cannot canonicalize {type(value).__name__!r} for fingerprinting"
-    )
+    walk = _WALKS.get(cls)
+    if walk is None:
+        walk = _WALKS[cls] = _walk_for(cls)
+    return walk(value)
+
+
+def _walk_dict(value) -> dict:
+    items = [
+        (
+            k if type(k) is str else _key(k),
+            v if type(v) in _ATOMS else canonicalize(v),
+        )
+        for k, v in value.items()
+    ]
+    items.sort()
+    return dict(items)
+
+
+def _walk_list(value) -> list:
+    return [v if type(v) in _ATOMS else canonicalize(v) for v in value]
+
+
+def _walk_atom(value):
+    return value
+
+
+def _walk_for(cls: type) -> Callable:
+    """How to canonicalize every instance of ``cls``.  The rules are
+    tried in this order, so a dataclass wins over anything it subclasses
+    and a container wins over ``Enum``."""
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        tag = cls.__name__
+        names = tuple(f.name for f in dataclasses.fields(cls))
+
+        def walk_dataclass(value) -> dict:
+            out = {"__dataclass__": tag}
+            for name in names:
+                v = getattr(value, name)
+                out[name] = v if type(v) in _ATOMS else canonicalize(v)
+            return out
+
+        return walk_dataclass
+    if issubclass(cls, dict):
+        return _walk_dict
+    if issubclass(cls, (list, tuple)):
+        return _walk_list
+    if issubclass(cls, Enum):
+        prefix = cls.__name__
+
+        def walk_enum(value) -> str:
+            return f"{prefix}.{value.name}"
+
+        return walk_enum
+    if issubclass(cls, (int, float, str)):
+        return _walk_atom
+    message = f"cannot canonicalize {cls.__name__!r} for fingerprinting"
+
+    def refuse(value):
+        raise TypeError(message)
+
+    return refuse
+
+
+#: the walk of every class met so far, chosen by :func:`_walk_for`
+_WALKS: Dict[type, Callable] = {}
 
 
 def _key(key) -> str:
@@ -50,9 +124,7 @@ def _key(key) -> str:
 
 def fingerprint(value) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``value``."""
-    blob = json.dumps(
-        canonicalize(value), sort_keys=True, separators=(",", ":")
-    )
+    blob = _ENCODER.encode(canonicalize(value))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -82,7 +154,7 @@ def run_fingerprint(
         {
             "kernel": kernel,
             "isa": isa,
-            "config": canonicalize(cfg),
+            "config": cfg,
             "scale": scale,
             "seed": seed,
             "unroll": unroll,

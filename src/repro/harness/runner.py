@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
+from repro.cpu.config import MachineConfig, default_machine
 from repro.errors import ConfigError
 from repro.harness.fingerprint import run_fingerprint
 from repro.kernels import get_kernel
@@ -64,7 +64,7 @@ class RunSpec:
     def resolved_config(self) -> MachineConfig:
         if self.config is not None:
             return self.config
-        return uve_machine() if self.isa == "uve" else baseline_machine()
+        return default_machine(self.isa)
 
     def resolved_lowering(self, default: str = "ir") -> str:
         return self.lowering if self.lowering is not None else default
@@ -111,9 +111,6 @@ class Runner:
         #: memory miss, so re-runs only simulate what changed
         self.disk_cache = disk_cache
         self._cache: Dict[str, RunRecord] = {}
-
-    def config_for(self, isa: str) -> MachineConfig:
-        return uve_machine() if isa == "uve" else baseline_machine()
 
     def run(
         self,

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List
 
+from repro.cpu.config import default_machine
 from repro.harness.report import ExperimentResult
 from repro.harness.runner import Runner, RunSpec
 
@@ -23,24 +24,24 @@ FIFO_DEPTHS = (2, 4, 8, 12)
 CACHE_LEVELS = ("L1", "L2", "MEM")
 
 
-def _pr_config(runner: Runner, isa: str, count: int):
-    cfg = runner.config_for(isa)
+def _pr_config(isa: str, count: int):
+    cfg = default_machine(isa)
     return cfg.with_(core=replace(cfg.core, vec_phys_regs=count))
 
 
-def _fifo_config(runner: Runner, depth: int):
-    cfg = runner.config_for("uve")
+def _fifo_config(depth: int):
+    cfg = default_machine("uve")
     return cfg.with_(engine=replace(cfg.engine, fifo_depth=depth))
 
 
-def _level_config(runner: Runner, level: str):
-    cfg = runner.config_for("uve")
+def _level_config(level: str):
+    cfg = default_machine("uve")
     return cfg.with_(engine=replace(cfg.engine, mem_level_override=level))
 
 
 def vector_registers_specs(runner: Runner) -> List[RunSpec]:
     return [
-        RunSpec(name, isa, _pr_config(runner, isa, count))
+        RunSpec(name, isa, _pr_config(isa, count))
         for name in SWEEP_KERNELS
         for isa in ("uve", "sve")
         for count in PR_COUNTS
@@ -49,7 +50,7 @@ def vector_registers_specs(runner: Runner) -> List[RunSpec]:
 
 def fifo_depth_specs(runner: Runner) -> List[RunSpec]:
     return [
-        RunSpec(name, "uve", _fifo_config(runner, depth))
+        RunSpec(name, "uve", _fifo_config(depth))
         for name in SWEEP_KERNELS + ("3mm",)
         for depth in FIFO_DEPTHS
     ]
@@ -57,7 +58,7 @@ def fifo_depth_specs(runner: Runner) -> List[RunSpec]:
 
 def stream_cache_level_specs(runner: Runner) -> List[RunSpec]:
     return [
-        RunSpec(name, "uve", _level_config(runner, level))
+        RunSpec(name, "uve", _level_config(level))
         for name in SWEEP_KERNELS
         for level in CACHE_LEVELS
     ]
@@ -72,7 +73,7 @@ def vector_registers(runner: Runner) -> ExperimentResult:
             base = None
             speeds = []
             for count in counts:
-                record = runner.run(name, isa, _pr_config(runner, isa, count))
+                record = runner.run(name, isa, _pr_config(isa, count))
                 if base is None:
                     base = record.cycles
                 speeds.append(base / record.cycles)
@@ -95,7 +96,7 @@ def fifo_depth(runner: Runner) -> ExperimentResult:
         base = None
         speeds = []
         for depth in depths:
-            record = runner.run(name, "uve", _fifo_config(runner, depth))
+            record = runner.run(name, "uve", _fifo_config(depth))
             if depth == 8:
                 base = record.cycles
             speeds.append(record.cycles)
@@ -119,7 +120,7 @@ def stream_cache_level(runner: Runner) -> ExperimentResult:
         base = None
         cycles = []
         for level in levels:
-            record = runner.run(name, "uve", _level_config(runner, level))
+            record = runner.run(name, "uve", _level_config(level))
             if level == "L2":
                 base = record.cycles
             cycles.append(record.cycles)

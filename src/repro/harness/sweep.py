@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cpu.config import MachineConfig, baseline_machine, uve_machine
+from repro.cpu.config import MachineConfig, default_machine
 from repro.errors import ConfigError
 from repro.harness.executor import (
     CampaignExecutor,
@@ -140,7 +140,7 @@ class SweepSpec:
             for isa in self.isas:
                 for combo in itertools.product(*value_lists):
                     axes = dict(zip(paths, combo))
-                    cfg = _apply_axes(_base_config(isa), axes)
+                    cfg = _apply_axes(default_machine(isa), axes)
                     _check_streaming(isa, cfg)
                     points.append(SweepPoint(
                         index=index, kernel=kernel, isa=isa,
@@ -159,10 +159,6 @@ class SweepPoint:
     isa: str
     axes: Dict[str, object]
     spec: RunSpec
-
-
-def _base_config(isa: str) -> MachineConfig:
-    return uve_machine() if isa == "uve" else baseline_machine()
 
 
 def _check_streaming(isa: str, cfg: MachineConfig) -> None:

@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.errors import ConfigError
 from repro.kernels import all_kernels, get_kernel, kernel_names
 from repro.sim.simulator import Simulator
@@ -69,8 +69,7 @@ def main(argv=None) -> int:
         parser.error("a kernel name is required (or use --list)")
 
     kernel = get_kernel(args.kernel)
-    config = (uve_machine() if args.isa == "uve" else baseline_machine())
-    config = config.with_(vector_bits=args.vector_bits)
+    config = default_machine(args.isa).with_(vector_bits=args.vector_bits)
     wl = kernel.workload(seed=args.seed, scale=args.scale)
     try:
         program = kernel.build(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.isa.program import Program
 from repro.kernels.base import Kernel
 from repro.sim.functional import FunctionalSimulator
@@ -55,11 +55,6 @@ def programs_identical(first: Program, second: Program) -> bool:
     )
 
 
-def _config_for(isa: str, vector_bits: int):
-    cfg = uve_machine() if isa == "uve" else baseline_machine()
-    return cfg.with_(vector_bits=vector_bits)
-
-
 def _run_verified(
     kernel: Kernel,
     isa: str,
@@ -75,9 +70,8 @@ def _run_verified(
     wl = kernel.workload(seed=seed, scale=scale)
     program = kernel.build(isa, wl, vector_bits, lowering=lowering)
     if timing:
-        result = Simulator(
-            program, wl.memory, _config_for(isa, vector_bits)
-        ).run()
+        config = default_machine(isa).with_(vector_bits=vector_bits)
+        result = Simulator(program, wl.memory, config).run()
         wl.verify()
         return result.committed, result.cycles
     summary = FunctionalSimulator(

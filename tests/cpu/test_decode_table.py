@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.isa.microop import OpClass
 from repro.sim.simulator import record_kernel
 
@@ -30,7 +30,7 @@ def slow_forwarding_macs(config):
 def replay_in_order(kernel, isa, order):
     """Build the kernel afresh, record its trace once and replay it under
     each named config in ``order``; returns name -> PipelineStats dict."""
-    config = uve_machine() if isa == "uve" else baseline_machine()
+    config = default_machine(isa)
     recording, _ = record_kernel(kernel, isa, config.vector_bits, scale=SCALE)
     configs = {"default": config, "mac": slow_forwarding_macs(config)}
     return {

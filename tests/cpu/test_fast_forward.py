@@ -9,7 +9,7 @@ bound and branchy-scalar workloads alike.
 import pytest
 
 from repro.common.types import ElementType
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import baseline_machine, default_machine, uve_machine
 from repro.engine.engine import StreamingEngine
 from repro.isa import ProgramBuilder, f, x
 from repro.isa import scalar_ops as sc
@@ -34,7 +34,7 @@ def _run(program, memory, config):
 def _kernel_run(kernel_name, isa, fast_forward, scale=0.2):
     kernel = get_kernel(kernel_name)
     wl = kernel.workload(seed=0, scale=scale)
-    base = uve_machine() if isa == "uve" else baseline_machine()
+    base = default_machine(isa)
     config = base.with_(fast_forward=fast_forward)
     program = kernel.build(isa, wl, config.vector_bits)
     return _run(program, wl.memory, config)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,7 @@ class TestResultCache:
     def test_corrupted_entry_is_a_miss_and_recoverable(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s")
         cache.store("key-1", record())
-        path = cache._path("key-1")
+        path = Path(cache._path("key-1"))
         path.write_text("{ not json")
         assert cache.load("key-1") is None
         cache.store("key-1", record(cycles=99.0))  # overwrite heals it
@@ -44,7 +45,7 @@ class TestResultCache:
     def test_schema_incompatible_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s")
         cache.store("key-1", record())
-        path = cache._path("key-1")
+        path = Path(cache._path("key-1"))
         payload = json.loads(path.read_text())
         payload["record"]["no_such_field"] = 1
         path.write_text(json.dumps(payload))
@@ -93,7 +94,7 @@ class TestPrune:
         for i in range(5):
             cache.store(f"k{i}", record())
             self._age(cache, f"k{i}", 1000.0 + i)
-        entry_size = cache._path("k0").stat().st_size
+        entry_size = os.path.getsize(cache._path("k0"))
         stats = cache.prune(max_bytes=2 * entry_size)
         assert stats.removed == 3
         assert stats.bytes_after <= 2 * entry_size
@@ -112,7 +113,7 @@ class TestPrune:
             cache.store(f"k{i}", record())
             self._age(cache, f"k{i}", 1000.0 + i)
         assert cache.load("k0") is not None  # touch: now most recent
-        entry_size = cache._path("k0").stat().st_size
+        entry_size = os.path.getsize(cache._path("k0"))
         cache.prune(max_bytes=entry_size)
         assert cache.load("k0") is not None
         assert cache.load("k2") is None
@@ -129,6 +130,27 @@ class TestPrune:
         cache.store("k0", record())  # store after prune still works
         assert cache.load("k0") is not None
 
+    def test_orphaned_temp_file_is_evicted(self, tmp_path):
+        """A writer killed between mkstemp and its rename leaves a temp
+        file in the shard: GC counts it and evicts it, oldest first,
+        with the entries, and removes the emptied shard directory."""
+        cache = ResultCache(tmp_path, salt="s")
+        cache.store("k0", record())
+        self._age(cache, "k0", 2000.0)
+        entry = Path(cache._path("k0"))
+        orphan = entry.parent / f"{entry.stem}abc123.tmp"
+        orphan.write_bytes(b"x" * 5000)
+        os.utime(orphan, (1000.0, 1000.0))
+        entry_size = entry.stat().st_size
+        assert cache.size_bytes() == entry_size + 5000
+        stats = cache.prune(max_bytes=entry_size)
+        assert (stats.removed, stats.bytes_after) == (1, entry_size)
+        assert not orphan.exists()
+        assert cache.load("k0") is not None
+        stats = cache.prune(max_bytes=0)
+        assert (stats.removed, stats.bytes_after) == (1, 0)
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+
     def test_prune_spans_salts(self, tmp_path):
         """Stale-salt entries (old code versions) share the root and are
         GC'd by the same pass — they are the best eviction candidates."""
@@ -137,7 +159,7 @@ class TestPrune:
         old.store("k", record())
         self._age(old, "k", 1000.0)
         new.store("k", record())
-        entry_size = new._path("k").stat().st_size
+        entry_size = os.path.getsize(new._path("k"))
         new.prune(max_bytes=entry_size)
         assert old.load("k") is None
         assert new.load("k") is not None

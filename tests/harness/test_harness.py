@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness (runner, report, registry)."""
 import pytest
 
+from repro.cpu.config import default_machine
 from repro.harness import EXPERIMENTS, Runner, run_experiment
 from repro.harness.report import ExperimentResult, geomean
 
@@ -36,7 +37,7 @@ class TestRunner:
     def test_distinct_configs_not_conflated(self):
         from dataclasses import replace
         runner = Runner(scale=0.1)
-        base = runner.config_for("uve")
+        base = default_machine("uve")
         varied = base.with_(engine=replace(base.engine, fifo_depth=2))
         a = runner.run("saxpy", "uve", base)
         b = runner.run("saxpy", "uve", varied)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.kernels import all_kernels, get_kernel
 from repro.sim.simulator import Simulator, record_kernel
 
@@ -32,7 +32,7 @@ def simulate_all():
     for name in KERNELS:
         kernel = get_kernel(name)
         for isa in ISAS:
-            cfg = uve_machine() if isa == "uve" else baseline_machine()
+            cfg = default_machine(isa)
             wl = kernel.workload(seed=0, scale=SCALE)
             program = kernel.build(isa, wl, cfg.vector_bits)
             result = Simulator(program, wl.memory, cfg).run()
@@ -109,7 +109,7 @@ def test_timing_matches_golden(timing_results, golden, name, isa):
 def test_fast_paths_match_golden(golden, name, isa):
     """fast_forward is a pure fast path: the trace, recorded once,
     replays to the golden with it off, every cycle simulated."""
-    cfg = uve_machine() if isa == "uve" else baseline_machine()
+    cfg = default_machine(isa)
     recording, _ = record_kernel(name, isa, cfg.vector_bits, scale=SCALE)
     result = recording.time(cfg.with_(fast_forward=False))
     assert_matches_golden(

@@ -10,7 +10,7 @@ must be freed by reference counting alone.
 """
 import gc
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine
 from repro.fuzz.generator import generate_spec
 from repro.fuzz.oracle import run_case
 from repro.kernels import get_kernel
@@ -22,7 +22,7 @@ from repro.sim.simulator import Simulator
 def _simulate_saxpy(isa):
     kernel = get_kernel("saxpy")
     wl = kernel.workload(seed=0, scale=0.1)
-    config = uve_machine() if isa == "uve" else baseline_machine()
+    config = default_machine(isa)
     result = Simulator(kernel.build(isa, wl), wl.memory, config).run()
     assert result.committed > 0
 

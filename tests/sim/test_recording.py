@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cpu.config import baseline_machine, uve_machine
+from repro.cpu.config import default_machine, uve_machine
 from repro.errors import ConfigError
 from repro.kernels import all_kernels, get_kernel
 from repro.sim.simulator import Simulator, record_kernel
@@ -26,7 +26,7 @@ SCALE = 0.1
 def configs_for(isa):
     """fast_forward on (the default) and off, MAC forwarding, and on the
     UVE core a smaller engine."""
-    base = uve_machine() if isa == "uve" else baseline_machine()
+    base = default_machine(isa)
     configs = {
         "default": base,
         "no-ff": base.with_(fast_forward=False),

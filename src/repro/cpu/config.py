@@ -179,6 +179,18 @@ class MachineConfig:
     )
     freq_ghz: float = 1.5
 
+    def __post_init__(self) -> None:
+        # The hierarchy indexes every level, and trains its prefetchers,
+        # by one line number, so the levels must share a line size.
+        if not (
+            self.l1d.line_bytes == self.l2.line_bytes == self.dram.line_bytes
+        ):
+            raise ConfigError(
+                f"the L1D, L2 and DRAM line sizes must agree, got l1d "
+                f"{self.l1d.line_bytes} B, l2 {self.l2.line_bytes} B, "
+                f"dram {self.dram.line_bytes} B"
+            )
+
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a modified copy (sweep helper)."""
         return replace(self, **kwargs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.cpu.branch_pred import GsharePredictor
 from repro.cpu.config import MachineConfig
@@ -31,9 +31,12 @@ from repro.isa.instructions import Instruction
 from repro.isa.microop import FuCluster, OpClass
 from repro.isa.registers import Reg, RegClass
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.sim.trace import DynOp, StreamTraceInfo
+from repro.sim.trace import DynOp, StreamTraceInfo, read_lines, write_lines
 
-_BANK_OF = {RegClass.X: "int", RegClass.F: "fp", RegClass.V: "vec"}
+#: physical register banks: a register class's bank index, and the
+#: rename-block cause a bank with too few free registers records
+_BANK_OF = {RegClass.X: 0, RegClass.F: 1, RegClass.V: 2}
+_BANK_CAUSE = ("int_regs", "fp_regs", "vec_regs")
 
 #: op classes whose accumulator operand benefits from MAC->MAC forwarding
 _MAC_CLASSES = (OpClass.VEC_MAC, OpClass.FP_MAC)
@@ -69,6 +72,15 @@ def stall_limit(config: MachineConfig) -> int:
 
 def _reg_key(reg: Reg) -> int:
     return _KEY_BASE[reg.cls] + reg.index
+
+
+def _names(events, vidx: int) -> bool:
+    """Whether one of an op's stream events names vector register
+    ``vidx``."""
+    for event in events:
+        if event[0] == vidx:
+            return True
+    return False
 
 
 def _vec_index(reg: Reg) -> int:
@@ -120,8 +132,9 @@ class _Decoded:
             if oc.cluster is FuCluster.NONE or is_stream_co
             else pipeline._sched[oc.cluster]
         )
-        #: (vector index, bank) of each destination allocating a physical
-        #: register, and the per-bank totals the structural check needs.
+        #: (vector index, bank index) of each destination allocating a
+        #: physical register, and the per-bank totals the structural
+        #: check needs.
         #: Stream config/control name streams via the Stream Alias Table,
         #: not physical vector registers.
         alloc = []
@@ -131,7 +144,7 @@ class _Decoded:
                 if bank is not None:
                     alloc.append((_vec_index(dest), bank))
         self.alloc_dests = tuple(alloc)
-        needed: Dict[str, int] = {}
+        needed: Dict[int, int] = {}
         for _, bank in alloc:
             needed[bank] = needed.get(bank, 0) + 1
         self.needed_banks = tuple(needed.items())
@@ -184,8 +197,9 @@ class _Op:
         self.dec = dec
         #: (producer, wants_early, forward_bonus) triples; pruned as they
         #: are satisfied
-        self.producers: List = []
-        #: ops parked on this one until _execute gives it a completion time
+        self.producers: Sequence = ()
+        #: ops parked on this one until it issues and gets a completion
+        #: time
         self.waiters: Optional[List["_Op"]] = None
         #: (EngineStream, chunk, last) of each stream read / write,
         #: resolved at rename
@@ -200,7 +214,8 @@ class _Op:
         #: when a blocking stream chunk has no known time yet, inf while
         #: parked on an op that has not issued)
         self.wake_at = 0.0
-        self.mem_lines: List[int] = []
+        #: the cache lines a load reads or a store writes, from rename
+        self.mem_lines: Sequence[int] = ()
         #: ((bank, count), ...) of physical registers allocated at rename
         self.allocs = ()
 
@@ -246,6 +261,10 @@ class Pipeline:
         self._scheduler_entries = core.scheduler_entries
         self._core_load_ports = core.load_ports
         self._core_store_ports = core.store_ports
+        self._fifo_depth = config.engine.fifo_depth
+        self._line_bytes = self.hierarchy.line_bytes
+        self._l1d = self.hierarchy.l1d
+        self._demand_access = self.hierarchy.demand_access
         #: rename short-circuit while blocked on a full stream Store FIFO:
         #: (decode-head op, blocking stream).  While rename is stalled no
         #: structure fills up (ROB/IQ/LQ/SQ/registers only drain), so the
@@ -257,11 +276,12 @@ class Pipeline:
         self._iq = 0
         self._lq = 0
         self._sq = 0
-        self._free = {
-            "int": core.int_phys_regs - 32,
-            "fp": core.fp_phys_regs - 32,
-            "vec": core.vec_phys_regs - 32,
-        }
+        #: free physical registers per bank (see _BANK_OF)
+        self._free = [
+            core.int_phys_regs - 32,
+            core.fp_phys_regs - 32,
+            core.vec_phys_regs - 32,
+        ]
         # Pipeline structures.
         self._decode: Deque[_Op] = deque()
         self._rob_q: Deque[_Op] = deque()
@@ -285,8 +305,10 @@ class Pipeline:
         #: line -> in-flight (renamed, not yet drained) store ops, oldest
         #: first; loads must wait for every older store to the same line
         self._store_by_line: Dict[int, List[_Op]] = {}
-        #: committed demand stores awaiting L1 acceptance (SQ drains here)
-        self._post_stores: Deque = deque()
+        #: committed demand stores awaiting L1 acceptance (SQ drains
+        #: here), oldest first, and the head's next line to write
+        self._post_stores: Deque[_Op] = deque()
+        self._post_line = 0
         self._block_branch: Optional[_Op] = None
         self._trace_done = False
         #: Stream Alias Table at commit: architectural stream register ->
@@ -309,7 +331,6 @@ class Pipeline:
     def run(self, trace: Iterable[DynOp]) -> PipelineStats:
         trace_iter = iter(trace)
         cycle = 0.0
-        line_bytes = self.hierarchy.line_bytes
         fast_forward = self.config.fast_forward
         stats = self.stats
         engine = self.engine
@@ -320,6 +341,8 @@ class Pipeline:
         issue = self._issue
         rename = self._rename
         fetch = self._fetch
+        post_stores = self._post_stores
+        drain_post_stores = self._drain_post_stores
         stall = self.stall_limit
         deadline = stall  # the watchdog: the last commit + stall_limit
         # Set when a quiescent cycle finds no known event: until a stage
@@ -336,7 +359,7 @@ class Pipeline:
             progress = False
             if engine_tick is not None:
                 progress = engine_tick(cycle)
-            if self._post_stores and self._drain_post_stores(cycle):
+            if post_stores and drain_post_stores(cycle):
                 progress = True
             if rob_q:
                 # _commit's own head gate: a head completed by cycle-1
@@ -355,11 +378,11 @@ class Pipeline:
                 renamed, block_cause = 0, None
             if renamed:
                 progress = True
-            if fetch(cycle, trace_iter, line_bytes):
+            if fetch(cycle, trace_iter):
                 progress = True
             if self._trace_done and not rob_q and not decode:
                 if not (
-                    self._post_stores
+                    post_stores
                     or (engine is not None and engine.stores_pending)
                 ):
                     break
@@ -485,7 +508,7 @@ class Pipeline:
         best = inf
         blocker = self._block_branch
         if blocker is not None and blocker.complete is not None:
-            c = ceil(blocker.complete + self.config.core.frontend_depth)
+            c = ceil(blocker.complete + self._frontend_depth)
             if now < c < best:
                 best = c
         if self._rob_q:
@@ -547,60 +570,68 @@ class Pipeline:
 
     # ---------------------------------------------------------------- fetch --
 
-    def _fetch(self, now: float, trace_iter, line_bytes: int) -> bool:
+    def _fetch(self, now: float, trace_iter) -> bool:
         """Returns True when any front-end state changed this cycle."""
         if self._trace_done:
             return False
         progress = False
+        stats = self.stats
         blocker = self._block_branch
         if blocker is not None:
             if blocker.complete is None:
-                self.stats.fetch_stall_cycles += 1
+                stats.fetch_stall_cycles += 1
                 return False
             resume = blocker.complete + self._frontend_depth
             if now < resume:
-                self.stats.fetch_stall_cycles += 1
+                stats.fetch_stall_cycles += 1
                 return False
             self._block_branch = None
             progress = True
-        width = self._fetch_width
-        room = self._decode_queue - len(self._decode)
+        decode = self._decode
+        room = self._decode_queue - len(decode)
         if room <= 0:
             # A full decode queue stalls fetch exactly like a blocked
             # branch does; count it so decode-bound kernels show up in
             # the stall breakdown instead of losing these cycles.
-            self.stats.fetch_stall_cycles += 1
+            stats.fetch_stall_cycles += 1
             return progress
         decoded = self._decoded
-        for _ in range(min(width, room)):
+        fetched = 0
+        for _ in range(min(self._fetch_width, room)):
             try:
                 dyn = next(trace_iter)
             except StopIteration:
                 self._trace_done = True
-                return True
+                progress = True
+                break
             # A pc that names another instruction (a trace mixing
             # programs) is decoded again, not timed with a stale record.
             dec = decoded.get(dyn.pc)
             if dec is None or dec.inst is not dyn.inst:
                 dec = decoded[dyn.pc] = _Decoded(self, dyn.inst)
             op = _Op(dyn, dec)
-            self.stats.fetched += 1
-            self._decode.append(op)
-            progress = True
+            decode.append(op)
+            fetched += 1
             if dec.is_branch:
-                wrong = self.predictor.record_outcome(dyn.pc, dyn.taken)
-                if wrong:
+                if self.predictor.record_outcome(dyn.pc, dyn.taken):
                     self._block_branch = op
-                    return True
+                    break
                 if dyn.taken:
-                    return True  # taken branch ends the fetch group
+                    break  # a taken branch ends the fetch group
+        if fetched:
+            stats.fetched += fetched
+            return True
         return progress
 
     # --------------------------------------------------------------- rename --
 
     def _rename(self, now: float) -> "tuple[int, Optional[str]]":
-        """Returns (ops renamed, block cause counted this cycle or None)."""
+        """Returns (ops renamed, block cause counted this cycle or None).
+
+        The structural counters are held in locals while the loop runs
+        and written back once."""
         engine = self.engine
+        decode = self._decode
         # Store-FIFO stall short-circuit: while the decode head is parked
         # on a full Store FIFO, every structural check it passed keeps
         # passing (resources only drain during the stall), so the only
@@ -609,73 +640,103 @@ class Pipeline:
         memo = self._rename_block
         if memo is not None:
             op, stream, fifo_depth = memo
-            if self._decode and self._decode[0] is op:
+            if decode and decode[0] is op:
                 if stream.store_reserved - stream.store_drained >= fifo_depth:
-                    self.stats.block("store_fifo")
+                    stats = self.stats
+                    stats.rename_block_cycles += 1
+                    stats.rename_block_causes["store_fifo"] += 1
                     return 0, "store_fifo"
             self._rename_block = None
+        cause = None
         renamed = 0
         fetch_width = self._fetch_width
         rat = self._rat
-        while self._decode and renamed < fetch_width:
-            op = self._decode[0]
+        free = self._free
+        rob_q = self._rob_q
+        observer = self.observer
+        rob, iq, lq, sq = self._rob, self._iq, self._lq, self._sq
+        rob_entries, iq_entries = self._rob_entries, self._iq_entries
+        lq_entries, sq_entries = self._lq_entries, self._sq_entries
+        scheduler_entries = self._scheduler_entries
+        while decode and renamed < fetch_width:
+            op = decode[0]
             dyn = op.dyn
             dec = op.dec
-            cause = self._structural_block(dec)
+            sched = dec.sched
+            # Structural checks, in priority order.
+            if rob >= rob_entries:
+                cause = "rob"
+                break
+            if sched is not None:
+                if iq >= iq_entries:
+                    cause = "iq"
+                    break
+                if len(sched) >= scheduler_entries:
+                    cause = "scheduler"
+                    break
+            if dec.is_load and lq >= lq_entries:
+                cause = "lq"
+                break
+            if dec.is_store and sq >= sq_entries:
+                cause = "sq"
+                break
+            for bank, count in dec.needed_banks:
+                if free[bank] < count:
+                    cause = _BANK_CAUSE[bank]
+                    break
             if cause is not None:
-                self.stats.block(cause)
-                return renamed, cause
+                break
+            stream_reads = dyn.stream_reads
+            stream_writes = dyn.stream_writes
             # Stream store-FIFO reservation (may stall rename).
-            if dyn.stream_writes and engine is not None:
-                fifo_depth = engine.config.fifo_depth
-                for (_, uid, __, last) in dyn.stream_writes:
+            if stream_writes is not None and engine is not None:
+                fifo_depth = self._fifo_depth
+                for (_, uid, __, last) in stream_writes:
                     if last:
                         stream = engine.streams[uid]
                         if (
                             stream.store_reserved - stream.store_drained
                             >= fifo_depth
                         ):
-                            self.stats.block("store_fifo")
+                            cause = "store_fifo"
                             self._rename_block = (op, stream, fifo_depth)
-                            return renamed, "store_fifo"
-            self._decode.popleft()
+                            break
+                if cause is not None:
+                    break
+            decode.popleft()
             renamed += 1
-            self._rob += 1
-            self._rob_q.append(op)
-            if self.observer is not None:
-                self.observer("rename", dyn, now)
+            rob += 1
+            rob_q.append(op)
+            if observer is not None:
+                observer("rename", dyn, now)
             # Resource allocation.  Data written to an output stream lives
             # in its reserved Store FIFO entry rather than a vector PR
             # (§IV-A Stream Iteration).
             if dec.alloc_dests:
                 allocs = dec.needed_banks
-                if dyn.stream_writes:
-                    write_regs = {ev[0] for ev in dyn.stream_writes}
-                    counts: Dict[str, int] = {}
-                    for vidx, bank in dec.alloc_dests:
-                        if vidx not in write_regs:
-                            counts[bank] = counts.get(bank, 0) + 1
-                    allocs = tuple(counts.items())
-                free = self._free
+                if stream_writes is not None:
+                    allocs = [
+                        (bank, 1) for vidx, bank in dec.alloc_dests
+                        if not _names(stream_writes, vidx)
+                    ]
                 for bank, count in allocs:
                     free[bank] -= count
                 op.allocs = allocs
             if dec.is_load:
-                self._lq += 1
+                lq += 1
             if dec.is_store:
-                self._sq += 1
+                sq += 1
             # Register dependences via the RAT (stream-read registers are
             # satisfied by the FIFO, not by a producer).
             if dec.srcs:
-                stream_regs = (
-                    {ev[0] for ev in dyn.stream_reads}
-                    if dyn.stream_reads
-                    else ()
-                )
                 mac_dest = dec.mac_dest
-                producers = op.producers
+                producers = None
                 for key, vidx in dec.srcs:
-                    if vidx in stream_regs:
+                    if (
+                        vidx >= 0
+                        and stream_reads is not None
+                        and _names(stream_reads, vidx)
+                    ):
                         continue
                     producer = rat[key]
                     if producer is not None:
@@ -684,13 +745,17 @@ class Pipeline:
                         # feeding the accumulator of the next MAC is
                         # consumed two cycles early (back-to-back FMLA
                         # chains).
-                        producers.append((
+                        entry = (
                             producer,
                             key in pdec.early_keys,
                             2.0
                             if key == mac_dest and key == pdec.mac_dest
                             else 0.0,
-                        ))
+                        )
+                        if producers is None:
+                            producers = op.producers = [entry]
+                        else:
+                            producers.append(entry)
             for key in dec.dest_keys:
                 rat[key] = op
             # Stream interactions.
@@ -703,43 +768,50 @@ class Pipeline:
                 elif dec.is_stream_co:
                     op.complete = now + 1
                     op.early_complete = now + 1
-                if dyn.stream_reads:
+                if stream_reads is not None:
                     op.stream_waits = self._stream_reads(dyn)
-                if dyn.stream_writes:
-                    op.store_streams = tuple(
-                        (engine.stream(uid), chunk, last)
-                        for (_, uid, chunk, last) in dyn.stream_writes
-                    )
-                    for (stream, _, last) in op.store_streams:
+                if stream_writes is not None:
+                    store_streams = []
+                    for (_, uid, chunk, last) in stream_writes:
+                        stream = engine.stream(uid)
                         if last:
                             stream.reserve_store()
+                        store_streams.append((stream, chunk, last))
+                    op.store_streams = store_streams
             elif dec.is_stream_co:
                 op.complete = now + 1
                 op.early_complete = now + 1
             # Dispatch.
             if op.complete is not None:
                 continue  # completes outside the execution clusters
-            if dec.sched is None:
+            if sched is None:
                 op.complete = now + 1
                 op.early_complete = now + 1
                 continue
             if dec.is_store:
-                for addr in dyn.mem_writes or ():
-                    line = addr // self.hierarchy.line_bytes
-                    if not op.mem_lines or op.mem_lines[-1] != line:
-                        op.mem_lines.append(line)
-                for line in op.mem_lines:
-                    self._store_by_line.setdefault(line, []).append(op)
+                if dyn.mem_writes is not None:
+                    lines = op.mem_lines = write_lines(
+                        dyn.mem_writes, self._line_bytes
+                    )
+                    store_by_line = self._store_by_line
+                    for line in lines:
+                        waiting = store_by_line.get(line)
+                        if waiting is None:
+                            store_by_line[line] = [op]
+                        else:
+                            waiting.append(op)
             elif dec.is_load:
-                seen = []
-                for addr in dyn.mem_reads or ():
-                    line = addr // self.hierarchy.line_bytes
-                    if line not in seen:
-                        seen.append(line)
-                op.mem_lines = seen
-            self._iq += 1
-            dec.sched.append(op)
-        return renamed, None
+                if dyn.mem_reads is not None:
+                    op.mem_lines = read_lines(dyn.mem_reads, self._line_bytes)
+            iq += 1
+            sched.append(op)
+        self._rob, self._iq, self._lq, self._sq = rob, iq, lq, sq
+        if cause is not None:
+            stats = self.stats
+            stats.rename_block_cycles += 1
+            causes = stats.rename_block_causes
+            causes[cause] = causes.get(cause, 0) + 1
+        return renamed, cause
 
     def _stream_reads(self, dyn: DynOp) -> tuple:
         """``(stream, chunk, last)`` of each stream read of ``dyn``, for
@@ -761,24 +833,6 @@ class Pipeline:
             waits.append((stream, chunk, last))
         return tuple(waits)
 
-    def _structural_block(self, dec: _Decoded) -> Optional[str]:
-        if self._rob >= self._rob_entries:
-            return "rob"
-        if dec.sched is not None:
-            if self._iq >= self._iq_entries:
-                return "iq"
-            if len(dec.sched) >= self._scheduler_entries:
-                return "scheduler"
-        if dec.is_load and self._lq >= self._lq_entries:
-            return "lq"
-        if dec.is_store and self._sq >= self._sq_entries:
-            return "sq"
-        free = self._free
-        for bank, count in dec.needed_banks:
-            if free[bank] < count:
-                return f"{bank}_regs"
-        return None
-
     # ---------------------------------------------------------------- issue --
 
     def _ready(self, op: _Op, now: float) -> bool:
@@ -787,27 +841,32 @@ class Pipeline:
         the issue loop skips re-evaluating it until then.  Completion
         times never move later once set, which is what makes the memo
         exact.  A producer or older same-line store with no completion
-        time yet gets the op as a waiter (``wake_at`` = inf) and resets
-        its ``wake_at`` in :meth:`_execute`; an unfetched stream chunk
-        (``wake_at`` = 0) is polled."""
+        time yet gets the op as a waiter (``wake_at`` = inf), and the
+        blocker resets its ``wake_at`` when it issues; an unfetched stream
+        chunk (``wake_at`` = 0) is polled."""
         wake = 0.0
         producers = op.producers
         if producers:
-            remaining = []
+            remaining = None
             for entry in producers:
                 producer, early, bonus = entry
                 t = producer.early_complete if early else producer.complete
                 if t is None:
                     self._park(op, producer)
                     return False
-                if t - bonus > now:
-                    remaining.append(entry)
-                    if t - bonus > wake:
-                        wake = t - bonus
-            op.producers = remaining
-            if remaining:
+                t -= bonus
+                if t > now:
+                    if remaining is None:
+                        remaining = [entry]
+                    else:
+                        remaining.append(entry)
+                    if t > wake:
+                        wake = t
+            if remaining is not None:
+                op.producers = remaining
                 op.wake_at = wake
                 return False
+            op.producers = ()
         if op.stream_waits:
             blocked = False
             known = True
@@ -844,9 +903,9 @@ class Pipeline:
 
     @staticmethod
     def _park(op: _Op, blocker: _Op) -> None:
-        """Skip ``op`` at issue until ``blocker`` executes: only
-        :meth:`_execute` gives an in-flight op its completion time after
-        younger ops have renamed."""
+        """Skip ``op`` at issue until ``blocker`` issues: only issue
+        gives an in-flight op its completion time after younger ops have
+        renamed."""
         op.wake_at = math.inf
         if blocker.waiters is None:
             blocker.waiters = [op]
@@ -854,94 +913,108 @@ class Pipeline:
             blocker.waiters.append(op)
 
     def _issue(self, now: float) -> int:
-        """Issues ready ops; returns how many issued this cycle."""
-        core = self.config.core
-        budget = core.issue_width
-        store_ports = core.store_ports
-        load_ports = core.load_ports
-        total = 0
+        """Issues ready ops; returns how many issued this cycle.
+
+        Issuing executes the op: a load's lines go to the memory
+        hierarchy, and every op gets its completion time."""
+        budget = self._issue_width
+        store_ports = self._core_store_ports
+        load_ports = self._core_load_ports
+        ready = self._ready
+        observer = self.observer
+        demand_access = self._demand_access
+        line_bytes = self._line_bytes
+        total = loads = stores = 0
         for queue, is_mem, cluster_ports in self._issue_plan:
             if not queue:
                 continue
             issued = 0
-            loads = stores = 0
+            limit = cluster_ports if cluster_ports < budget else budget
             for op in queue:
-                if budget <= 0 or issued >= cluster_ports:
+                if issued >= limit:
                     break
+                if op.wake_at > now:
+                    continue  # known not ready before wake_at
                 if is_mem:
                     if op.is_load and loads >= load_ports:
                         continue
                     if op.is_store and stores >= store_ports:
                         continue
-                if op.wake_at > now or not self._ready(op, now):
+                if not ready(op, now):
                     continue
-                self._execute(op, now)
-                issued += 1
-                budget -= 1
+                op.issued = True
+                op.early_complete = now + 1
+                if observer is not None:
+                    observer("issue", op.dyn, now)
                 if op.is_load:
                     loads += 1
+                    completion = now + 1
+                    pc = op.dyn.pc
+                    for line in op.mem_lines:
+                        done = demand_access(
+                            line * line_bytes, now + 1, False, pc
+                        )
+                        if done > completion:
+                            completion = done
+                    op.complete = completion
                 elif op.is_store:
                     stores += 1
+                    # address generation; the data is written at commit
+                    op.complete = now + 1
+                else:
+                    op.complete = now + op.dec.latency
+                waiters = op.waiters
+                if waiters is not None:
+                    for waiter in waiters:
+                        waiter.wake_at = 0.0
+                    op.waiters = None
+                issued += 1
             if issued:
-                # In-place compaction on the `issued` flag set by
-                # _execute (the old `op not in issued` rebuild rescanned
-                # the whole scheduler per issued op).
+                # In-place compaction on the `issued` flag (the old `op
+                # not in issued` rebuild rescanned the whole scheduler
+                # per issued op).
                 queue[:] = [op for op in queue if not op.issued]
-                self._iq -= issued
+                budget -= issued
                 total += issued
+        if total:
+            self._iq -= total
+            stats = self.stats
+            stats.loads_issued += loads
+            stats.stores_issued += stores
         return total
-
-    def _execute(self, op: _Op, now: float) -> None:
-        dyn = op.dyn
-        op.issued = True
-        op.early_complete = now + 1
-        if self.observer is not None:
-            self.observer("issue", dyn, now)
-        if op.is_load:
-            self.stats.loads_issued += 1
-            completion = now + 1
-            for line in op.mem_lines:
-                done = self.hierarchy.demand_access(
-                    line * self.hierarchy.line_bytes, now + 1, False, pc=dyn.pc
-                )
-                if done > completion:
-                    completion = done
-            op.complete = completion
-        elif op.is_store:
-            self.stats.stores_issued += 1
-            op.complete = now + 1  # address generation; data written at commit
-        else:
-            op.complete = now + op.dec.latency
-        if op.waiters is not None:
-            for waiter in op.waiters:
-                waiter.wake_at = 0.0
-            op.waiters = None
 
     def _drain_post_stores(self, now: float) -> bool:
         """Write committed stores to the L1, bounded by the store ports
         and by L1 MSHR availability (backpressure under saturation).
         Returns True when any store line drained or SQ entry freed."""
         drained = False
-        l1 = self.hierarchy.l1d
-        for _ in range(self.config.core.store_ports):
-            if not self._post_stores:
+        post_stores = self._post_stores
+        l1 = self._l1d
+        for _ in range(self._core_store_ports):
+            if not post_stores:
                 return drained
             if not l1.can_accept(now):
                 return drained
             drained = True
-            op, lines = self._post_stores[0]
-            if lines:
-                line = lines.pop(0)
-                self.hierarchy.demand_access(
-                    line * self.hierarchy.line_bytes, now, True, pc=op.dyn.pc
+            op = post_stores[0]
+            lines = op.mem_lines
+            index = self._post_line
+            if index < len(lines):
+                line = lines[index]
+                self._demand_access(
+                    line * self._line_bytes, now, True, op.dyn.pc
                 )
                 waiting = self._store_by_line.get(line)
                 if waiting and waiting[0] is op:
                     waiting.pop(0)
                     if not waiting:
                         del self._store_by_line[line]
-            if not lines:
-                self._post_stores.popleft()
+                index += 1
+            if index < len(lines):
+                self._post_line = index
+            else:
+                post_stores.popleft()
+                self._post_line = 0
                 self._sq -= 1
         return drained
 
@@ -950,28 +1023,30 @@ class Pipeline:
     def _commit(self, now: float) -> None:
         engine = self.engine
         rat = self._rat
-        width = self.config.core.commit_width
-        for _ in range(width):
-            if not self._rob_q:
-                return
-            op = self._rob_q[0]
+        free = self._free
+        rob_q = self._rob_q
+        observer = self.observer
+        committed = loads = 0
+        for _ in range(self._commit_width):
+            if not rob_q:
+                break
+            op = rob_q[0]
             if op.complete is None or op.complete > now - 1:
-                return
-            self._rob_q.popleft()
-            self._rob -= 1
-            self.stats.committed += 1
+                break
+            rob_q.popleft()
+            committed += 1
             dyn = op.dyn
             dec = op.dec
-            if self.observer is not None:
-                self.observer("commit", dyn, now)
+            if observer is not None:
+                observer("commit", dyn, now)
             for bank, count in op.allocs:
-                self._free[bank] += count
+                free[bank] += count
             if op.is_load:
-                self._lq -= 1
+                loads += 1
             if op.is_store:
                 # The store drains to the L1 after commit; its SQ entry is
                 # freed once the L1 accepts it (flow control).
-                self._post_stores.append((op, list(op.mem_lines)))
+                self._post_stores.append(op)
             for key in dec.dest_keys:
                 if rat[key] is op:
                     rat[key] = None
@@ -999,3 +1074,6 @@ class Pipeline:
                     uid = self._stream_alias.pop(dec.stop_reg, None)
                     if uid is not None:
                         engine.terminate(uid)
+        self._rob -= committed
+        self._lq -= loads
+        self.stats.committed += committed

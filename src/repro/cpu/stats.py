@@ -40,12 +40,6 @@ class PipelineStats:
             "bus_utilization": self.bus_utilization,
         }
 
-    def block(self, cause: str) -> None:
-        self.rename_block_cycles += 1
-        self.rename_block_causes[cause] = (
-            self.rename_block_causes.get(cause, 0) + 1
-        )
-
     @property
     def ipc(self) -> float:
         return self.committed / self.cycles if self.cycles else 0.0

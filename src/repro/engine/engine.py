@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.cpu.config import EngineConfig
 from repro.engine.scheduler import StreamScheduler
@@ -81,7 +81,7 @@ class StreamingEngine:
         #: first: (ready cycle, lines, stream, its level); ``_store_line``
         #: is the head's next line
         self._store_queue: Deque[
-            Tuple[float, List[int], EngineStream, MemLevel]
+            Tuple[float, Sequence[int], EngineStream, MemLevel]
         ] = deque()
         self._store_line = 0
         self.stats = EngineStats()
@@ -104,6 +104,9 @@ class StreamingEngine:
         self._backlog_limit = 4 * config.memory_request_queue
         self._translate = hierarchy.tlb.stream_translate
         self._stream_read = hierarchy.stream_read
+        self._stream_write = hierarchy.stream_write
+        self._store_ports = config.store_ports
+        self._dim_switch_penalty = config.dim_switch_penalty
         override = config.mem_level_override
         self._level_override = (
             MemLevel[override.upper()] if override else None
@@ -300,7 +303,7 @@ class StreamingEngine:
         # ends a dimension.
         flags = stream.info.chunk_flags
         if chunk + 1 < len(flags) and flags[chunk + 1] >= 1:
-            busy = now + 1 + self.config.dim_switch_penalty
+            busy = now + 1 + self._dim_switch_penalty
             self._module_busy[module] = busy
             if busy > self._module_busy_until:
                 self._module_busy_until = busy
@@ -363,10 +366,10 @@ class StreamingEngine:
         Returns True when a line drained."""
         queue = self._store_queue
         l1d = self._l1d
-        stream_write = self.hierarchy.stream_write
+        stream_write = self._stream_write
         stats = self.stats
         drained = False
-        for _ in range(self.config.store_ports):
+        for _ in range(self._store_ports):
             if drained and (
                 not queue or queue[0][0] > now or not l1d.can_accept(now)
             ):

@@ -12,11 +12,9 @@ only the state they advance.
 from __future__ import annotations
 
 import math
-from itertools import groupby, repeat
-from operator import floordiv
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
-from repro.sim.trace import StreamTraceInfo
+from repro.sim.trace import StreamTraceInfo, read_lines, write_lines
 from repro.streams.pattern import MemLevel
 
 INFINITY = math.inf
@@ -73,7 +71,7 @@ class EngineStream:
         #: distinct cache lines of chunk ``gen_next`` (None until its
         #: first request), the next one to request, and the latest
         #: completion among those already requested
-        self.lines: Optional[List[int]] = None
+        self.lines: Optional[Sequence[int]] = None
         self.line_index = 0
         self.fill_ready = 0.0
         #: ready cycle of each fetched chunk (load FIFO entries)
@@ -97,27 +95,20 @@ class EngineStream:
 
     # -- Cache lines of a chunk ---------------------------------------------------
 
-    def chunk_lines(self, index: int) -> List[int]:
+    def chunk_lines(self, index: int) -> Sequence[int]:
         """The lines a load fetches for chunk ``index``: the
         engine-internal indirect origin reads first, then the chunk, each
         distinct line once, in first-touch order."""
-        line_bytes = self.line_bytes
         addrs = self.info.chunks[index]
         origin = self.info.origin_reads[index]
         if origin:
-            addrs = origin + addrs
-        return list({addr // line_bytes: None for addr in addrs})
+            addrs = [*origin, *addrs]
+        return read_lines(addrs, self.line_bytes)
 
-    def store_lines(self, index: int) -> List[int]:
+    def store_lines(self, index: int) -> Sequence[int]:
         """The lines a store drains for chunk ``index``: its lines in
         element order, a line repeated only when not consecutive."""
-        line_bytes = self.line_bytes
-        addrs = self.info.chunks[index]
-        return [
-            line for line, _ in groupby(
-                map(floordiv, addrs, repeat(line_bytes))
-            )
-        ]
+        return write_lines(self.info.chunks[index], self.line_bytes)
 
     # -- Consumption interface (pipeline-facing) -----------------------------------
 

@@ -77,15 +77,22 @@ class RunSpec:
         )
 
     def trace_key(
-        self, scale: float, seed: int, lowering: str = "ir"
+        self,
+        scale: float,
+        seed: int,
+        lowering: str = "ir",
+        config: Optional[MachineConfig] = None,
     ) -> tuple:
         """Every input of the build and the functional pass.  Runs with
         equal trace keys record the same trace; the rest of the config
-        only touches timing."""
+        only touches timing.  ``config`` is the spec's resolved config,
+        for a caller that has resolved it already."""
+        if config is None:
+            config = self.resolved_config()
         return (
             self.kernel, self.isa, self.unroll,
             self.resolved_lowering(lowering),
-            self.resolved_config().vector_bits, scale, seed,
+            config.vector_bits, scale, seed,
         )
 
 
@@ -154,21 +161,26 @@ class Runner:
         build, recording and verification.  Neither cache is consulted.
         """
         start = time.perf_counter()
-        if len({spec.trace_key(self.scale, self.seed, self.lowering)
-                for spec in specs}) > 1:
+        # Each spec's config is resolved once (a spec without one builds
+        # its ISA's default machine) and passed down.
+        configs = [spec.resolved_config() for spec in specs]
+        if len({
+            spec.trace_key(self.scale, self.seed, self.lowering, config)
+            for spec, config in zip(specs, configs)
+        }) > 1:
             raise ConfigError("runs of one group must share a trace key")
-        for spec in specs:
-            _check_consistent(spec.isa, spec.resolved_config())
+        for spec, config in zip(specs, configs):
+            _check_consistent(spec.isa, config)
         first = specs[0]
         recording, wl = record_kernel(
-            first.kernel, first.isa, first.resolved_config().vector_bits,
+            first.kernel, first.isa, configs[0].vector_bits,
             scale=self.scale, seed=self.seed, unroll=first.unroll,
             lowering=first.resolved_lowering(self.lowering),
         )
         wl.verify()
         letter = get_kernel(first.kernel).letter
-        for spec in specs:
-            result = recording.time(spec.resolved_config())
+        for spec, config in zip(specs, configs):
+            result = recording.time(config)
             seconds = time.perf_counter() - start
             yield _run_record(spec, letter, result), seconds
             start = time.perf_counter()

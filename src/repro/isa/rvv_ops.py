@@ -135,7 +135,7 @@ class VlLoadStrided(Instruction):
             addr = start + i * stride
             data[i] = state.mem.read_scalar(addr, self.etype)
             addrs.append(addr)
-        state.record_mem_read(addrs)
+        state.record_mem_read(tuple(addrs))
         state.write_v(
             self.vd, VecValue(data, np.ones(max(vl, 1), dtype=bool)), self.etype
         )

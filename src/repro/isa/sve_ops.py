@@ -186,6 +186,7 @@ class Ld1(Instruction):
                         addr = start + i * width
                         data[i] = read(addr)
                         addrs.append(addr)
+                addrs = tuple(addrs)
                 valid = mask.copy()
             record(addrs)
             write_v(vd, VecValue(data, valid), etype)
@@ -295,6 +296,7 @@ class St1(Instruction):
                         addr = start + i * width
                         write(addr, value.data[i])
                         addrs.append(addr)
+                addrs = tuple(addrs)
             record(addrs)
             return None
 
@@ -333,7 +335,7 @@ class Ld1Gather(Instruction):
                 addr = base + int(index.data[i]) * width
                 data[i] = state.mem.read_scalar(addr, self.etype)
                 addrs.append(addr)
-        state.record_mem_read(addrs)
+        state.record_mem_read(tuple(addrs))
         state.write_v(self.vd, VecValue(data, mask.copy()), self.etype)
         return None
 
@@ -376,7 +378,7 @@ class St1Scatter(Instruction):
                 addr = base + int(index.data[i]) * width
                 state.mem.write_scalar(addr, value.data[i], self.etype)
                 addrs.append(addr)
-        state.record_mem_write(addrs)
+        state.record_mem_write(tuple(addrs))
         return None
 
     @property

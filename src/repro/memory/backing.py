@@ -7,6 +7,7 @@ with :meth:`Memory.alloc_array` and can be viewed back zero-copy with
 """
 from __future__ import annotations
 
+import mmap
 from typing import Callable, Tuple
 
 import numpy as np
@@ -15,12 +16,27 @@ from repro.common.types import CACHE_LINE_BYTES, ElementType
 from repro.errors import MemoryAccessError
 
 
+#: images at least this large are mapped on demand (see :func:`_zeroed`)
+MAPPED_IMAGE_BYTES = 1 << 20
+
+
+def _zeroed(size: int) -> np.ndarray:
+    """``size`` zero bytes.  A large image is an anonymous mapping, whose
+    pages the operating system supplies zeroed when first touched:
+    taking it from the heap instead makes ``calloc`` clear every byte up
+    front, whether the run touches it or not.  Small images stay on the
+    heap, where reuse is cheaper than a fresh mapping."""
+    if size >= MAPPED_IMAGE_BYTES:
+        return np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+    return np.zeros(size, dtype=np.uint8)
+
+
 class Memory:
     """A contiguous simulated physical memory."""
 
     def __init__(self, size: int = 64 * 1024 * 1024) -> None:
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.data = _zeroed(size)
         self._brk = CACHE_LINE_BYTES  # keep address 0 unused
         self._views = {}  # per-dtype full-memory views (aligned fast path)
         # Per-type scalar accessors.  They capture the byte array and the

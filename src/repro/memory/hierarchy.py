@@ -27,17 +27,25 @@ class MemoryHierarchy:
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
+        #: the one line size of every level (MachineConfig checks they
+        #: agree): each level is indexed by the same line numbers
         self.line_bytes = config.l1d.line_bytes
         self.dram = Dram(config.dram)
         pf = config.prefetch
         l2_prefetcher = (
-            AmpmPrefetcher(zones=pf.l2_ampm_zones, queue_size=pf.l2_ampm_queue)
+            AmpmPrefetcher(
+                zones=pf.l2_ampm_zones,
+                queue_size=pf.l2_ampm_queue,
+                line_bytes=self.line_bytes,
+            )
             if pf.l2_ampm_enabled
             else None
         )
         l1_prefetcher = (
             StridePrefetcher(
-                depth=pf.l1_stride_depth, table_entries=pf.l1_stride_table_entries
+                depth=pf.l1_stride_depth,
+                table_entries=pf.l1_stride_table_entries,
+                line_bytes=self.line_bytes,
             )
             if pf.l1_stride_enabled
             else None
@@ -55,18 +63,6 @@ class MemoryHierarchy:
 
     def line_of(self, addr: int) -> int:
         return addr // self.line_bytes
-
-    def lines_of(self, addrs) -> list:
-        """Distinct cache lines touched by a list of byte addresses,
-        preserving first-touch order."""
-        seen = []
-        last = -1
-        for addr in addrs:
-            line = addr // self.line_bytes
-            if line != last and line not in seen:
-                seen.append(line)
-            last = line
-        return seen
 
     # -- Demand (core pipeline) path ----------------------------------------------
 

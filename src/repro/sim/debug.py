@@ -58,7 +58,8 @@ def functional_trace(
 
 
 def _addr_span(addrs) -> str:
-    addrs = list(addrs)
+    """First and last address and the count, read off an address run
+    without expanding it."""
     if len(addrs) == 1:
         return f"{addrs[0]:#x}"
     return f"{addrs[0]:#x}..{addrs[-1]:#x} ({len(addrs)})"

@@ -23,7 +23,13 @@ from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
 from repro.isa.vector import VecValue, all_valid, zeros
 from repro.memory.backing import Memory
-from repro.sim.trace import DynOp, StreamEvent, StreamTraceInfo, TraceSummary
+from repro.sim.trace import (
+    Addresses,
+    DynOp,
+    StreamEvent,
+    StreamTraceInfo,
+    TraceSummary,
+)
 from repro.streams.descriptor import (
     Descriptor,
     IndirectBehavior,
@@ -100,7 +106,10 @@ class _RuntimeStream:
     a dimension-0 boundary, so a chunk is always a slice of one run).
     Whether a run is contiguous is decided once, from its stride, when it
     is fetched: every chunk of a contiguous run is one block access, and
-    every chunk of any other run a gather or scatter.
+    every chunk of any other run a gather or scatter.  A vector chunk
+    is recorded as an address run (a ``range`` with the run's stride),
+    and only a chunk of a zero-stride run, or one assembled by scalar
+    accesses, as a list of its addresses.
     Scalar accesses and context restores step through the same buffered
     run, so every access follows one element order: the order
     :class:`~repro.streams.iterator.StreamIterator` defines.
@@ -140,6 +149,7 @@ class _RuntimeStream:
         self._run_len = 0
         self._run_pos = 0
         self._run_flags = -1
+        self._run_stride = 0
         self._run_contiguous = False
         self.last_flags = -1
         self.ended = False
@@ -180,6 +190,7 @@ class _RuntimeStream:
             self._run_addrs = run.addresses
             self._run_len = len(run.addresses)
             self._run_flags = run.dims_ended
+            self._run_stride = run.stride
             self._run_contiguous = (
                 run.stride == self._width or self._run_len == 1
             )
@@ -189,12 +200,26 @@ class _RuntimeStream:
         flags = self._run_flags if end == self._run_len else -1
         return self._run_addrs[pos:end], count, flags
 
-    def _close_chunk(self, addresses: List[int]) -> None:
-        self.trace.chunks.append(addresses)
-        self.trace.origin_reads.append(self.origin_pending)
-        self.trace.chunk_flags.append(self.last_flags)
-        self.origin_pending = []
-        self._open_chunk = []
+    def _run_chunk(self, chunk: np.ndarray, count: int) -> Addresses:
+        """The addresses of ``count`` elements ``chunk`` took from the
+        buffered run: a ``range`` with the run's stride (element *i* of
+        a run is its first plus *i* strides), or a list when the stride
+        is zero."""
+        stride = self._run_stride
+        if stride:
+            start = int(chunk[0])
+            return range(start, start + count * stride, stride)
+        return chunk.tolist()
+
+    def _close_chunk(self, addresses: Addresses) -> None:
+        trace = self.trace
+        trace.chunks.append(addresses)
+        # A chunk without indirect origin reads shares the empty tuple.
+        origin = self.origin_pending
+        if origin:
+            self.origin_pending = []
+        trace.origin_reads.append(origin or ())
+        trace.chunk_flags.append(self.last_flags)
         self._chunk_count += 1
 
     # -- Vector-granular access --------------------------------------------
@@ -211,21 +236,22 @@ class _RuntimeStream:
             )
         lanes, etype = self.lanes, self.etype
         chunk, count, flags = self._take(lanes)
+        addrs = self._run_chunk(chunk, count)
         if self._run_contiguous and count == lanes:
             # A full chunk of a contiguous run is one block read, and the
             # block is the value.
-            data = self.mem.read_block(int(chunk[0]), count, etype)
+            data = self.mem.read_block(addrs[0], count, etype)
             valid = self._full
         else:
             data = np.zeros(lanes, dtype=etype.dtype)
             if self._run_contiguous:
-                data[:count] = self.mem.read_block(int(chunk[0]), count, etype)
+                data[:count] = self.mem.read_block(addrs[0], count, etype)
             else:
                 data[:count] = self.mem.read_gather(chunk, etype)
             valid = np.zeros(lanes, dtype=bool)
             valid[:count] = True
         self.last_flags = flags
-        self._close_chunk(chunk.tolist())
+        self._close_chunk(addrs)
         self.elements_done += count
         self.ended = flags == self._last_dim
         return VecValue(data, valid), chunk_id
@@ -240,14 +266,15 @@ class _RuntimeStream:
                 "production of the current chunk"
             )
         chunk, count, flags = self._take(self.lanes)
+        addrs = self._run_chunk(chunk, count)
         # Chunks of other runs (including duplicate addresses, which
         # resolve last-write-wins in element order) are scattered.
         if self._run_contiguous:
-            self.mem.write_block(int(chunk[0]), value.data[:count])
+            self.mem.write_block(addrs[0], value.data[:count])
         else:
             self.mem.write_scatter(chunk, value.data[:count], self.etype)
         self.last_flags = flags
-        self._close_chunk(chunk.tolist())
+        self._close_chunk(addrs)
         self.elements_done += count
         self.ended = flags == self._last_dim
         return chunk_id
@@ -266,6 +293,7 @@ class _RuntimeStream:
         self.ended = flags == self._last_dim
         if flags >= 0 or len(self._open_chunk) == self.lanes:
             self._close_chunk(self._open_chunk)
+            self._open_chunk = []
         return value, chunk_id
 
     def write_scalar(self, value) -> int:
@@ -280,6 +308,7 @@ class _RuntimeStream:
         self.ended = flags == self._last_dim
         if flags >= 0 or len(self._open_chunk) == self.lanes:
             self._close_chunk(self._open_chunk)
+            self._open_chunk = []
         return chunk_id
 
     def _check_active(self, what: str) -> None:
@@ -330,8 +359,8 @@ class MachineState:
         self.stream_infos: Dict[int, StreamTraceInfo] = {}
 
         # Per-instruction event scratchpad (collected into DynOps).
-        self.ev_mem_reads: List[int] = []
-        self.ev_mem_writes: List[int] = []
+        self.ev_mem_reads: Optional[Addresses] = None
+        self.ev_mem_writes: Optional[Addresses] = None
         self.ev_stream_reads: List[StreamEvent] = []
         self.ev_stream_writes: List[StreamEvent] = []
         self.ev_cfg_uid: Optional[int] = None
@@ -627,21 +656,33 @@ class MachineState:
 
     # -- Trace event helpers ---------------------------------------------------
 
-    def record_mem_read(self, addrs) -> None:
-        self.ev_mem_reads.extend(addrs)
+    def record_mem_read(self, addrs: Addresses) -> None:
+        """Record the addresses one access reads, in element order: a
+        ``range`` for a contiguous run, else a tuple.  The first access
+        of an instruction is kept as it is; a second one joins it in a
+        tuple."""
+        reads = self.ev_mem_reads
+        self.ev_mem_reads = addrs if reads is None else (*reads, *addrs)
         self._ev_dirty = True
 
-    def record_mem_write(self, addrs) -> None:
-        self.ev_mem_writes.extend(addrs)
+    def record_mem_write(self, addrs: Addresses) -> None:
+        """Record the addresses one access writes (as
+        :meth:`record_mem_read`)."""
+        writes = self.ev_mem_writes
+        self.ev_mem_writes = addrs if writes is None else (*writes, *addrs)
         self._ev_dirty = True
 
     def clear_events(self) -> None:
         if not self._ev_dirty:
             return
-        self.ev_mem_reads = []
-        self.ev_mem_writes = []
-        self.ev_stream_reads = []
-        self.ev_stream_writes = []
+        self.ev_mem_reads = None
+        self.ev_mem_writes = None
+        # A DynOp holds copies of the stream events, so the lists are
+        # reused.
+        if self.ev_stream_reads:
+            self.ev_stream_reads.clear()
+        if self.ev_stream_writes:
+            self.ev_stream_writes.clear()
         self.ev_cfg_uid = None
         self._ev_dirty = False
 
@@ -749,13 +790,15 @@ class FunctionalSimulator:
             commits[pc] += 1
             if dynops:
                 if state._ev_dirty:
+                    stream_reads = state.ev_stream_reads
+                    stream_writes = state.ev_stream_writes
                     op = DynOp(
                         seq, pc, instructions[pc],
-                        tuple(state.ev_mem_reads) or None,
-                        tuple(state.ev_mem_writes) or None,
+                        state.ev_mem_reads or None,
+                        state.ev_mem_writes or None,
                         label is not None,
-                        tuple(state.ev_stream_reads) or None,
-                        tuple(state.ev_stream_writes) or None,
+                        tuple(stream_reads) if stream_reads else None,
+                        tuple(stream_writes) if stream_writes else None,
                         state.ev_cfg_uid,
                     )
                     state.clear_events()

@@ -26,8 +26,10 @@ Timing a recording under another vector width raises
 :class:`~repro.errors.ConfigError`.  The timing model consumes exactly
 the trace the engine metadata came from, so the two cannot diverge.
 
-The held trace costs about 172 bytes per committed instruction (see
-docs/TIMING.md for measured peaks).
+A held recording keeps each contiguous access and each stream chunk as
+an address run (a ``range``), so it costs 164-191 bytes per committed
+instruction on perfbench's SVE programs and 246-546 on its UVE ones,
+whose ops also hold stream events (docs/TIMING.md, "Memory cost").
 """
 from __future__ import annotations
 

@@ -7,7 +7,7 @@ counts, Fig. 8.A) come straight from the trace.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.types import ElementType
 from repro.isa.instructions import Instruction
@@ -21,13 +21,56 @@ from repro.streams.pattern import Direction, MemLevel
 #: store-FIFO space and commits the chunk to the engine only for those.
 StreamEvent = Tuple[int, int, int, bool]
 
+#: The byte addresses of one memory access or one stream chunk, in
+#: element order.  A contiguous access (an SVE ``ld1``/``st1`` block,
+#: NEON, RVV unit-stride, a UVE legacy vector load or store) and a chunk
+#: of a stream run with a nonzero stride are an address *run*: a
+#: ``range``, one object whatever its length.  Every other access
+#: (gathers, scatters, lane loops, scalar stream chunks, indirect origin
+#: reads) holds its addresses explicitly, in a tuple or list.
+Addresses = Sequence[int]
+
+
+def read_lines(addrs: Addresses, line_bytes: int) -> Sequence[int]:
+    """The distinct cache lines of ``addrs`` in first-touch order: the
+    lines a load, or a stream chunk, reads.
+
+    An ascending run whose step is at most one line touches every line
+    from its first element's to its last's, so its lines are that
+    ``range``, with no per-element work.  Like the per-element
+    derivation, it reads only each element's start address."""
+    if addrs.__class__ is range and 0 < addrs.step <= line_bytes and addrs:
+        return range(addrs.start // line_bytes, addrs[-1] // line_bytes + 1)
+    if len(addrs) == 1:
+        return [addrs[0] // line_bytes]
+    lines = {}
+    for addr in addrs:
+        lines[addr // line_bytes] = None
+    return list(lines)
+
+
+def write_lines(addrs: Addresses, line_bytes: int) -> Sequence[int]:
+    """The cache lines of ``addrs`` in element order, a line repeated
+    only when not consecutive: the lines a store, or a stream chunk,
+    writes.  An ascending run with a step of at most one line gives the
+    ``range`` of :func:`read_lines`."""
+    if addrs.__class__ is range and 0 < addrs.step <= line_bytes and addrs:
+        return range(addrs.start // line_bytes, addrs[-1] // line_bytes + 1)
+    lines: List[int] = []
+    for addr in addrs:
+        line = addr // line_bytes
+        if not lines or lines[-1] != line:
+            lines.append(line)
+    return lines
+
 
 class DynOp:
     """One dynamic (committed) instruction instance.
 
-    It records only what the run decided: the memory addresses, branch
-    outcome and stream events of this instance.  The static facts of its
-    pc (op class, sources, destinations) are read from ``inst``."""
+    It records only what the run decided: the memory addresses (each an
+    :data:`Addresses`), branch outcome and stream events of this
+    instance.  The static facts of its pc (op class, sources,
+    destinations) are read from ``inst``."""
 
     __slots__ = (
         "seq",
@@ -46,8 +89,8 @@ class DynOp:
         seq: int,
         pc: int,
         inst: Instruction,
-        mem_reads: Optional[Tuple[int, ...]] = None,
-        mem_writes: Optional[Tuple[int, ...]] = None,
+        mem_reads: Optional[Addresses] = None,
+        mem_writes: Optional[Addresses] = None,
         taken: bool = False,
         stream_reads: Optional[Tuple[StreamEvent, ...]] = None,
         stream_writes: Optional[Tuple[StreamEvent, ...]] = None,
@@ -71,9 +114,11 @@ class DynOp:
 class StreamTraceInfo:
     """Per-configured-stream record used by the timing Streaming Engine.
 
-    ``chunks[i]`` is the list of byte addresses of the *i*-th vector-sized
-    transfer; ``origin_reads[i]`` are extra engine-internal loads issued
-    while generating chunk *i* (indirect-pattern index fetches).
+    ``chunks[i]`` holds the byte addresses (:data:`Addresses`) of the
+    *i*-th vector-sized transfer; ``origin_reads[i]`` are extra
+    engine-internal loads issued while generating chunk *i*
+    (indirect-pattern index fetches; an empty tuple when there are
+    none).
     """
 
     __slots__ = (
@@ -106,8 +151,8 @@ class StreamTraceInfo:
         self.mem_level = mem_level
         self.ndims = ndims
         self.storage_bytes = storage_bytes
-        self.chunks: List[List[int]] = []
-        self.origin_reads: List[List[int]] = []
+        self.chunks: List[Addresses] = []
+        self.origin_reads: List[Sequence[int]] = []
         #: dims_ended flag of each chunk's final element
         self.chunk_flags: List[int] = []
 

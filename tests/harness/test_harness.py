@@ -73,6 +73,30 @@ class TestRunner:
         with pytest.raises(ConfigError, match="lowering"):
             Runner(scale=0.1, lowering="asm")
 
+    def test_simulate_resolves_each_config_once(self, monkeypatch):
+        """A group resolves each spec's config once, not once per use
+        (trace key, consistency check, recording, timing)."""
+        from dataclasses import replace
+        from repro.harness.runner import RunSpec
+        base = default_machine("uve")
+        specs = [
+            RunSpec("saxpy", "uve"),
+            RunSpec("saxpy", "uve",
+                    base.with_(engine=replace(base.engine, fifo_depth=2))),
+        ]
+        calls = []
+        resolve = RunSpec.resolved_config
+        monkeypatch.setattr(
+            RunSpec, "resolved_config",
+            lambda spec: calls.append(spec) or resolve(spec),
+        )
+        records = [r for r, _ in Runner(scale=0.1).simulate(specs)]
+        assert calls == specs
+        monkeypatch.undo()
+        assert [r.cycles for r in records] == [
+            Runner(scale=0.1).run_spec(spec).cycles for spec in specs
+        ]
+
 
 class TestRegistry:
     def test_all_figures_registered(self):

@@ -71,11 +71,6 @@ class TestStreamPath:
         h.stream_write(line, 0, MemLevel.L2)
         assert h.l1d.contains(line)
 
-    def test_lines_of_dedupes_in_order(self):
-        h = make_hierarchy()
-        addrs = [0, 4, 8, 64, 68, 0]  # lines 0,0,0,1,1,0
-        assert h.lines_of(addrs) == [0, 1]
-
 
 class TestWarm:
     def test_warm_fills_l2_up_to_capacity(self):
@@ -87,3 +82,58 @@ class TestWarm:
     def test_utilization_starts_at_zero(self):
         h = make_hierarchy()
         assert h.bus_utilization(1000) == 0.0
+
+
+class TestLineSize:
+    """Every level, and both prefetchers, work in one line size."""
+
+    @staticmethod
+    def config(line_bytes):
+        from dataclasses import replace
+        base = MachineConfig()
+        return base.with_(
+            l1d=replace(base.l1d, line_bytes=line_bytes),
+            l2=replace(base.l2, line_bytes=line_bytes),
+            dram=replace(base.dram, line_bytes=line_bytes),
+        )
+
+    def test_mismatched_line_sizes_are_rejected(self):
+        from dataclasses import replace
+        import pytest
+        from repro.errors import ConfigError
+        base = MachineConfig()
+        for level in ("l1d", "l2", "dram"):
+            with pytest.raises(ConfigError, match="line sizes must agree"):
+                base.with_(**{
+                    level: replace(getattr(base, level), line_bytes=128)
+                })
+
+    def test_prefetchers_take_the_configured_line(self):
+        h = MemoryHierarchy(self.config(128))
+        assert h.line_bytes == 128
+        assert h.l1d.prefetcher.line_bytes == 128
+        assert h.l2.prefetcher.line_bytes == 128
+        assert h.l2.prefetcher.lines_per_zone == 4096 // 128
+
+    def test_stride_prefetcher_trains_on_128_byte_lines(self):
+        """A line-stride stream prefetches the same lines, counted in
+        lines, whatever the line size."""
+
+        def resident(line_bytes):
+            h = MemoryHierarchy(self.config(line_bytes))
+            now = 0.0
+            for i in range(6):  # one line per access
+                now = h.demand_access(0x10000 + i * line_bytes, now, False,
+                                      pc=7)
+            assert h.l1d.stats.prefetch_fills > 0
+            last = (0x10000 + 5 * line_bytes) // line_bytes
+            return [k for k in range(-8, 40) if h.l1d.contains(last + k)]
+
+        assert resident(128) == resident(64)
+
+    def test_ampm_trains_on_128_byte_lines(self):
+        h = MemoryHierarchy(self.config(128))
+        now = 0.0
+        for line in range(3):  # lines 0, 1, 2 of one zone
+            now = h.l2.access(line, now, False)
+        assert h.l2.contains(3) and h.l2.contains(4)

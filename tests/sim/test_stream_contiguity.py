@@ -104,7 +104,9 @@ class TestRunStridePaths:
         assert mem.paths == ["block"]
         # A full chunk carries the shared read-only all-valid mask.
         assert value.valid is all_valid(LANES)
-        assert stream.trace.chunks == [addrs]
+        # The chunk is recorded as an address run.
+        assert stream.trace.chunks == [range(64, 64 + LANES * WIDTH, WIDTH)]
+        assert [list(c) for c in stream.trace.chunks] == [addrs]
 
     def test_contiguous_tail_chunk_is_padded(self):
         stream, mem, addrs = make_stream(Direction.LOAD, 64, LANES + 2, WIDTH)
@@ -117,7 +119,9 @@ class TestRunStridePaths:
         assert value.valid.tolist() == [True, True, False, False]
         assert value.valid.flags.writeable
         assert mem.paths == ["block", "block"]
-        assert stream.trace.chunks == [addrs[:LANES], addrs[LANES:]]
+        assert [list(c) for c in stream.trace.chunks] == [
+            addrs[:LANES], addrs[LANES:]
+        ]
         assert stream.ended
 
     def test_contiguous_chunk_writes_one_block(self):

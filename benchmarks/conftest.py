@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from repro.harness import Runner
+from repro.harness.diskcache import ResultCache
+from repro.harness.executor import CampaignExecutor
 
 
 def bench_scale() -> float:
@@ -19,16 +20,19 @@ def bench_scale() -> float:
 
 
 @pytest.fixture(scope="session")
-def runner() -> Runner:
-    return Runner(scale=bench_scale(), seed=0)
+def executor(tmp_path_factory) -> CampaignExecutor:
+    """One in-process executor for the session.  Its disk cache, fresh
+    per session, lets figures that share runs simulate them once."""
+    cache = ResultCache(tmp_path_factory.mktemp("results"))
+    return CampaignExecutor(scale=bench_scale(), seed=0, jobs=1, cache=cache)
 
 
-def run_figure(benchmark, runner, experiment_fn):
-    """Run one experiment exactly once under pytest-benchmark and print
-    its table."""
-    result = benchmark.pedantic(
-        experiment_fn, args=(runner,), rounds=1, iterations=1,
-        warmup_rounds=0,
+def run_figure(benchmark, executor, experiment):
+    """Run one experiment (its runs, then its table) exactly once under
+    pytest-benchmark and print its table."""
+    [result] = benchmark.pedantic(
+        executor.run_campaign, args=([experiment],), rounds=1,
+        iterations=1, warmup_rounds=0,
     )
     print()
     print(result.render())

@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 10 FIFO depth sensitivity (paper evaluation)."""
-from repro.harness import sensitivity
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig10(benchmark, runner):
-    result = run_figure(benchmark, runner, sensitivity.fifo_depth)
+def test_fig10(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig10"])
     assert result.rows, "experiment produced no rows"

@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 11 stream cache level (paper evaluation)."""
-from repro.harness import sensitivity
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig11(benchmark, runner):
-    result = run_figure(benchmark, runner, sensitivity.stream_cache_level)
+def test_fig11(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig11"])
     assert result.rows, "experiment produced no rows"

@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 8.A instruction reduction (paper evaluation)."""
-from repro.harness import fig8
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig8a(benchmark, runner):
-    result = run_figure(benchmark, runner, fig8.instruction_reduction)
+def test_fig8a(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig8a"])
     assert result.rows, "experiment produced no rows"

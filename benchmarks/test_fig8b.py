@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 8.B speedup (paper evaluation)."""
-from repro.harness import fig8
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig8b(benchmark, runner):
-    result = run_figure(benchmark, runner, fig8.speedup)
+def test_fig8b(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig8b"])
     assert result.rows, "experiment produced no rows"

@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 8.C rename blocks (paper evaluation)."""
-from repro.harness import fig8
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig8c(benchmark, runner):
-    result = run_figure(benchmark, runner, fig8.rename_blocks)
+def test_fig8c(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig8c"])
     assert result.rows, "experiment produced no rows"

@@ -1,9 +1,9 @@
 """Benchmark: regenerate Fig 8.E loop unrolling (paper evaluation)."""
-from repro.harness import fig8
+from repro.harness import EXPERIMENTS
 
 from conftest import run_figure
 
 
-def test_fig8e(benchmark, runner):
-    result = run_figure(benchmark, runner, fig8.unrolling)
+def test_fig8e(benchmark, executor):
+    result = run_figure(benchmark, executor, EXPERIMENTS["fig8e"])
     assert result.rows, "experiment produced no rows"

@@ -4,7 +4,7 @@ from typing import Callable, Dict, List
 
 from repro.harness import extensions, fig8, overheads, sensitivity
 from repro.harness.report import ExperimentResult
-from repro.harness.runner import Runner, RunRecord, RunSpec
+from repro.harness.runner import Records, Runner, RunRecord, RunSpec
 
 
 def _no_specs(runner: Runner) -> List[RunSpec]:
@@ -13,18 +13,20 @@ def _no_specs(runner: Runner) -> List[RunSpec]:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment: the table builder plus the up-front
-    declaration of every simulation it needs, so the campaign executor
-    can interleave runs of different figures in one pool."""
+    """A registered experiment: its run list, and a table built from the
+    records of exactly those runs.
 
-    build: Callable[[Runner], ExperimentResult]
+    The campaign executor calls ``specs`` (the run list; experiments
+    that share one share its runs), simulates or loads every run it
+    names, and hands ``build`` their records in run-list order.  A table
+    never simulates: reading a run its list did not declare raises
+    ``KeyError``."""
+
+    build: Callable[[Records], ExperimentResult]
     specs: Callable[[Runner], List[RunSpec]] = field(default=_no_specs)
 
-    def __call__(self, runner: Runner) -> ExperimentResult:
-        return self.build(runner)
 
-
-#: experiment id -> Experiment (callable(runner) -> ExperimentResult)
+#: experiment id -> Experiment
 EXPERIMENTS: Dict[str, Experiment] = {
     "table1": Experiment(overheads.table1),
     "fig8-table": Experiment(fig8.benchmark_table),
@@ -48,18 +50,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
-def run_experiment(name: str, runner: Runner = None) -> ExperimentResult:
-    if runner is None:
-        runner = Runner()
-    return EXPERIMENTS[name](runner)
-
-
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "ExperimentResult",
+    "Records",
     "RunRecord",
     "RunSpec",
     "Runner",
-    "run_experiment",
 ]

@@ -188,7 +188,9 @@ def main(argv=None) -> int:
             writer.append(result)
 
     try:
-        executor.run_campaign(names, on_result=on_result)
+        executor.run_campaign(
+            [EXPERIMENTS[name] for name in names], on_result=on_result
+        )
     except CampaignInterrupted as interrupt:
         # Completed rows are safe (disk cache + already-flushed JSON);
         # record the interruption and exit with the conventional SIGINT
@@ -205,8 +207,7 @@ def main(argv=None) -> int:
     print(
         f"campaign: {counts['total']} runs in {time.time() - start:.1f}s "
         f"({counts['miss']} simulated, {counts['hit-disk']} from disk "
-        f"cache, {counts['hit-memory']} from memory; jobs="
-        f"{executor.jobs})",
+        f"cache; jobs={executor.jobs})",
         file=sys.stderr,
     )
     if counts["miss"]:

@@ -4,6 +4,8 @@
 :func:`validate_results`) asserts the qualitative claims of the paper —
 who wins, orderings, flat-vs-growing sensitivities — against a previously
 exported campaign, without pinning fragile absolute numbers.
+:func:`diff_results` pins them instead: it lists every value in which a
+campaign differs from a reference export such as ``results.json``.
 
 A malformed or truncated campaign (e.g. an export missing its ``average``
 row) must degrade to ``FAIL:`` entries naming the missing row, never to
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence
 
 
@@ -39,6 +42,42 @@ class CheckReport:
 
 def _experiments(payload: dict) -> Dict[str, dict]:
     return {e["experiment"]: e for e in payload["experiments"]}
+
+
+def diff_results(expected: dict, got: dict) -> List[str]:
+    """Every value in which the exported campaign ``got`` differs from
+    ``expected``, one line each naming the experiment, row, column and
+    both values (``None`` where one side has no such cell); empty when
+    they agree exactly."""
+    diffs = [
+        f"{name}: expected {expected.get(name)!r}, got {got.get(name)!r}"
+        for name in ("scale", "seed") if expected.get(name) != got.get(name)
+    ]
+    want, have = _experiments(expected), _experiments(got)
+    for name in list(want) + [n for n in have if n not in want]:
+        a, b = want.get(name), have.get(name)
+        if a is None or b is None:
+            side = "got" if a is None else "expected"
+            diffs.append(f"{name}: only in {side}")
+            continue
+        for part in ("title", "headers"):
+            if a[part] != b[part]:
+                diffs.append(f"{name} {part}: expected {a[part]!r}, "
+                             f"got {b[part]!r}")
+        rows = zip_longest(a["rows"], b["rows"], fillvalue=[])
+        for i, (row_a, row_b) in enumerate(rows):
+            label = " ".join(str(cell) for cell in (row_a or row_b)[:2])
+            cells = zip_longest(row_a, row_b)
+            for j, (x, y) in enumerate(cells):
+                if x != y:
+                    column = a["headers"][j] if j < len(a["headers"]) else j
+                    diffs.append(f"{name} row {i} ({label}) column "
+                                 f"{column!r}: expected {x!r}, got {y!r}")
+        notes = zip_longest(a["notes"], b["notes"])
+        for i, (x, y) in enumerate(notes):
+            if x != y:
+                diffs.append(f"{name} note {i}: expected {x!r}, got {y!r}")
+    return diffs
 
 
 def _speedup(cell: str) -> float:

@@ -4,10 +4,11 @@ The figure CLI (``python -m repro.harness``), the design-space sweeps
 (:mod:`repro.harness.sweep`) and perfbench's ``campaign`` workload all
 hand their runs to :meth:`CampaignExecutor.run_specs`, which:
 
-1. deduplicates them by content fingerprint (the figure CLI collects
-   every figure's declared :class:`~repro.harness.runner.RunSpec` up
-   front, so independent runs of *different* figures interleave);
-2. serves what it can from the warm in-process cache and the on-disk
+1. takes them deduplicated by content fingerprint (the figure CLI's
+   :meth:`~CampaignExecutor.run_campaign` keys every experiment's run
+   list up front, so independent runs of *different* figures
+   interleave);
+2. serves what it can from the on-disk
    :class:`~repro.harness.diskcache.ResultCache`, so a re-run only
    simulates what changed;
 3. runs the misses on one of three back ends: in-process (``jobs=1``,
@@ -21,7 +22,7 @@ hand their runs to :meth:`CampaignExecutor.run_specs`, which:
    its trace once and times it under each run's config
    (:meth:`~repro.harness.runner.Runner.simulate`), and on the pool it
    travels as one task.  The service back end runs one job per run;
-4. leaves every record in ``runner``'s cache, from which the figure
+4. leaves every record in ``runner.records``, from which the figure
    tables and sweep rows are built serially — so the back end and its
    width never change the output.
 
@@ -39,9 +40,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ReproError
+from repro.harness import Experiment
 from repro.harness.report import ExperimentResult
 from repro.harness.runner import Runner, RunRecord, RunSpec
 
@@ -73,7 +77,7 @@ class RunEvent:
     isa: str
     unroll: int
     key: str
-    status: str  # "hit-memory" | "hit-disk" | "miss"
+    status: str  # "hit-disk" | "miss"
     wall_s: float
     worker: Union[int, str]  # pid, or shard id on the service back end
     queue_depth: int
@@ -134,47 +138,22 @@ class CampaignExecutor:
             cache = service.cache
         self.cache = cache
         self.lowering = lowering
-        self.runner = Runner(
-            scale=scale, seed=seed, disk_cache=cache, lowering=lowering
-        )
+        self.runner = Runner(scale=scale, seed=seed, lowering=lowering)
         self.progress = progress
         self.events: List[RunEvent] = []
 
-    # -- Spec collection -----------------------------------------------------
-
-    def collect_specs(self, names: List[str]) -> Dict[str, RunSpec]:
-        """Every experiment's declared runs, deduplicated by fingerprint
-        (insertion order preserved, so execution order is deterministic)."""
-        from repro.harness import EXPERIMENTS
-
-        specs: Dict[str, RunSpec] = {}
-        for name in names:
-            for spec in EXPERIMENTS[name].specs(self.runner):
-                key = spec.key(self.scale, self.seed, self.lowering)
-                specs.setdefault(key, spec)
-        return specs
-
     # -- Execution -----------------------------------------------------------
 
-    def prefetch(self, names: List[str]) -> None:
-        """Warm the in-process cache for every declared run: disk cache
-        first, then the back end for the misses."""
-        self.run_specs(self.collect_specs(names))
-
     def run_specs(self, specs: Dict[str, RunSpec]) -> None:
-        """Execute fingerprint-keyed specs into the runner's warm cache:
-        memory and disk hits first, then the misses on the back end.
-        Also the entry point for external spec producers such as
+        """Execute fingerprint-keyed specs into ``runner.records``: disk
+        hits first, then the misses on the back end.  Also the entry
+        point for external spec producers such as
         :mod:`repro.harness.sweep`."""
         pending: Dict[str, RunSpec] = {}
         for key, spec in specs.items():
-            if self.runner.cached(key) is not None:
-                self._emit(spec, key, "hit-memory", 0.0, os.getpid(),
-                           len(pending))
-                continue
             record = self.cache.load(key) if self.cache else None
             if record is not None:
-                self.runner.seed_cache(key, record)
+                self.runner.records[key] = record
                 self._emit(spec, key, "hit-disk", 0.0, os.getpid(),
                            len(pending))
             else:
@@ -198,7 +177,7 @@ class CampaignExecutor:
             ) from None
 
     def _finish(self, key, spec, record, wall, worker, remaining) -> None:
-        self.runner.seed_cache(key, record)
+        self.runner.records[key] = record
         if self.cache is not None:
             self.cache.store(key, record)
         self._emit(spec, key, "miss", wall, worker, remaining)
@@ -249,24 +228,41 @@ class CampaignExecutor:
                 # "hit": a shard stored the artifact after this executor
                 # looked for it.
                 status = "miss" if result.status == "ran" else "hit-disk"
-                self.runner.seed_cache(result.key, result.record)
+                self.runner.records[result.key] = result.record
                 self._emit(pending[result.key], result.key, status,
                            result.run_s, result.worker or os.getpid(),
                            remaining)
 
     def run_campaign(
         self,
-        names: List[str],
+        experiments: Sequence[Experiment],
         on_result: Optional[Callable[[ExperimentResult], None]] = None,
     ) -> List[ExperimentResult]:
-        """Prefetch every declared run, then build each experiment table
-        from the warm cache, invoking ``on_result`` as each completes."""
-        from repro.harness import EXPERIMENTS
+        """Run every experiment's runs in one :meth:`run_specs` call, then
+        build each table from the records of its run list, invoking
+        ``on_result`` as each completes.
 
-        self.prefetch(names)
+        Each distinct run-list function is called once and each of its
+        specs keyed once; experiments that share a run list (fig8a-d)
+        share its runs and records."""
+        run_lists: Dict[Callable, List[Tuple[RunSpec, str]]] = {}
+        for experiment in experiments:
+            if experiment.specs not in run_lists:
+                run_lists[experiment.specs] = [
+                    (spec, spec.key(self.scale, self.seed, self.lowering))
+                    for spec in experiment.specs(self.runner)
+                ]
+        specs: Dict[str, RunSpec] = {}
+        for keyed in run_lists.values():
+            for spec, key in keyed:
+                specs.setdefault(key, spec)
+        self.run_specs(specs)
         results = []
-        for name in names:
-            result = EXPERIMENTS[name].build(self.runner)
+        for experiment in experiments:
+            result = experiment.build({
+                spec: self.runner.records[key]
+                for spec, key in run_lists[experiment.specs]
+            })
             results.append(result)
             if on_result is not None:
                 on_result(result)
@@ -289,7 +285,7 @@ class CampaignExecutor:
             )
 
     def cache_summary(self) -> Dict[str, int]:
-        counts = {"hit-memory": 0, "hit-disk": 0, "miss": 0}
+        counts = {"hit-disk": 0, "miss": 0}
         for event in self.events:
             counts[event.status] += 1
         counts["total"] = len(self.events)

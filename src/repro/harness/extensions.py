@@ -16,7 +16,7 @@ from typing import List
 
 from repro.cpu.config import default_machine
 from repro.harness.report import ExperimentResult
-from repro.harness.runner import Runner, RunSpec
+from repro.harness.runner import Records, Runner, RunSpec
 
 #: kernels with RVV implementations (the 1-D family).
 RVV_KERNELS = ("memcpy", "stream", "saxpy", "jacobi-1d", "jacobi-2d", "knn")
@@ -38,18 +38,19 @@ def _pooled_config():
     return cfg.with_(engine=replace(cfg.engine, shared_fifo=True))
 
 
+def _rvv_runs(name: str):
+    """``name``'s UVE, SVE, RVV and NEON runs.  RVV code runs on the
+    SVE core."""
+    return (
+        RunSpec(name, "uve"),
+        RunSpec(name, "sve"),
+        RunSpec(name, "rvv", default_machine("sve")),
+        RunSpec(name, "neon"),
+    )
+
+
 def rvv_comparison_specs(runner: Runner) -> List[RunSpec]:
-    specs = []
-    for name in RVV_KERNELS:
-        specs.extend(
-            (
-                RunSpec(name, "uve"),
-                RunSpec(name, "sve"),
-                RunSpec(name, "rvv", default_machine("sve")),
-                RunSpec(name, "neon"),
-            )
-        )
-    return specs
+    return [spec for name in RVV_KERNELS for spec in _rvv_runs(name)]
 
 
 def vector_length_sweep_specs(runner: Runner) -> List[RunSpec]:
@@ -69,13 +70,10 @@ def shared_fifo_specs(runner: Runner) -> List[RunSpec]:
     return specs
 
 
-def rvv_comparison(runner: Runner) -> ExperimentResult:
+def rvv_comparison(records: Records) -> ExperimentResult:
     rows = []
     for name in RVV_KERNELS:
-        uve = runner.run(name, "uve")
-        sve = runner.run(name, "sve")
-        rvv = runner.run(name, "rvv", default_machine("sve"))
-        neon = runner.run(name, "neon")
+        uve, sve, rvv, neon = (records[spec] for spec in _rvv_runs(name))
         rows.append(
             (
                 name,
@@ -96,16 +94,16 @@ def rvv_comparison(runner: Runner) -> ExperimentResult:
     )
 
 
-def vector_length_sweep(runner: Runner) -> ExperimentResult:
+def vector_length_sweep(records: Records) -> ExperimentResult:
     """Run the *same* kernel builders at four hardware vector lengths."""
     rows = []
     widths = VL_WIDTHS
     for name in VL_KERNELS:
         for isa in ("uve", "sve"):
-            cycles = []
-            for bits in widths:
-                record = runner.run(name, isa, _vl_config(isa, bits))
-                cycles.append(record.cycles)
+            cycles = [
+                records[RunSpec(name, isa, _vl_config(isa, bits))].cycles
+                for bits in widths
+            ]
             base = cycles[widths.index(512)]
             rows.append(
                 (name, isa)
@@ -122,12 +120,12 @@ def vector_length_sweep(runner: Runner) -> ExperimentResult:
     )
 
 
-def shared_fifo(runner: Runner) -> ExperimentResult:
+def shared_fifo(records: Records) -> ExperimentResult:
     """§IV-B future work: pool the load-FIFO capacity across streams."""
     rows = []
     for name in SHARED_FIFO_KERNELS:
-        fixed = runner.run(name, "uve")
-        pooled = runner.run(name, "uve", _pooled_config())
+        fixed = records[RunSpec(name, "uve")]
+        pooled = records[RunSpec(name, "uve", _pooled_config())]
         rows.append(
             (
                 name,

@@ -7,10 +7,10 @@ benchmark-characterisation table.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Tuple
 
 from repro.harness.report import ExperimentResult, geomean
-from repro.harness.runner import Runner, RunSpec
+from repro.harness.runner import Records, Runner, RunSpec
 from repro.kernels import all_kernels, get_kernel
 
 #: the three ISAs every fig8 comparison panel runs per benchmark.
@@ -26,21 +26,25 @@ def comparison_specs(runner: Runner) -> List[RunSpec]:
     ]
 
 
-def _unroll_factors(runner: Runner) -> List[int]:
-    """Unroll factors must divide the scaled GEMM K dimension."""
-    kernel = get_kernel("gemm")
-    k_dim = kernel.workload(seed=runner.seed, scale=runner.scale).params["k"]
-    return [f for f in (1, 2, 4, 8) if k_dim % f == 0]
+def _comparison(records: Records) -> Iterator[Tuple]:
+    """Each benchmark with its UVE, SVE and NEON records."""
+    for kernel in all_kernels():
+        yield (kernel,) + tuple(
+            records[RunSpec(kernel.name, isa)] for isa in COMPARISON_ISAS
+        )
 
 
 def unrolling_specs(runner: Runner) -> List[RunSpec]:
+    """Unroll factors must divide the scaled GEMM K dimension."""
+    kernel = get_kernel("gemm")
+    k_dim = kernel.workload(seed=runner.seed, scale=runner.scale).params["k"]
     return [
         RunSpec("gemm", "uve", unroll=factor)
-        for factor in _unroll_factors(runner)
+        for factor in (1, 2, 4, 8) if k_dim % factor == 0
     ]
 
 
-def benchmark_table(runner: Runner = None) -> ExperimentResult:
+def benchmark_table(records: Records) -> ExperimentResult:
     """Fig. 8 left table: per-benchmark stream/pattern characterisation."""
     rows = []
     for kernel in all_kernels():
@@ -67,14 +71,11 @@ def benchmark_table(runner: Runner = None) -> ExperimentResult:
     )
 
 
-def instruction_reduction(runner: Runner) -> ExperimentResult:
+def instruction_reduction(records: Records) -> ExperimentResult:
     """Fig. 8.A: reduction of committed instructions, UVE vs SVE/NEON."""
     rows = []
     red_sve, red_neon = [], []
-    for kernel in all_kernels():
-        u = runner.run(kernel.name, "uve")
-        s = runner.run(kernel.name, "sve")
-        n = runner.run(kernel.name, "neon")
+    for kernel, u, s, n in _comparison(records):
         rs = 1 - u.committed / s.committed
         rn = 1 - u.committed / n.committed
         red_sve.append(rs)
@@ -93,14 +94,11 @@ def instruction_reduction(runner: Runner) -> ExperimentResult:
     )
 
 
-def speedup(runner: Runner) -> ExperimentResult:
+def speedup(records: Records) -> ExperimentResult:
     """Fig. 8.B: performance speedup of UVE over SVE and NEON."""
     rows = []
     vec_sve, all_neon = [], []
-    for kernel in all_kernels():
-        u = runner.run(kernel.name, "uve")
-        s = runner.run(kernel.name, "sve")
-        n = runner.run(kernel.name, "neon")
+    for kernel, u, s, n in _comparison(records):
         sp_s = s.cycles / u.cycles
         sp_n = n.cycles / u.cycles
         if kernel.sve_vectorized:
@@ -120,14 +118,11 @@ def speedup(runner: Runner) -> ExperimentResult:
     )
 
 
-def rename_blocks(runner: Runner) -> ExperimentResult:
+def rename_blocks(records: Records) -> ExperimentResult:
     """Fig. 8.C: rename-stage blocks per cycle."""
     rows = []
     ratios = []
-    for kernel in all_kernels():
-        u = runner.run(kernel.name, "uve")
-        s = runner.run(kernel.name, "sve")
-        n = runner.run(kernel.name, "neon")
+    for kernel, u, s, n in _comparison(records):
         rows.append((kernel.letter, kernel.name,
                      u.rename_blocks_per_cycle, s.rename_blocks_per_cycle,
                      n.rename_blocks_per_cycle))
@@ -148,13 +143,10 @@ def rename_blocks(runner: Runner) -> ExperimentResult:
     )
 
 
-def bus_utilization(runner: Runner) -> ExperimentResult:
+def bus_utilization(records: Records) -> ExperimentResult:
     """Fig. 8.D: DRAM bus utilization, (ReadBW+WriteBW)/PeakBW."""
     rows = []
-    for kernel in all_kernels():
-        u = runner.run(kernel.name, "uve")
-        s = runner.run(kernel.name, "sve")
-        n = runner.run(kernel.name, "neon")
+    for kernel, u, s, n in _comparison(records):
         rows.append((kernel.letter, kernel.name,
                      u.bus_utilization, s.bus_utilization, n.bus_utilization))
     return ExperimentResult(
@@ -166,16 +158,15 @@ def bus_utilization(runner: Runner) -> ExperimentResult:
     )
 
 
-def unrolling(runner: Runner) -> ExperimentResult:
-    """Fig. 8.E: speed-up of loop unrolling on the UVE GEMM."""
-    base_cycles = None
-    rows = []
-    for factor in _unroll_factors(runner):
-        record = runner.run("gemm", "uve", unroll=factor)
-        if base_cycles is None:
-            base_cycles = record.cycles
-        rows.append((factor, int(record.cycles),
-                     f"{base_cycles / record.cycles:.2f}x"))
+def unrolling(records: Records) -> ExperimentResult:
+    """Fig. 8.E: speed-up of loop unrolling on the UVE GEMM, normalised
+    to the first (not unrolled) run of the run list."""
+    base_cycles = next(iter(records.values())).cycles
+    rows = [
+        (spec.unroll, int(record.cycles),
+         f"{base_cycles / record.cycles:.2f}x")
+        for spec, record in records.items()
+    ]
     return ExperimentResult(
         "fig8e",
         "GEMM loop-unrolling speed-up (UVE unrolled vs not unrolled)",

@@ -8,8 +8,9 @@ This module derives a *canonical* fingerprint by walking dataclass fields
 member (``"Cls.NAME"``), sorting dicts by key string and turning tuples
 into lists, then hashing the sorted-JSON form, so equal configs always
 hit and any nested field change always misses.  The same fingerprint keys
-the in-process :class:`~repro.harness.runner.Runner` cache, the on-disk
-:class:`~repro.harness.diskcache.ResultCache` and the service's job queue.
+a campaign's records (:attr:`~repro.harness.runner.Runner.records`), the
+on-disk :class:`~repro.harness.diskcache.ResultCache` and the service's
+job queue.
 
 A key is one walk.  ``str``, ``int``, ``float``, ``bool`` and ``None``
 are returned as they are; every other class is looked at once, when a

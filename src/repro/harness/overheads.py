@@ -6,10 +6,11 @@ from dataclasses import replace
 from repro.cpu.config import EngineConfig, MachineConfig
 from repro.engine.engine import StreamingEngine
 from repro.harness.report import ExperimentResult
+from repro.harness.runner import Records
 from repro.memory.hierarchy import MemoryHierarchy
 
 
-def storage_overheads(runner=None) -> ExperimentResult:
+def storage_overheads(records: Records) -> ExperimentResult:
     """Storage accounting for the evaluated engine and the reduced
     configuration the paper proposes (8 streams, 4 dims)."""
     rows = []
@@ -43,7 +44,7 @@ def storage_overheads(runner=None) -> ExperimentResult:
     )
 
 
-def table1(runner=None) -> ExperimentResult:
+def table1(records: Records) -> ExperimentResult:
     """Table I: the machine configuration actually simulated."""
     cfg = MachineConfig()
     core, eng = cfg.core, cfg.engine

@@ -1,23 +1,22 @@
-"""Experiment runner: executes kernel × ISA × configuration simulations,
-verifies numerical correctness, and caches results within a process so a
-figure that reuses another figure's runs does not resimulate them.
+"""Experiment runner: executes kernel × ISA × configuration simulations
+and verifies their numerical correctness.
 
 Runs are identified by a :class:`RunSpec` — a picklable value object that
 a :class:`~repro.harness.executor.CampaignExecutor` worker can rebuild a
 ``Runner`` from — and cached under a canonical content fingerprint (see
 :mod:`repro.harness.fingerprint`), so semantically equal configurations
-hit regardless of how they were constructed.
+share one record regardless of how they were constructed.
 
 Runs whose build and functional pass are the same share a *trace key*
 (:meth:`RunSpec.trace_key`); :meth:`Runner.simulate` records such a
 group's trace once, verifies it once and times it under each run's
-config.  A single run is the group of one.
+config.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.config import MachineConfig, default_machine
 from repro.errors import ConfigError
@@ -61,6 +60,11 @@ class RunSpec:
     unroll: int = 0
     lowering: Optional[str] = None
 
+    def __hash__(self) -> int:
+        # ``config.latencies`` is a dict, so the config is left out of
+        # the hash; equality still compares every field.
+        return hash((self.kernel, self.isa, self.unroll, self.lowering))
+
     def resolved_config(self) -> MachineConfig:
         if self.config is not None:
             return self.config
@@ -96,15 +100,17 @@ class RunSpec:
         )
 
 
+#: a table's input: the record of each run its run list declared, in
+#: run-list order.
+Records = Mapping[RunSpec, RunRecord]
+
+
 class Runner:
-    """Runs and caches simulations for the experiment harness."""
+    """Simulates runs for the experiment harness, and holds a campaign's
+    records by fingerprint."""
 
     def __init__(
-        self,
-        scale: float = 1.0,
-        seed: int = 0,
-        disk_cache=None,
-        lowering: str = "ir",
+        self, scale: float = 1.0, seed: int = 0, lowering: str = "ir"
     ) -> None:
         if lowering not in ("ir", "legacy"):
             raise ConfigError(
@@ -114,40 +120,11 @@ class Runner:
         self.seed = seed
         #: program-generation path for every run (specs may override).
         self.lowering = lowering
-        #: optional ResultCache-like object (load/store) consulted on a
-        #: memory miss, so re-runs only simulate what changed
-        self.disk_cache = disk_cache
-        self._cache: Dict[str, RunRecord] = {}
-
-    def run(
-        self,
-        kernel_name: str,
-        isa: str,
-        config: Optional[MachineConfig] = None,
-        unroll: int = 0,
-    ) -> RunRecord:
-        return self.run_spec(RunSpec(kernel_name, isa, config, unroll))
-
-    def run_spec(self, spec: RunSpec) -> RunRecord:
-        key = spec.key(self.scale, self.seed, self.lowering)
-        record = self._cache.get(key)
-        if record is None and self.disk_cache is not None:
-            record = self.disk_cache.load(key)
-            if record is not None:
-                self._cache[key] = record
-        if record is None:
-            record, _ = next(self.simulate([spec]))
-            self._cache[key] = record
-            if self.disk_cache is not None:
-                self.disk_cache.store(key, record)
-        return record
-
-    def seed_cache(self, key: str, record: RunRecord) -> None:
-        """Install an externally computed result (executor prefetch)."""
-        self._cache[key] = record
+        #: fingerprint -> record, filled by the campaign executor
+        self.records: Dict[str, RunRecord] = {}
 
     def cached(self, key: str) -> Optional[RunRecord]:
-        return self._cache.get(key)
+        return self.records.get(key)
 
     def simulate(
         self, specs: Sequence[RunSpec]
@@ -158,7 +135,7 @@ class Runner:
         Yields ``(record, host seconds)`` per spec, in order, as each run
         is timed, so a caller can finish (cache, report) every run before
         the next one starts.  The first run's seconds include the shared
-        build, recording and verification.  Neither cache is consulted.
+        build, recording and verification.  No cache is consulted.
         """
         start = time.perf_counter()
         # Each spec's config is resolved once (a spec without one builds

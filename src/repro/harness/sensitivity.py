@@ -11,7 +11,7 @@ from typing import List
 
 from repro.cpu.config import default_machine
 from repro.harness.report import ExperimentResult
-from repro.harness.runner import Runner, RunSpec
+from repro.harness.runner import Records, Runner, RunSpec
 
 #: the benchmark subset the paper sweeps.
 SWEEP_KERNELS = ("gemm", "jacobi-2d", "stream", "mamr")
@@ -64,20 +64,19 @@ def stream_cache_level_specs(runner: Runner) -> List[RunSpec]:
     ]
 
 
-def vector_registers(runner: Runner) -> ExperimentResult:
+def vector_registers(records: Records) -> ExperimentResult:
     """Fig. 9: performance sensitivity to physical vector registers."""
     counts = PR_COUNTS
     rows = []
     for name in SWEEP_KERNELS:
         for isa in ("uve", "sve"):
-            base = None
-            speeds = []
-            for count in counts:
-                record = runner.run(name, isa, _pr_config(isa, count))
-                if base is None:
-                    base = record.cycles
-                speeds.append(base / record.cycles)
-            rows.append((name, isa) + tuple(f"{s:.2f}x" for s in speeds))
+            cycles = [
+                records[RunSpec(name, isa, _pr_config(isa, count))].cycles
+                for count in counts
+            ]
+            rows.append(
+                (name, isa) + tuple(f"{cycles[0] / c:.2f}x" for c in cycles)
+            )
     return ExperimentResult(
         "fig9",
         "Sensitivity to the number of physical vector registers "
@@ -88,21 +87,17 @@ def vector_registers(runner: Runner) -> ExperimentResult:
     )
 
 
-def fifo_depth(runner: Runner) -> ExperimentResult:
+def fifo_depth(records: Records) -> ExperimentResult:
     """Fig. 10: sensitivity to the load/store FIFO depth."""
     depths = FIFO_DEPTHS
     rows = []
     for name in SWEEP_KERNELS + ("3mm",):
-        base = None
-        speeds = []
-        for depth in depths:
-            record = runner.run(name, "uve", _fifo_config(depth))
-            if depth == 8:
-                base = record.cycles
-            speeds.append(record.cycles)
-        rows.append(
-            (name,) + tuple(f"{base / c:.2f}x" for c in speeds)
-        )
+        cycles = [
+            records[RunSpec(name, "uve", _fifo_config(depth))].cycles
+            for depth in depths
+        ]
+        base = cycles[depths.index(8)]
+        rows.append((name,) + tuple(f"{base / c:.2f}x" for c in cycles))
     return ExperimentResult(
         "fig10",
         "Sensitivity to FIFO depth (normalized to depth 8; paper: >=4 "
@@ -112,18 +107,16 @@ def fifo_depth(runner: Runner) -> ExperimentResult:
     )
 
 
-def stream_cache_level(runner: Runner) -> ExperimentResult:
+def stream_cache_level(records: Records) -> ExperimentResult:
     """Fig. 11: sensitivity to the cache/memory level streams access."""
     levels = CACHE_LEVELS
     rows = []
     for name in SWEEP_KERNELS:
-        base = None
-        cycles = []
-        for level in levels:
-            record = runner.run(name, "uve", _level_config(level))
-            if level == "L2":
-                base = record.cycles
-            cycles.append(record.cycles)
+        cycles = [
+            records[RunSpec(name, "uve", _level_config(level))].cycles
+            for level in levels
+        ]
+        base = cycles[levels.index("L2")]
         rows.append((name,) + tuple(f"{base / c:.2f}x" for c in cycles))
     return ExperimentResult(
         "fig11",

@@ -346,8 +346,7 @@ def worker_loop(
     service = ExperimentService.attach(root)
     worker = shard_id or f"{os.uname().nodename}:{os.getpid()}"
     runner = Runner(
-        scale=service.scale, seed=service.seed,
-        disk_cache=service.cache, lowering=service.lowering,
+        scale=service.scale, seed=service.seed, lowering=service.lowering,
     )
     completed = 0
     while max_jobs is None or completed < max_jobs:
@@ -363,10 +362,11 @@ def worker_loop(
             service.root / "queue.sqlite", service.params, job.key, worker
         )
         try:
-            # Idempotent replay: run_spec consults the shared artifact
-            # store first, so a job whose previous owner died after
+            # Idempotent replay: a job whose previous owner died after
             # storing the artifact completes without resimulating.
-            record = runner.run_spec(spec)
+            if service.cache.load(job.key) is None:
+                record, _ = next(runner.simulate([spec]))
+                service.cache.store(job.key, record)
         except Exception as exc:  # noqa: BLE001 — any failure retries
             heartbeat.stop()
             try:

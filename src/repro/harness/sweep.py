@@ -311,22 +311,21 @@ def run_sweep(
         scale=scale, seed=seed, jobs=workers, progress=progress,
         lowering=lowering, service=service,
     )
+    keys = [point.spec.key(scale, seed, lowering) for point in points]
     keyed = {}
-    for point in points:
-        keyed.setdefault(point.spec.key(scale, seed, lowering), point.spec)
+    for key, point in zip(keys, points):
+        keyed.setdefault(key, point.spec)
     start = time.monotonic()
     executor.run_specs(keyed)
     rows = [
-        _row_for(point, executor.runner.cached(
-            point.spec.key(scale, seed, lowering)
-        ))
-        for point in points
+        _row_for(point, executor.runner.cached(key))
+        for key, point in zip(keys, points)
     ]
 
     # "ran" means *this* invocation: rows whose artifact already existed
     # are cache hits even if a prior invocation ran them.
     counts = executor.cache_summary()
-    hits = counts["hit-disk"] + counts["hit-memory"]
+    hits = counts["hit-disk"]
     jobs = {
         "mode": "service" if service is not None
         else "pool" if executor.jobs > 1 else "in-process",

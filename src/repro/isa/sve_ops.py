@@ -311,6 +311,16 @@ class St1(Instruction):
         return f"st1{self.etype.suffix} {self.vs}, {self.pg}, [{self.base}{idx}]"
 
 
+#: a gather/scatter index vector holds signed integers of the data's
+#: element width; read as the data's type, an F32 index would round
+#: every index above 2**24.
+_INDEX_TYPES = {
+    etype.width: etype
+    for etype in (ElementType.I8, ElementType.I16, ElementType.I32,
+                  ElementType.I64)
+}
+
+
 @dataclass(frozen=True)
 class Ld1Gather(Instruction):
     """Gather load: lane *i* from ``base + vindex[i]*ew``."""
@@ -326,7 +336,7 @@ class Ld1Gather(Instruction):
         lanes = state.lanes(self.etype)
         mask = state.read_pred(self.pg, lanes)
         base = state.read_x(self.base)
-        index = state.read_v(self.vindex, self.etype)
+        index = state.read_v(self.vindex, _INDEX_TYPES[self.etype.width])
         width = self.etype.width
         data = np.zeros(lanes, dtype=self.etype.dtype)
         addrs = []
@@ -369,7 +379,7 @@ class St1Scatter(Instruction):
         lanes = state.lanes(self.etype)
         mask = state.read_pred(self.pg, lanes)
         base = state.read_x(self.base)
-        index = state.read_v(self.vindex, self.etype)
+        index = state.read_v(self.vindex, _INDEX_TYPES[self.etype.width])
         value = state.read_v(self.vs, self.etype)
         width = self.etype.width
         addrs = []

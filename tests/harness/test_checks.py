@@ -1,9 +1,10 @@
 """Tests for the results-validation module."""
+import copy
 import json
 
 import pytest
 
-from repro.harness.checks import CheckReport, validate_results
+from repro.harness.checks import CheckReport, diff_results, validate_results
 
 
 @pytest.fixture()
@@ -88,3 +89,38 @@ class TestCanonicalResults:
         report = validate_results(str(path))
         assert report.ok, report.render()
         assert len(report.passed) > 50
+
+
+class TestDiffResults:
+    def test_equal_campaigns_have_no_diff(self, good_payload):
+        assert diff_results(good_payload, copy.deepcopy(good_payload)) == []
+
+    def test_names_experiment_row_column_and_both_values(self):
+        expected = {"scale": 1.0, "seed": 0, "experiments": [{
+            "experiment": "fig8a", "title": "t",
+            "headers": ["id", "benchmark", "uve", "sve"],
+            "rows": [["A", "memcpy", 10, 20], ["B", "stream", 30, 38415]],
+            "notes": ["n"],
+        }]}
+        got = copy.deepcopy(expected)
+        got["experiments"][0]["rows"][1][3] = 38426
+        got["experiments"][0]["notes"][0] = "m"
+        assert diff_results(expected, got) == [
+            "fig8a row 1 (B stream) column 'sve': expected 38415, "
+            "got 38426",
+            "fig8a note 0: expected 'n', got 'm'",
+        ]
+
+    def test_missing_rows_cells_and_experiments(self, good_payload):
+        got = copy.deepcopy(good_payload)
+        got["scale"] = 0.5
+        del got["experiments"][0]["rows"][-1]
+        got["experiments"][0]["rows"][0].pop()
+        del got["experiments"][1]
+        diffs = diff_results(good_payload, got)
+        assert diffs[0] == "scale: expected 1.0, got 0.5"
+        assert "fig8b row 0 (A memcpy) column 4: expected '', " \
+            "got None" in diffs
+        assert "fig8b row 3 ( geomean (vectorized vs SVE)) column 2: " \
+            "expected '1.55x', got None" in diffs
+        assert diffs[-1] == "fig9: only in expected"

@@ -175,17 +175,25 @@ class TestPrune:
             parse_size("-1M")
 
 
-class TestRunnerDiskIntegration:
-    def test_runner_reads_through_and_populates(self, tmp_path):
-        from repro.harness.runner import Runner
+class TestExecutorDiskIntegration:
+    def test_executor_reads_through_and_populates(
+            self, tmp_path, monkeypatch):
+        from repro.harness.executor import CampaignExecutor
+        from repro.harness.runner import Runner, RunSpec
 
+        spec = RunSpec("saxpy", "uve")
+        key = spec.key(0.1, 0)
         cache = ResultCache(tmp_path, salt="s")
-        first = Runner(scale=0.1, disk_cache=cache)
-        rec = first.run("saxpy", "uve")
-        # A fresh Runner with an empty memory cache loads from disk
-        # instead of simulating.
-        second = Runner(scale=0.1, disk_cache=cache)
-        monkey_called = []
-        second.simulate = lambda *a, **k: monkey_called.append(a)
-        assert second.run("saxpy", "uve") == rec
-        assert not monkey_called
+        first = CampaignExecutor(scale=0.1, jobs=1, cache=cache)
+        first.run_specs({key: spec})
+        rec = first.runner.cached(key)
+        assert cache.load(key) == rec
+        # A fresh executor with no records loads from disk instead of
+        # simulating.
+        monkeypatch.setattr(Runner, "simulate", lambda *a, **k: pytest.fail(
+            "a cached run simulated"
+        ))
+        second = CampaignExecutor(scale=0.1, jobs=1, cache=cache)
+        second.run_specs({key: spec})
+        assert second.runner.cached(key) == rec
+        assert [e.status for e in second.events] == ["hit-disk"]

@@ -1,7 +1,7 @@
 """Tests for the parallel, cache-persistent campaign executor.
 
 A cheap two-experiment campaign at tiny scale keeps these fast while
-still covering spec collection, pool execution, determinism, and the
+still covering run lists, pool execution, determinism, and the
 disk-cache life cycle.
 """
 import multiprocessing
@@ -9,22 +9,56 @@ from pathlib import Path
 
 import pytest
 
+import repro.harness.runner as runner_mod
 from repro.errors import ConfigError
-from repro.harness import EXPERIMENTS
+from repro.harness import EXPERIMENTS, Experiment
+from repro.harness.__main__ import main as harness_main
 from repro.harness.diskcache import ResultCache
 from repro.harness.executor import CampaignExecutor, CampaignInterrupted
-from repro.harness.runner import Runner, RunSpec
+from repro.harness.runner import Runner, RunRecord, RunSpec
 from repro.harness.sweep import SweepSpec
 from repro.sim.functional import FunctionalSimulator
 
-CAMPAIGN = ["fig8e", "ext-shared-fifo"]
+CAMPAIGN = [EXPERIMENTS[name] for name in ("fig8e", "ext-shared-fifo")]
 SCALE = 0.1
+
+#: a record every table can divide by, for campaigns that must not
+#: simulate
+STUB = RunRecord(
+    kernel="stub", letter="Z", isa="uve", committed=100, cycles=50.0,
+    ipc=2.0, rename_blocks_per_cycle=0.5, bus_utilization=0.25,
+    dram_bytes=64, mispredict_rate=0.0, fifo_occupancy=1.0,
+    l1_miss_rate=0.1, l2_miss_rate=0.1,
+)
+
+
+class StubCache:
+    """A result cache that holds every run."""
+
+    def load(self, key):
+        return STUB
+
+    def store(self, key, record):
+        pass
 
 
 def run_campaign(jobs, cache=None):
     executor = CampaignExecutor(scale=SCALE, seed=0, jobs=jobs, cache=cache)
     results = executor.run_campaign(CAMPAIGN)
     return executor, [r.to_dict() for r in results]
+
+
+def count_keys(monkeypatch):
+    """Count ``run_fingerprint`` calls from here on."""
+    calls = []
+    real = runner_mod.run_fingerprint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "run_fingerprint", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -39,38 +73,87 @@ class TestDeterminism:
         _, got = run_campaign(jobs=4)
         assert got == expected
 
-    def test_matches_direct_run_experiment(self, serial):
-        from repro.harness import Runner, run_experiment
-
+    def test_matches_tables_of_direct_simulations(self, serial):
+        """Tables built from one-run simulations, outside the executor,
+        equal the campaign's."""
         _, expected = serial
         runner = Runner(scale=SCALE, seed=0)
-        direct = [run_experiment(n, runner).to_dict() for n in CAMPAIGN]
+        direct = [
+            experiment.build({
+                spec: next(runner.simulate([spec]))[0]
+                for spec in experiment.specs(runner)
+            }).to_dict()
+            for experiment in CAMPAIGN
+        ]
         assert direct == expected
 
 
-class TestSpecDeclarations:
+class TestRunLists:
     def test_every_experiment_declares_specs(self):
-        executor = CampaignExecutor(scale=SCALE, jobs=1)
-        specs = executor.collect_specs(list(EXPERIMENTS))
+        runner = Runner(scale=SCALE)
+        keys = {
+            spec.key(SCALE, 0)
+            for experiment in EXPERIMENTS.values()
+            for spec in experiment.specs(runner)
+        }
         # 19 kernels x 3 ISAs for fig8a-d alone; sweeps add more.
-        assert len(specs) > 80
+        assert len(keys) > 80
 
-    def test_prefetch_covers_the_builds(self, serial):
-        """After prefetch, building the tables must simulate nothing —
-        i.e. the declared specs are complete for these experiments."""
-        executor, _ = serial
-        executor.runner.simulate = lambda *a, **k: pytest.fail(
-            "build required an undeclared simulation"
-        )
-        for name in CAMPAIGN:
-            assert EXPERIMENTS[name].build(executor.runner).rows
-
-    def test_specs_are_deduplicated(self):
+    def test_table_reading_an_undeclared_run_raises(self):
+        """A table sees only the runs its list declared: it cannot
+        simulate a run the list left out."""
+        declared, undeclared = RunSpec("saxpy", "uve"), RunSpec("saxpy", "sve")
         executor = CampaignExecutor(scale=SCALE, jobs=1)
-        # fig8a and fig8b share all their runs.
-        only_a = executor.collect_specs(["fig8a"])
-        both = executor.collect_specs(["fig8a", "fig8b"])
-        assert set(only_a) == set(both)
+        experiment = Experiment(
+            build=lambda records: records[undeclared],
+            specs=lambda runner: [declared],
+        )
+        with pytest.raises(KeyError):
+            executor.run_campaign([experiment])
+        assert [e.label for e in executor.events] == ["saxpy/uve"]
+
+    def test_shared_run_list_is_called_and_keyed_once(self, monkeypatch):
+        """fig8a-d share one run list: one call, one key per run."""
+        panels = ("fig8a", "fig8b", "fig8c", "fig8d")
+        assert len({EXPERIMENTS[name].specs for name in panels}) == 1
+        calls = []
+
+        def run_list(runner):
+            calls.append(runner)
+            return EXPERIMENTS["fig8a"].specs(runner)
+
+        executor = CampaignExecutor(scale=SCALE, jobs=1, cache=StubCache())
+        keys = count_keys(monkeypatch)
+        results = executor.run_campaign(
+            [Experiment(EXPERIMENTS[name].build, run_list) for name in panels]
+        )
+        assert [result.experiment for result in results] == list(panels)
+        assert len(calls) == 1
+        assert len(keys) == 57
+        assert executor.cache_summary() == \
+            {"hit-disk": 57, "miss": 0, "total": 57}
+
+    def test_cached_full_registry_rerun_keys_each_spec_once(
+            self, tmp_path, monkeypatch, capsys):
+        """A cached re-run of every experiment keys each spec of each
+        distinct run list once, builds every table from the records of
+        its own list, and simulates nothing."""
+        cache = ResultCache(tmp_path)
+        runner = Runner(scale=SCALE)
+        run_lists = {experiment.specs for experiment in EXPERIMENTS.values()}
+        specs = [spec for run_list in run_lists for spec in run_list(runner)]
+        for spec in specs:
+            cache.store(spec.key(SCALE, 0), STUB)
+        keys = count_keys(monkeypatch)
+        monkeypatch.setattr(Runner, "simulate", lambda *a, **k: pytest.fail(
+            "a cached re-run simulated"
+        ))
+        assert harness_main(["--scale", str(SCALE), "--jobs", "1",
+                             "--cache-dir", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert len(keys) == len(specs) == 164
+        assert "campaign: 125 runs" in err
+        assert "(0 simulated, 125 from disk cache;" in err
 
 
 class TestDiskCacheLifecycle:
@@ -114,7 +197,7 @@ class TestObservability:
         executor = CampaignExecutor(
             scale=SCALE, jobs=1, progress=lines.append
         )
-        executor.run_campaign(["fig8e"])
+        executor.run_campaign([EXPERIMENTS["fig8e"]])
         assert executor.events
         assert all(e.status == "miss" for e in executor.events)
         assert all(e.wall_s > 0 for e in executor.events)
@@ -128,7 +211,7 @@ class TestObservability:
         import json
 
         executor = CampaignExecutor(scale=SCALE, jobs=1)
-        executor.run_campaign(["fig8e"])
+        executor.run_campaign([EXPERIMENTS["fig8e"]])
         trace = tmp_path / "trace.json"
         executor.write_trace(str(trace))
         payload = json.loads(trace.read_text())
@@ -160,7 +243,7 @@ class TestInterrupt:
 
         monkeypatch.setattr(executor_mod, "_run_group", interrupt_after_two)
         with pytest.raises(CampaignInterrupted) as info:
-            executor.run_campaign(["fig8e"])
+            executor.run_campaign([EXPERIMENTS["fig8e"]])
         assert info.value.completed == 2
         assert info.value.cancelled > 0
         # The two finished runs are already persisted.
@@ -178,17 +261,17 @@ class TestInterrupt:
 
         monkeypatch.setattr(executor_mod, "as_completed", interrupt)
         with pytest.raises(CampaignInterrupted) as info:
-            executor.run_campaign(["fig8e"])
+            executor.run_campaign([EXPERIMENTS["fig8e"]])
         assert info.value.completed == 0
         # Runs a pool worker had already taken count as cancelled too.
         assert info.value.completed + info.value.cancelled == \
-            len(executor.collect_specs(["fig8e"]))
+            len(EXPERIMENTS["fig8e"].specs(executor.runner))
 
     def test_cli_exits_130_and_flushes_partial_json(
             self, monkeypatch, tmp_path, capsys):
         from repro.harness import __main__ as cli
 
-        def interrupted_campaign(self, names, on_result=None):
+        def interrupted_campaign(self, experiments, on_result=None):
             raise CampaignInterrupted(completed=3, cancelled=5)
 
         monkeypatch.setattr(CampaignExecutor, "run_campaign",
@@ -244,7 +327,8 @@ class TestRecordOncePerTraceKey:
         monkeypatch.setattr(FunctionalSimulator, "trace", trace)
         alone = Runner(scale=SCALE, seed=0)
         for key, spec in specs.items():
-            assert executor.runner.cached(key) == alone.run_spec(spec), spec
+            record, _ = next(alone.simulate([spec]))
+            assert executor.runner.cached(key) == record, spec
 
     def test_a_group_shares_one_trace_key(self):
         mixed = [RunSpec("saxpy", "uve"), RunSpec("memcpy", "uve")]

@@ -2,8 +2,26 @@
 import pytest
 
 from repro.cpu.config import default_machine
-from repro.harness import EXPERIMENTS, Runner, run_experiment
+from repro.harness import EXPERIMENTS, Experiment, Runner, RunSpec
+from repro.harness.executor import CampaignExecutor
 from repro.harness.report import ExperimentResult, geomean
+
+
+def run_records(specs, scale=0.1, lowering="ir"):
+    """The executor and the records of an ad-hoc run list, through a
+    campaign of one experiment whose table is its records."""
+    executor = CampaignExecutor(scale=scale, jobs=1, lowering=lowering)
+    [records] = executor.run_campaign(
+        [Experiment(build=dict, specs=lambda runner: specs)]
+    )
+    return executor, records
+
+
+def run_table(name, scale=0.1):
+    [result] = CampaignExecutor(scale=scale, jobs=1).run_campaign(
+        [EXPERIMENTS[name]]
+    )
+    return result
 
 
 class TestReport:
@@ -28,24 +46,26 @@ class TestReport:
 
 
 class TestRunner:
-    def test_caches_identical_runs(self):
-        runner = Runner(scale=0.1)
-        first = runner.run("saxpy", "uve")
-        second = runner.run("saxpy", "uve")
-        assert first is second  # cache hit returns the same record
+    def test_identical_runs_simulate_once(self):
+        executor, records = run_records(
+            [RunSpec("saxpy", "uve"), RunSpec("saxpy", "uve")]
+        )
+        assert list(records) == [RunSpec("saxpy", "uve")]
+        assert executor.cache_summary()["miss"] == 1
 
     def test_distinct_configs_not_conflated(self):
         from dataclasses import replace
-        runner = Runner(scale=0.1)
         base = default_machine("uve")
         varied = base.with_(engine=replace(base.engine, fifo_depth=2))
-        a = runner.run("saxpy", "uve", base)
-        b = runner.run("saxpy", "uve", varied)
-        assert a is not b
+        specs = [RunSpec("saxpy", "uve", base),
+                 RunSpec("saxpy", "uve", varied)]
+        executor, records = run_records(specs)
+        assert records[specs[0]] is not records[specs[1]]
+        assert executor.cache_summary()["miss"] == 2
 
     def test_record_fields_populated(self):
-        runner = Runner(scale=0.1)
-        record = runner.run("saxpy", "sve")
+        spec = RunSpec("saxpy", "sve")
+        record = run_records([spec])[1][spec]
         assert record.kernel == "saxpy"
         assert record.letter == "C"
         assert record.committed > 0
@@ -54,19 +74,18 @@ class TestRunner:
         assert record.fifo_occupancy == 0.0  # no engine on the baseline
 
     def test_uve_record_has_engine_stats(self):
-        runner = Runner(scale=0.1)
-        record = runner.run("saxpy", "uve")
-        assert record.fifo_occupancy > 0
+        spec = RunSpec("saxpy", "uve")
+        assert run_records([spec])[1][spec].fifo_occupancy > 0
 
     def test_lowering_selects_program_path(self):
-        """Both lowerings run and are cached under distinct keys; for a
-        migrated kernel the programs are instruction-identical, so the
-        results agree."""
-        ir = Runner(scale=0.1, lowering="ir").run("saxpy", "uve")
-        legacy = Runner(scale=0.1, lowering="legacy").run("saxpy", "uve")
-        assert ir is not legacy
-        assert ir.committed == legacy.committed
-        assert ir.cycles == legacy.cycles
+        """Both lowerings run and are keyed apart; for a migrated kernel
+        the programs are instruction-identical, so the results agree."""
+        spec = RunSpec("saxpy", "uve")
+        ir_exec, ir = run_records([spec], lowering="ir")
+        legacy_exec, legacy = run_records([spec], lowering="legacy")
+        assert ir_exec.events[0].key != legacy_exec.events[0].key
+        assert ir[spec].committed == legacy[spec].committed
+        assert ir[spec].cycles == legacy[spec].cycles
 
     def test_rejects_unknown_lowering(self):
         from repro.errors import ConfigError
@@ -77,7 +96,6 @@ class TestRunner:
         """A group resolves each spec's config once, not once per use
         (trace key, consistency check, recording, timing)."""
         from dataclasses import replace
-        from repro.harness.runner import RunSpec
         base = default_machine("uve")
         specs = [
             RunSpec("saxpy", "uve"),
@@ -94,7 +112,8 @@ class TestRunner:
         assert calls == specs
         monkeypatch.undo()
         assert [r.cycles for r in records] == [
-            Runner(scale=0.1).run_spec(spec).cycles for spec in specs
+            next(Runner(scale=0.1).simulate([spec]))[0].cycles
+            for spec in specs
         ]
 
 
@@ -109,14 +128,14 @@ class TestRegistry:
 
     def test_cheap_experiments_run(self):
         for name in ("table1", "fig8-table", "overheads"):
-            result = run_experiment(name, Runner(scale=0.1))
+            result = run_table(name)
             assert result.rows
             assert result.render()
 
     def test_fig8e_runs_at_tiny_scale(self):
         # Unroll factors must divide K, which the workload guarantees at
         # any scale (K is a multiple of 8 at the default size).
-        result = run_experiment("fig8e", Runner(scale=1.0))
+        result = run_table("fig8e", scale=1.0)
         speedups = [float(str(row[2]).rstrip("x")) for row in result.rows]
         assert speedups[0] == 1.0
         assert max(speedups) >= 1.0

@@ -8,38 +8,68 @@ import pytest
 
 from repro.cpu.config import DEFAULT_LATENCIES, baseline_machine, uve_machine
 from repro.errors import ConfigError
-from repro.harness import EXPERIMENTS, Experiment, Runner
+from repro.harness import EXPERIMENTS, Experiment, RunSpec
 from repro.harness.__main__ import main as harness_main
 from repro.harness.checks import validate_results
+from repro.harness.executor import CampaignExecutor
+
+
+def run_list(*specs):
+    """Run ``specs`` through an executor; return it and their records."""
+    executor = CampaignExecutor(scale=0.1, jobs=1)
+    [records] = executor.run_campaign(
+        [Experiment(build=dict, specs=lambda runner: list(specs))]
+    )
+    return executor, records
+
+
+SHUFFLED = dict(reversed(list(DEFAULT_LATENCIES.items())))
 
 
 class TestRunnerCacheKey:
     def test_semantically_equal_configs_hit(self):
         """Two equal configs with different dict insertion order used to
         miss under the repr() key; the fingerprint key must hit."""
-        runner = Runner(scale=0.1)
-        shuffled = dict(reversed(list(DEFAULT_LATENCIES.items())))
-        a = runner.run("saxpy", "uve", uve_machine())
-        b = runner.run("saxpy", "uve", uve_machine(latencies=shuffled))
-        assert a is b
+        a = RunSpec("saxpy", "uve", uve_machine())
+        b = RunSpec("saxpy", "uve", uve_machine(latencies=SHUFFLED))
+        executor, records = run_list(a, b)
+        assert executor.cache_summary()["miss"] == 1
+        assert records[a] is records[b]
 
     def test_explicit_default_config_hits_implicit(self):
-        runner = Runner(scale=0.1)
-        a = runner.run("saxpy", "uve", uve_machine())
-        b = runner.run("saxpy", "uve")
-        assert a is b
+        a = RunSpec("saxpy", "uve", uve_machine())
+        b = RunSpec("saxpy", "uve")
+        executor, records = run_list(a, b)
+        assert a != b  # a table looks a run up as its run list built it
+        assert executor.cache_summary()["miss"] == 1
+        assert records[a] is records[b]
+
+    def test_equal_specs_hash_and_compare_equal(self):
+        """A table looks its runs up by a RunSpec built again, so specs
+        built apart must hash alike, whatever their dicts' order."""
+        pairs = [
+            (RunSpec("saxpy", "uve"), RunSpec("saxpy", "uve")),
+            (RunSpec("saxpy", "uve", uve_machine()),
+             RunSpec("saxpy", "uve", uve_machine(latencies=SHUFFLED))),
+            (RunSpec("gemm", "uve", unroll=2, lowering="legacy"),
+             RunSpec("gemm", "uve", unroll=2, lowering="legacy")),
+        ]
+        for a, b in pairs:
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert {a: "record"}[b] == "record"
+        assert RunSpec("saxpy", "uve") != RunSpec("saxpy", "sve")
+        assert RunSpec("gemm", "uve", unroll=2) != RunSpec("gemm", "uve")
 
 
 class TestIsaConfigConsistency:
     def test_uve_on_baseline_config_rejected(self):
-        runner = Runner(scale=0.1)
         with pytest.raises(ConfigError, match="streaming"):
-            runner.run("saxpy", "uve", baseline_machine())
+            run_list(RunSpec("saxpy", "uve", baseline_machine()))
 
     def test_baseline_isa_on_streaming_config_rejected(self):
-        runner = Runner(scale=0.1)
         with pytest.raises(ConfigError, match="baseline"):
-            runner.run("saxpy", "sve", uve_machine())
+            run_list(RunSpec("saxpy", "sve", uve_machine()))
 
 
 class TestChecksDegradeGracefully:
@@ -117,7 +147,7 @@ class TestIncrementalJson:
     def test_crash_preserves_completed_experiments(
         self, tmp_path, monkeypatch, capsys
     ):
-        def explode(runner):
+        def explode(records):
             raise RuntimeError("experiment crashed")
 
         monkeypatch.setitem(

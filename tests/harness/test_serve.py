@@ -89,7 +89,7 @@ class TestWorkerLoop:
         worker_loop(service.root, shard_id="w0")
         runner = Runner(scale=SCALE, seed=0)
         for spec, submit in zip(SPECS, submits):
-            direct = runner.run_spec(spec)
+            direct, _ = next(runner.simulate([spec]))
             via_service = service.result_for(submit.key).record
             assert via_service == direct
 
@@ -140,7 +140,7 @@ class TestIdempotentReplay:
         # w-dead simulated and stored the artifact, then was killed
         # before queue.complete.
         from repro.harness.runner import Runner
-        record = Runner(scale=SCALE, seed=0).run_spec(SPECS[0])
+        record, _ = next(Runner(scale=SCALE, seed=0).simulate(SPECS[:1]))
         service.cache.store(submit.key, record)
         service.queue.release_stale_leases()
 
@@ -210,7 +210,7 @@ class TestStreaming:
         from repro.harness.runner import Runner
 
         submits = service.submit_many(SPECS)
-        record = Runner(scale=SCALE, seed=0).run_spec(SPECS[0])
+        record, _ = next(Runner(scale=SCALE, seed=0).simulate(SPECS[:1]))
 
         def complete_slowly():
             queue = JobQueue(service.root / "queue.sqlite")

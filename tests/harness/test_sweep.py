@@ -155,6 +155,21 @@ class TestAcceptance:
         assert final["jobs"]["cache_hit_rate"] == 1.0
         assert final["jobs"]["ran"] == 0
 
+    def test_each_point_is_keyed_once(self, monkeypatch, serial_payload):
+        """A point's key deduplicates it and reads its row back."""
+        import repro.harness.runner as runner_mod
+
+        calls = []
+        real = runner_mod.run_fingerprint
+        monkeypatch.setattr(
+            runner_mod, "run_fingerprint",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        payload = run_sweep(SweepSpec.from_dict(MINI), scale=SCALE)
+        assert len(calls) == payload["jobs"]["total"] == 8
+        assert json.dumps(payload["rows"]) == \
+            json.dumps(serial_payload["rows"])
+
     def test_pool_rows_match_in_process(self, serial_payload):
         pooled = run_sweep(SweepSpec.from_dict(MINI), workers=2,
                            scale=SCALE)

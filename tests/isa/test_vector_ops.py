@@ -12,6 +12,7 @@ from repro.memory.backing import Memory
 from repro.sim.functional import MachineState
 
 F32 = ElementType.F32
+I32 = ElementType.I32
 
 
 def fresh_state(values=None):
@@ -80,6 +81,26 @@ class TestPredicatedLoadsStores:
         sve.Ld1Gather(u(1), P0, x(8), u(2), etype=F32).execute(state)
         got = state.read_v(u(1), F32).data
         np.testing.assert_array_equal(got[:4], [5.0, 50.0, 95.0, 0.0])
+
+    def test_gather_and_scatter_index_above_float32_precision(self):
+        """An int32 index above 2**24 addresses its exact element: read
+        as float32, 2**24 + 1 rounds to 2**24 and the gather reads the
+        zero beside the stored value."""
+        state = MachineState(memory=Memory(80 << 20))
+        base = 64
+        index = 2**24 + 1
+        state.mem.write_scalar(base + index * 4, 7.0, F32)
+        state.write_x(x(8), base)
+        state.write_v(u(2), full(16, I32, index), I32)
+        sve.Ld1Gather(u(1), P0, x(8), u(2), etype=F32).execute(state)
+        np.testing.assert_array_equal(state.read_v(u(1), F32).data, 7.0)
+
+        state.write_v(u(2), full(16, I32, index + 2), I32)
+        state.write_v(u(1), full(16, F32, 3.5), F32)
+        sve.St1Scatter(u(1), P0, x(8), u(2), etype=F32).execute(state)
+        assert state.mem.read_scalar(base + (index + 2) * 4, F32) == 3.5
+        assert state.mem.read_scalar(base + (index + 1) * 4, F32) == 0.0
+        assert state.mem.read_scalar(base + index * 4, F32) == 7.0
 
     def test_scatter_writes_indexed_lanes(self):
         state, addr = fresh_state(np.zeros(64, dtype=np.float32))

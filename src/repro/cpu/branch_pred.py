@@ -13,7 +13,7 @@ class GsharePredictor:
         self.size = 1 << index_bits
         self._mask = self.size - 1
         self._history_mask = (1 << history_bits) - 1
-        self._table = bytearray([2] * self.size)  # weakly taken
+        self._table = bytearray(b"\x02" * self.size)  # weakly taken
         self._ghr = 0
         self.predictions = 0
         self.mispredictions = 0

@@ -29,9 +29,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cpu.config import uve_machine
-from repro.fuzz.lowering import ISAS, lower
 from repro.fuzz.reference import Artifacts, materialize
 from repro.fuzz.spec import CaseSpec
+from repro.lower import ISAS, lower
 from repro.memory.backing import Memory
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.simulator import Recording, record
@@ -99,6 +99,15 @@ def tolerances(spec: CaseSpec) -> tuple:
 
 
 def _outputs_match(spec: CaseSpec, got: np.ndarray, want: np.ndarray) -> bool:
+    # Identical bytes of one dtype and shape pass the test below either
+    # way (floats: allclose with equal_nan; an integer case's outputs
+    # are integers: array_equal), and most pairs are identical.
+    if (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    ):
+        return True
     rtol, atol = tolerances(spec)
     if not spec.is_float:
         return bool(np.array_equal(got, want))
@@ -127,12 +136,13 @@ def run_case(
 ) -> CaseReport:
     """Run one case through every lowering and compare.
 
-    Raises if the *spec itself* cannot be materialised (an invalid
-    candidate, e.g. from an over-eager shrink step); failures of the
-    lowerings are reported, not raised.
+    Raises if the *spec itself* cannot be materialised or placed as an
+    IR nest (an invalid candidate, e.g. from an over-eager shrink step);
+    failures of the lowerings are reported, not raised.
     """
     if art is None:
         art = materialize(spec)
+    nest = spec.to_ir(art)  # one nest, lowered to every ISA
     report = CaseReport(spec)
     outputs: Dict[str, np.ndarray] = {}
     # A timing case times the UVE run's own recording; when lowering or
@@ -141,7 +151,7 @@ def run_case(
     uve_error: Optional[Exception] = None
     for isa in ISAS:
         try:
-            program = lower(spec, art, isa, inject if isa == "uve" else None)
+            program = lower(nest, isa, inject if isa == "uve" else None)
             mem = clone_memory(art.memory)
             if check_timing and isa == "uve":
                 uve_recording = record(program, mem, spec.vector_bits)

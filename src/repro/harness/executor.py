@@ -221,7 +221,7 @@ class CampaignExecutor:
 
     def _run_service(self, pending: Dict[str, RunSpec]) -> None:
         remaining = len(pending)
-        results = self.service.run(pending.values(), self.jobs)
+        results = self.service.run(pending, self.jobs)
         with closing(results):
             for result in results:
                 remaining -= 1

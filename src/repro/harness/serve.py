@@ -43,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.harness.diskcache import ResultCache, code_version_salt
@@ -180,7 +180,9 @@ class ExperimentService:
         """Submit one run.  Identical requests — same content fingerprint,
         from any client, any time — collapse to one job or one artifact.
         A done job whose artifact is gone (pruned) is queued again."""
-        key = self.key_for(spec)
+        return self._submit(self.key_for(spec), spec)
+
+    def _submit(self, key: str, spec: RunSpec) -> SubmitResult:
         if self.cache.load(key) is not None:
             return SubmitResult(key, "hit")
         if self.queue.submit(key, spec_to_json(spec)) or \
@@ -248,17 +250,18 @@ class ExperimentService:
                 )
             time.sleep(poll_s)
 
-    def run(self, specs: Iterable[RunSpec],
+    def run(self, specs: Mapping[str, RunSpec],
             workers: int) -> Iterator[JobResult]:
-        """The executor's back end: submit ``specs``, boot ``workers``
-        shards unless the queue needs none (0: shards started elsewhere)
-        and yield each row as it completes.
+        """The executor's back end: submit ``specs``, a ``{key: spec}``
+        mapping the executor has already keyed, boot ``workers`` shards
+        unless the queue needs none (0: shards started elsewhere) and
+        yield each row as it completes.
 
         Raises :class:`ConfigError` on a job that failed for good and
         :class:`TimeoutError` once no row completed for ``timeout_s``.
         However the stream ends (drained, raised, interrupted or closed),
         no shard it booted outlives it."""
-        keys = [self.submit(spec).key for spec in specs]
+        keys = [self._submit(key, spec).key for key, spec in specs.items()]
         procs = []
         if workers > 0 and not self.queue.drained():
             procs = _boot_shards(self.root, workers)

@@ -63,24 +63,39 @@ class Reg:
     __repr__ = __str__
 
 
+#: every register of each bank, built once: the constructors below hand
+#: these out, so building a program allocates no ``Reg``.
+_BANKS = {
+    cls: tuple(Reg(cls, index) for index in range(size))
+    for cls, size in _BANK_SIZES.items()
+}
+
+
+def _reg(cls: RegClass, index: int) -> Reg:
+    bank = _BANKS[cls]
+    if 0 <= index < len(bank):
+        return bank[index]
+    return Reg(cls, index)  # raises the out-of-range IsaError
+
+
 def x(index: int) -> Reg:
     """Scalar integer register ``x<index>``."""
-    return Reg(RegClass.X, index)
+    return _reg(RegClass.X, index)
 
 
 def f(index: int) -> Reg:
     """Scalar floating-point register ``f<index>``."""
-    return Reg(RegClass.F, index)
+    return _reg(RegClass.F, index)
 
 
 def u(index: int) -> Reg:
     """Vector register ``u<index>`` (also the stream interface)."""
-    return Reg(RegClass.V, index)
+    return _reg(RegClass.V, index)
 
 
 def p(index: int) -> Reg:
     """Predicate register ``p<index>`` (``p0`` is hardwired all-true)."""
-    return Reg(RegClass.P, index)
+    return _reg(RegClass.P, index)
 
 
 #: Hardwired all-valid predicate (paper: "p0 is always hardwired to 1").
@@ -113,4 +128,4 @@ def parse_reg(name: str) -> Reg:
         raise IsaError(f"unknown register bank in {name!r}") from None
     if not digits.isdigit():
         raise IsaError(f"malformed register name {name!r}")
-    return Reg(cls, int(digits))
+    return _reg(cls, int(digits))

@@ -314,7 +314,7 @@ class St1(Instruction):
 #: a gather/scatter index vector holds signed integers of the data's
 #: element width; read as the data's type, an F32 index would round
 #: every index above 2**24.
-_INDEX_TYPES = {
+INDEX_TYPES = {
     etype.width: etype
     for etype in (ElementType.I8, ElementType.I16, ElementType.I32,
                   ElementType.I64)
@@ -336,7 +336,7 @@ class Ld1Gather(Instruction):
         lanes = state.lanes(self.etype)
         mask = state.read_pred(self.pg, lanes)
         base = state.read_x(self.base)
-        index = state.read_v(self.vindex, _INDEX_TYPES[self.etype.width])
+        index = state.read_v(self.vindex, INDEX_TYPES[self.etype.width])
         width = self.etype.width
         data = np.zeros(lanes, dtype=self.etype.dtype)
         addrs = []
@@ -379,7 +379,7 @@ class St1Scatter(Instruction):
         lanes = state.lanes(self.etype)
         mask = state.read_pred(self.pg, lanes)
         base = state.read_x(self.base)
-        index = state.read_v(self.vindex, _INDEX_TYPES[self.etype.width])
+        index = state.read_v(self.vindex, INDEX_TYPES[self.etype.width])
         value = state.read_v(self.vs, self.etype)
         width = self.etype.width
         addrs = []

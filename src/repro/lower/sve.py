@@ -23,6 +23,7 @@ from repro.isa.sve_ops import (
     CmpPred,
     Dup,
     Fmla,
+    INDEX_TYPES,
     IncElems,
     Index,
     Ld1,
@@ -78,7 +79,9 @@ def _sve_access(
             b.emit(Ld1(vreg, p(1), row, index=J_X, etype=etype))
         return
     b.emit(IntOp("mul", T5, J_X, s_op))
-    b.emit(Index(u(5), T5, s_op, etype))
+    # The index vector holds integers of the data's width (F32 data
+    # would round every index above 2**24).
+    b.emit(Index(u(5), T5, s_op, INDEX_TYPES[etype.width]))
     if store:
         b.emit(St1Scatter(vreg, p(1), row, u(5), etype))
     else:

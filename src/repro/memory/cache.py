@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import List
+from types import MappingProxyType
+from typing import List, Mapping
 
 from repro.cpu.config import CacheConfig
 from repro.memory.coherence import Event, LineState, next_state
@@ -29,6 +30,13 @@ _WRITEBACK_STATES = tuple(s for s in LineState if next_state(s, Event.EVICT)[2])
 #: costs about ten times a module global
 _MODIFIED = LineState.MODIFIED
 _EXCLUSIVE = LineState.EXCLUSIVE
+#: every set starts as this shared, read-only, empty mapping and gets its
+#: own ``OrderedDict`` when a line is first filled into it (``_insert``),
+#: so a fresh hierarchy builds no dict for a set a short run never
+#: touches.  Lookups, ``len`` and iteration read it like any empty set;
+#: only the two writers that start from a missing line (``_insert``,
+#: ``warm``) test for it.
+_UNFILLED: Mapping[int, "_Line"] = MappingProxyType({})
 
 
 class _Line:
@@ -79,9 +87,7 @@ class Cache:
         self.config = config
         self.next_level = next_level
         self.prefetcher = prefetcher
-        self._sets: List["OrderedDict[int, _Line]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: List[Mapping[int, _Line]] = [_UNFILLED] * config.num_sets
         self._num_sets = config.num_sets
         self._mshr_ready: List[float] = []  # in-flight fill completion times
         #: access ports: one slot per access (a stream read that bypasses
@@ -98,7 +104,7 @@ class Cache:
 
     # -- Lookup helpers --------------------------------------------------------
 
-    def _set_of(self, line: int) -> "OrderedDict[int, _Line]":
+    def _set_of(self, line: int) -> Mapping[int, _Line]:
         return self._sets[line % self._num_sets]
 
     def contains(self, line: int) -> bool:
@@ -214,7 +220,11 @@ class Cache:
     ) -> None:
         """Install a line not in the cache as the most recently used,
         evicting the least recently used one from a full set."""
-        cset = self._sets[line % self._num_sets]
+        sets = self._sets
+        index = line % self._num_sets
+        cset = sets[index]
+        if cset is _UNFILLED:
+            cset = sets[index] = OrderedDict()
         cset[line] = _Line(ready, state, prefetched)
         if len(cset) > self._assoc:
             victim_line, victim = cset.popitem(last=False)
@@ -227,5 +237,7 @@ class Cache:
     def warm(self, line: int) -> None:
         """Pre-install a line (warm-cache measurement), bypassing timing;
         a line already cached is installed afresh."""
-        self._sets[line % self._num_sets].pop(line, None)
+        cset = self._sets[line % self._num_sets]
+        if cset is not _UNFILLED:
+            cset.pop(line, None)
         self._insert(line, 0.0, _EXCLUSIVE, False)

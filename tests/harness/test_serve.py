@@ -127,7 +127,7 @@ class TestClientLoop:
         service.queue.lease("w0")
         assert service.queue.fail(key, "w0", "boom") == "dead"
         with pytest.raises(ConfigError, match="boom"):
-            list(service.run(SPECS[:1], workers=0))
+            list(service.run({key: SPECS[0]}, workers=0))
         assert service.worker_exits == []
 
 

@@ -170,6 +170,25 @@ class TestAcceptance:
         assert json.dumps(payload["rows"]) == \
             json.dumps(serial_payload["rows"])
 
+    def test_sharded_sweep_keys_each_point_once(self, monkeypatch, tmp_path,
+                                                serial_payload):
+        """The service back end submits each point under the key the
+        executor computed instead of keying it again."""
+        import repro.harness.runner as runner_mod
+
+        calls = []
+        real = runner_mod.run_fingerprint
+        monkeypatch.setattr(
+            runner_mod, "run_fingerprint",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        payload = run_sweep(SweepSpec.from_dict(MINI), tmp_path / "c",
+                            workers=1, scale=SCALE, timeout_s=120.0)
+        assert payload["jobs"]["mode"] == "service"
+        assert len(calls) == payload["jobs"]["total"] == 8
+        assert json.dumps(payload["rows"]) == \
+            json.dumps(serial_payload["rows"])
+
     def test_pool_rows_match_in_process(self, serial_payload):
         pooled = run_sweep(SweepSpec.from_dict(MINI), workers=2,
                            scale=SCALE)

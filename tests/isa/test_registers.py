@@ -4,6 +4,8 @@ import pytest
 from repro.errors import IsaError
 from repro.isa.registers import P0, Reg, RegClass, f, p, parse_reg, u, x
 
+BANKS = ((x, 32), (f, 32), (u, 32), (p, 16))
+
 
 class TestConstruction:
     def test_banks_and_limits(self):
@@ -19,6 +21,23 @@ class TestConstruction:
             p(16)
         with pytest.raises(IsaError):
             u(-1)
+        for bank, size in BANKS:
+            for index in (size, -1, -size):
+                with pytest.raises(IsaError, match="out of range"):
+                    bank(index)
+
+    def test_registers_are_interned(self):
+        """Each bank hands out one register object per index; a directly
+        built ``Reg`` still equals it and hashes alike."""
+        for bank, size in BANKS:
+            for index in range(size):
+                reg = bank(index)
+                assert bank(index) is reg
+                assert reg.index == index
+                built = Reg(reg.cls, index)
+                assert built is not reg
+                assert built == reg and hash(built) == hash(reg)
+        assert parse_reg("u3") is u(3)
 
     def test_p0_is_predicate_zero(self):
         assert P0 == p(0)

@@ -1,12 +1,22 @@
 """The lowering driver layer: backend dispatch, streamlined-shape
 eligibility, label namespacing, and backend capability errors."""
+import numpy as np
 import pytest
 
+from repro.common.types import ElementType
 from repro.errors import LoweringError
-from repro.ir import FMA_OP, Mod, Op, loop1d
-from repro.isa.scalar_ops import Halt
+from repro.ir import FMA_OP, Access, Mod, Op, loop1d
+from repro.isa.program import ProgramBuilder
+from repro.isa.registers import p, u, x
+from repro.isa.scalar_ops import Halt, Li
+from repro.isa.sve_ops import Index, PTrue
 from repro.lower import BACKENDS, INJECTIONS, ISAS, lower, lower_nests
-from repro.lower.common import streamlined
+from repro.lower.common import J_X, streamlined
+from repro.lower.sve import _sve_access
+from repro.memory.backing import Memory
+from repro.sim.functional import FunctionalSimulator
+
+F32 = ElementType.F32
 
 
 def saxpy_nest(name="saxpy"):
@@ -85,3 +95,43 @@ class TestRvvBackend:
     def test_lowers_kernel_shapes(self):
         program = lower(saxpy_nest(), "rvv")
         assert program.instructions
+
+
+class _DynamicStrideEmitter:
+    """The part of a NestEmitter that ``_sve_access`` reads, with the
+    innermost stride held in ``x2`` (a dynamic working parameter)."""
+
+    def __init__(self, etype):
+        self.b = ProgramBuilder("probe")
+        self.etype = etype
+
+    def stride_operand(self, acc, level):
+        return x(2)
+
+
+class TestSveBackend:
+    def test_gather_index_above_float32_precision(self):
+        """The index vector of an F32 gather is built in int32: element
+        counter 2**24 + 1 and stride 1 gather elements 2**24 + 1 ...
+        2**24 + 16, where a float32 index vector would round them to
+        2**24, 2**24 + 2, 2**24 + 4, ..."""
+        first = 2**24 + 1
+        emitter = _DynamicStrideEmitter(F32)
+        b = emitter.b
+        b.emit(Li(x(8), 64))  # row base of array "a"
+        b.emit(Li(J_X, first))
+        b.emit(Li(x(2), 1))
+        b.emit(PTrue(p(1), F32))
+        _sve_access(emitter, Access("a", 0, (0,), (1,)), u(1), store=False)
+        b.emit(Halt())
+        program = b.build()
+        assert any(isinstance(inst, Index) for inst in program.instructions)
+
+        memory = Memory(80 << 20)
+        lanes = 16
+        want = np.arange(1, lanes + 1, dtype=np.float32)
+        for i, value in enumerate(want):
+            memory.write_scalar(64 + (first + i) * 4, float(value), F32)
+        sim = FunctionalSimulator(program, memory=memory, vector_bits=512)
+        sim.run()
+        np.testing.assert_array_equal(sim.state.read_v(u(1), F32).data, want)

@@ -1,4 +1,6 @@
 """Unit tests for the cache timing model."""
+from collections import OrderedDict
+
 from repro.cpu.config import CacheConfig
 from repro.memory.cache import Cache
 from repro.memory.coherence import LineState
@@ -20,6 +22,25 @@ def make_cache(size=1024, assoc=2, hit=4, mshrs=4, prefetcher=None, latency=100)
     nxt = FakeNext(latency)
     cache = Cache(CacheConfig("T", size, assoc, hit, mshrs), nxt, prefetcher)
     return cache, nxt
+
+
+class TestLazySets:
+    def test_fresh_cache_builds_no_set(self):
+        cache, _ = make_cache()
+        assert not any(isinstance(s, OrderedDict) for s in cache._sets)
+        assert not cache.contains(5)
+        assert cache.line_state(5) is LineState.INVALID
+
+    def test_first_fill_builds_only_its_set(self):
+        cache, _ = make_cache()
+        cache.access(5, now=0)
+        cache.warm(6)
+        built = [i for i, s in enumerate(cache._sets)
+                 if isinstance(s, OrderedDict)]
+        assert built == [5 % cache.config.num_sets, 6 % cache.config.num_sets]
+        assert cache.contains(5) and cache.contains(6)
+        assert not cache.contains(7)
+        assert cache.line_state(7) is LineState.INVALID
 
 
 class TestHitMiss:

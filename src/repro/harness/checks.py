@@ -5,7 +5,9 @@
 who wins, orderings, flat-vs-growing sensitivities — against a previously
 exported campaign, without pinning fragile absolute numbers.
 :func:`diff_results` pins them instead: it lists every value in which a
-campaign differs from a reference export such as ``results.json``.
+campaign differs from a reference export such as ``results.json``;
+``python -m repro.harness.checks EXPECTED GOT`` prints that list, one
+difference a line, and exits 1 when it is not empty.
 
 A malformed or truncated campaign (e.g. an export missing its ``average``
 row) must degrade to ``FAIL:`` entries naming the missing row, never to
@@ -14,7 +16,9 @@ have left incomplete.
 """
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence
@@ -251,3 +255,26 @@ def validate_results(path: str) -> CheckReport:
             )
 
     return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness.checks",
+        description="Print every value in which the exported campaign GOT "
+        "differs from EXPECTED (such as results.json), one a line; exit 1 "
+        "if any differs.",
+    )
+    parser.add_argument("expected", help="reference campaign JSON")
+    parser.add_argument("got", help="campaign JSON to compare")
+    args = parser.parse_args(argv)
+    with open(args.expected) as fh:
+        expected = json.load(fh)
+    with open(args.got) as fh:
+        got = json.load(fh)
+    diffs = diff_results(expected, got)
+    print("\n".join(diffs) or f"{args.got} equals {args.expected}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,10 +19,12 @@ from repro.isa.instructions import (
     Operand,
     int_source,
     operand_regs,
+    raw_source,
+    scalar_dest,
     x_dest,
 )
 from repro.isa.microop import OpClass
-from repro.isa.registers import Reg, RegClass
+from repro.isa.registers import Reg
 from repro.isa.vector import VecValue, all_valid
 
 #: NEON register width in bits.
@@ -31,6 +33,35 @@ NEON_BITS = 128
 
 def neon_lanes(etype: ElementType) -> int:
     return NEON_BITS // (etype.width * 8)
+
+
+def neon_reader(state, etype: ElementType):
+    """``read(reg)``: the first :func:`neon_lanes` lanes of vector
+    register ``reg`` in ``etype``, equal to
+    ``state.read_v(reg, etype).data[:neon_lanes(etype)]``.
+
+    A NEON value is 128 bits wide whatever the machine's vector width, so
+    a held value of ``etype`` that covers those lanes is sliced where it
+    lies (values are never written in place).  A narrower value, one of
+    another dtype, or fewer machine lanes than NEON lanes (a narrow
+    machine or a shortened vector length) takes ``read_v``'s zero-pad
+    and cast."""
+    lanes, dtype = neon_lanes(etype), etype.dtype
+    vregs, read_v = state.vregs, state.read_v
+    wide = state.vector_bits // (etype.width * 8) >= lanes
+
+    def read(reg: Reg) -> np.ndarray:
+        data = vregs[reg.index].data
+        if (
+            data.dtype is dtype
+            and len(data) >= lanes
+            and wide
+            and (state.vl_elems is None or state.vl_elems >= lanes)
+        ):
+            return data[:lanes]
+        return read_v(reg, etype).data[:lanes]
+
+    return read
 
 
 @dataclass(frozen=True)
@@ -94,7 +125,7 @@ class NVStore(Instruction):
     opclass = OpClass.VEC_STORE
 
     def bind(self, state):
-        etype, vs, read_v = self.etype, self.vs, state.read_v
+        etype, vs, read = self.etype, self.vs, neon_reader(state, self.etype)
         lanes, width = neon_lanes(etype), etype.width
         xregs, base = state.xregs, self.base.index
         src, offset = int_source(state, self.offset)
@@ -104,7 +135,7 @@ class NVStore(Instruction):
 
         def execute(state) -> Optional[str]:
             start = xregs[base] + src[offset]
-            write_block(start, read_v(vs, etype).data[:lanes])
+            write_block(start, read(vs))
             record(range(start, start + lanes * width, width))
             if post_inc:
                 regs[base] = xregs[base] + NEON_BITS // 8
@@ -149,15 +180,15 @@ class NVOp(Instruction):
     def bind(self, state):
         fn, etype = semantics.binary(self.op), self.etype
         lanes, dtype = neon_lanes(etype), etype.dtype
-        read_v, write_v = state.read_v, state.write_v
+        read, write_v = neon_reader(state, etype), state.write_v
         vs1, vs2, vd = self.vs1, self.vs2, self.vd
         valid = all_valid(lanes)
 
         def execute(state) -> Optional[str]:
-            a = read_v(vs1, etype)
-            b = read_v(vs2, etype)
+            a = read(vs1)
+            b = read(vs2)
             with np.errstate(divide="ignore", invalid="ignore"):
-                result = fn(a.data[:lanes], b.data[:lanes])
+                result = fn(a, b)
             write_v(vd, VecValue(result.astype(dtype), valid), etype)
             return None
 
@@ -185,18 +216,19 @@ class NVFma(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MAC
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        a = state.read_v(self.vs1, self.etype)
-        b = state.read_v(self.vs2, self.etype)
-        acc = state.read_v(self.vd, self.etype)
-        data = (acc.data[:lanes] + a.data[:lanes] * b.data[:lanes]).astype(
-            self.etype.dtype
-        )
-        state.write_v(
-            self.vd, VecValue(data, all_valid(lanes)), self.etype
-        )
-        return None
+    def bind(self, state):
+        etype = self.etype
+        lanes, dtype = neon_lanes(etype), etype.dtype
+        read, write_v = neon_reader(state, etype), state.write_v
+        vd, vs1, vs2 = self.vd, self.vs1, self.vs2
+        valid = all_valid(lanes)
+
+        def execute(state) -> Optional[str]:
+            data = (read(vd) + read(vs1) * read(vs2)).astype(dtype)
+            write_v(vd, VecValue(data, valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -219,20 +251,18 @@ class NVDup(Instruction):
     etype: ElementType = ElementType.F32
     opclass = OpClass.VEC_MISC
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        if isinstance(self.src, Reg):
-            if self.src.cls is RegClass.F:
-                value = state.read_f(self.src)
-            else:
-                value = state.read_x(self.src)
-        else:
-            value = self.src
-        data = np.full(lanes, value, dtype=self.etype.dtype)
-        state.write_v(
-            self.vd, VecValue(data, all_valid(lanes)), self.etype
-        )
-        return None
+    def bind(self, state):
+        etype, vd, write_v = self.etype, self.vd, state.write_v
+        lanes, dtype = neon_lanes(etype), etype.dtype
+        src, i = raw_source(state, self.src)
+        valid = all_valid(lanes)
+
+        def execute(state) -> Optional[str]:
+            data = np.full(lanes, src[i], dtype=dtype)
+            write_v(vd, VecValue(data, valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -260,15 +290,16 @@ class NVRed(Instruction):
 
     opclass = OpClass.VEC_RED
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        value = state.read_v(self.vs, self.etype)
-        result = semantics.reduce_fn(self.op)(value.data[:lanes])
-        if self.rd.cls is RegClass.F:
-            state.write_f(self.rd, float(result))
-        else:
-            state.write_x(self.rd, int(result))
-        return None
+    def bind(self, state):
+        fn, vs = semantics.reduce_fn(self.op), self.vs
+        read = neon_reader(state, self.etype)
+        regs, rd, convert = scalar_dest(state, self.rd)
+
+        def execute(state) -> Optional[str]:
+            regs[rd] = convert(fn(read(vs)))
+            return None
+
+        return execute
 
     @property
     def dests(self):
@@ -298,17 +329,20 @@ class NVUnary(Instruction):
     def opclass(self):  # type: ignore[override]
         return OpClass.VEC_DIV if self.op == "sqrt" else OpClass.VEC_ALU
 
-    def execute(self, state) -> Optional[str]:
-        lanes = neon_lanes(self.etype)
-        a = state.read_v(self.vs, self.etype)
-        with np.errstate(invalid="ignore"):
-            result = semantics.unary(self.op)(a.data[:lanes])
-        state.write_v(
-            self.vd,
-            VecValue(result.astype(self.etype.dtype), all_valid(lanes)),
-            self.etype,
-        )
-        return None
+    def bind(self, state):
+        fn, etype = semantics.unary(self.op), self.etype
+        lanes, dtype = neon_lanes(etype), etype.dtype
+        read, write_v = neon_reader(state, etype), state.write_v
+        vs, vd = self.vs, self.vd
+        valid = all_valid(lanes)
+
+        def execute(state) -> Optional[str]:
+            with np.errstate(invalid="ignore"):
+                result = fn(read(vs))
+            write_v(vd, VecValue(result.astype(dtype), valid), etype)
+            return None
+
+        return execute
 
     @property
     def dests(self):

@@ -57,6 +57,11 @@ class Reg:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # The cached hash is salted per process (``str`` hashing), so a
+        # register unpickles to the loading process's own register.
+        return _reg, (self.cls, self.index)
+
     def __str__(self) -> str:
         return f"{self.cls.value}{self.index}"
 

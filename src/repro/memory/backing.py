@@ -8,7 +8,7 @@ with :meth:`Memory.alloc_array` and can be viewed back zero-copy with
 from __future__ import annotations
 
 import mmap
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +130,27 @@ class Memory:
             return
         rows = values.reshape(-1, 1).view(np.uint8)
         self.data[addrs[:, None] + np.arange(w)] = rows
+
+    def strided(self, addr: int, count: int, stride: int,
+                etype: ElementType) -> Optional[np.ndarray]:
+        """The ``count`` elements at ``addr``, ``addr + stride``, ... as a
+        strided slice of the typed view: reading the slice reads memory
+        and writing it writes memory.  ``None`` when no slice stands for
+        them: a zero stride, an address or stride that is not a multiple
+        of the element width, or an element outside memory.  Those
+        accesses go through :meth:`read_gather` and :meth:`write_scatter`,
+        which raise at the first bad element (a scatter writes the
+        elements before it) and resolve duplicates last-write-wins."""
+        w = etype.width
+        last = addr + (count - 1) * stride
+        if (
+            not stride or addr % w or stride % w
+            or min(addr, last) < 0 or max(addr, last) + w > self.size
+        ):
+            return None
+        first, step = addr // w, stride // w
+        end = first + count * step  # below 0: a descending run to the start
+        return self._view(etype)[first : end if end >= 0 else None : step]
 
     # -- Block access ---------------------------------------------------------
 

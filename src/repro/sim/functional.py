@@ -100,16 +100,20 @@ class _RuntimeStream:
     """The architectural state of one active stream.
 
     Address generation is run-granular: a
-    :class:`~repro.streams.iterator.RunIterator` materialises each
-    dimension-0 instance as one NumPy address vector, and vector reads /
-    writes slice whole chunks out of the buffered run (chunks never cross
-    a dimension-0 boundary, so a chunk is always a slice of one run).
-    Whether a run is contiguous is decided once, from its stride, when it
-    is fetched: every chunk of a contiguous run is one block access, and
-    every chunk of any other run a gather or scatter.  A vector chunk
-    is recorded as an address run (a ``range`` with the run's stride),
-    and only a chunk of a zero-stride run, or one assembled by scalar
-    accesses, as a list of its addresses.
+    :class:`~repro.streams.iterator.RunIterator` yields each dimension-0
+    instance as ``(start, count, stride)``, and vector reads / writes
+    take whole chunks of the buffered run by arithmetic (chunks never
+    cross a dimension-0 boundary, so a chunk is always a slice of one
+    run).  How a run is accessed is decided once, when it is fetched:
+    every chunk of a contiguous run is one block access; every chunk of
+    an aligned, in-bounds run with a nonzero stride is a slice of one
+    strided view of memory (:meth:`~repro.memory.backing.Memory.strided`);
+    every chunk of any other run a gather or scatter, which raises at the
+    first bad element, writes the elements before it and resolves
+    duplicate addresses last-write-wins.  A vector chunk is recorded as
+    an address run (a ``range`` with the run's stride), and only a chunk
+    of a zero-stride run, or one assembled by scalar accesses, as a list
+    of its addresses.
     Scalar accesses and context restores step through the same buffered
     run, so every access follows one element order: the order
     :class:`~repro.streams.iterator.StreamIterator` defines.
@@ -145,12 +149,14 @@ class _RuntimeStream:
 
         reader = read_element if pattern.has_indirection else None
         self._runs = iter(RunIterator(pattern, reader))
-        self._run_addrs: Optional[np.ndarray] = None
+        self._run_start = 0
         self._run_len = 0
         self._run_pos = 0
         self._run_flags = -1
         self._run_stride = 0
         self._run_contiguous = False
+        #: the run as a strided view of memory, or None (see the class)
+        self._run_view: Optional[np.ndarray] = None
         self.last_flags = -1
         self.ended = False
         self.suspended = False
@@ -174,42 +180,45 @@ class _RuntimeStream:
         self.elements_done = count
         self.ended = count > 0 and self.last_flags == self._last_dim
 
-    def _take(self, limit: int) -> Tuple[np.ndarray, int, int]:
+    def _take(self, limit: int) -> Tuple[int, int, int]:
         """Consume up to ``limit`` elements of the buffered dimension-0
         run, fetching the next run once this one is spent, and return
-        ``(addresses, count, flags)``: ``flags`` is the run's flag if
-        the run ends with these elements, else -1."""
+        ``(position, count, flags)``: the elements are the run's
+        ``position``-th onwards, and ``flags`` is the run's flag if the
+        run ends with them, else -1."""
         pos = self._run_pos
         if pos == self._run_len:
             try:
-                run = next(self._runs)
+                start, count, stride, flags = next(self._runs)
             except StopIteration:
                 raise StreamError(
                     f"stream u{self.reg} iterated past its end"
                 ) from None
-            self._run_addrs = run.addresses
-            self._run_len = len(run.addresses)
-            self._run_flags = run.dims_ended
-            self._run_stride = run.stride
-            self._run_contiguous = (
-                run.stride == self._width or self._run_len == 1
+            self._run_start = start
+            self._run_len = count
+            self._run_flags = flags
+            self._run_stride = stride
+            contiguous = self._run_contiguous = (
+                stride == self._width or count == 1
+            )
+            self._run_view = None if contiguous else self.mem.strided(
+                start, count, stride, self.etype
             )
             pos = 0
         count = min(limit, self._run_len - pos)
         end = self._run_pos = pos + count
         flags = self._run_flags if end == self._run_len else -1
-        return self._run_addrs[pos:end], count, flags
+        return pos, count, flags
 
-    def _run_chunk(self, chunk: np.ndarray, count: int) -> Addresses:
-        """The addresses of ``count`` elements ``chunk`` took from the
-        buffered run: a ``range`` with the run's stride (element *i* of
-        a run is its first plus *i* strides), or a list when the stride
-        is zero."""
+    def _run_chunk(self, pos: int, count: int) -> Addresses:
+        """The addresses of the run's ``count`` elements from its
+        ``pos``-th: a ``range`` with the run's stride, or a list when the
+        stride is zero."""
         stride = self._run_stride
+        start = self._run_start + pos * stride
         if stride:
-            start = int(chunk[0])
             return range(start, start + count * stride, stride)
-        return chunk.tolist()
+        return [start] * count
 
     def _close_chunk(self, addresses: Addresses) -> None:
         trace = self.trace
@@ -235,8 +244,8 @@ class _RuntimeStream:
                 "consumption of the current chunk"
             )
         lanes, etype = self.lanes, self.etype
-        chunk, count, flags = self._take(lanes)
-        addrs = self._run_chunk(chunk, count)
+        pos, count, flags = self._take(lanes)
+        addrs = self._run_chunk(pos, count)
         if self._run_contiguous and count == lanes:
             # A full chunk of a contiguous run is one block read, and the
             # block is the value.
@@ -244,10 +253,13 @@ class _RuntimeStream:
             valid = self._full
         else:
             data = np.zeros(lanes, dtype=etype.dtype)
+            view = self._run_view
             if self._run_contiguous:
                 data[:count] = self.mem.read_block(addrs[0], count, etype)
+            elif view is not None:
+                data[:count] = view[pos : pos + count]
             else:
-                data[:count] = self.mem.read_gather(chunk, etype)
+                data[:count] = self.mem.read_gather(addrs, etype)
             valid = np.zeros(lanes, dtype=bool)
             valid[:count] = True
         self.last_flags = flags
@@ -265,14 +277,18 @@ class _RuntimeStream:
                 f"stream u{self.reg}: vector write after partial scalar "
                 "production of the current chunk"
             )
-        chunk, count, flags = self._take(self.lanes)
-        addrs = self._run_chunk(chunk, count)
-        # Chunks of other runs (including duplicate addresses, which
-        # resolve last-write-wins in element order) are scattered.
+        pos, count, flags = self._take(self.lanes)
+        addrs = self._run_chunk(pos, count)
+        data, view = value.data[:count], self._run_view
         if self._run_contiguous:
-            self.mem.write_block(addrs[0], value.data[:count])
+            self.mem.write_block(addrs[0], data)
+        elif view is not None and len(data) == count:
+            view[pos : pos + count] = np.asarray(data, dtype=self.etype.dtype)
         else:
-            self.mem.write_scatter(chunk, value.data[:count], self.etype)
+            # Duplicate addresses resolve last-write-wins in element order,
+            # and a value with fewer lanes than the chunk fails as a
+            # scatter does.
+            self.mem.write_scatter(addrs, data, self.etype)
         self.last_flags = flags
         self._close_chunk(addrs)
         self.elements_done += count
@@ -284,8 +300,8 @@ class _RuntimeStream:
     def read_scalar(self) -> Tuple[object, int]:
         self._check_active("read")
         chunk_id = self._chunk_count
-        chunk, _, flags = self._take(1)
-        addr = int(chunk[0])
+        pos, _, flags = self._take(1)
+        addr = self._run_start + pos * self._run_stride
         value = self.mem.read_scalar(addr, self.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1
@@ -299,8 +315,8 @@ class _RuntimeStream:
     def write_scalar(self, value) -> int:
         self._check_active("write")
         chunk_id = self._chunk_count
-        chunk, _, flags = self._take(1)
-        addr = int(chunk[0])
+        pos, _, flags = self._take(1)
+        addr = self._run_start + pos * self._run_stride
         self.mem.write_scalar(addr, value, self.etype)
         self._open_chunk.append(addr)
         self.elements_done += 1

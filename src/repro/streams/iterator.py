@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, NamedTuple, Optional
 
-import numpy as np
-
 from repro.errors import DescriptorError, StreamError
 from repro.streams.descriptor import (
     Descriptor,
@@ -207,31 +205,32 @@ class StreamIterator:
 
 
 class StreamRun(NamedTuple):
-    """One dimension-0 instance of a pattern as a NumPy address vector.
+    """One dimension-0 instance of a pattern: ``count`` elements, the
+    first at byte address ``start`` and each ``stride`` bytes after the
+    one before, so element *i* lies at ``start + i * stride``.
 
-    ``addresses`` are the byte addresses of every element of the
-    instance, in iteration order (always non-empty; empty instances are
-    skipped, exactly as :class:`StreamIterator` yields no element for
-    them).  ``stride`` is the byte step between consecutive elements:
-    ``addresses[i] == addresses[0] + i * stride``.  ``dims_ended`` is the
-    flag of the run's *last* element; every earlier element of the run
-    carries ``-1``, so runs are a lossless regrouping of the element
-    sequence.
+    ``count`` is always positive: empty instances are skipped, exactly
+    as :class:`StreamIterator` yields no element for them.
+    ``dims_ended`` is the flag of the run's *last* element; every earlier
+    element of the run carries ``-1``, so runs are a lossless regrouping
+    of the element sequence.
     """
 
-    addresses: np.ndarray
+    start: int
+    count: int
     stride: int
     dims_ended: int
 
 
 class RunIterator:
-    """Dimension-0-granular (vectorized) expansion of a stream pattern.
+    """Dimension-0-granular expansion of a stream pattern.
 
     Yields the exact element sequence of :class:`StreamIterator`, but one
-    whole dimension-0 instance at a time as a NumPy vector: outer
+    whole dimension-0 instance at a time as a :class:`StreamRun`: outer
     dimensions, modifiers, and indirection still iterate in Python (their
     trip counts are the small factors), while the innermost dimension —
-    the bulk of every pattern — is materialised with one ``arange``.
+    the bulk of every pattern — is affine, so three numbers describe it
+    and no address is generated.
 
     Side-effect order is preserved: indirect origin values are pulled
     through ``read_element`` lazily, one value per iteration of the
@@ -264,8 +263,8 @@ class RunIterator:
         width = pattern.etype.width
         top = pattern.ndims - 1
         runs = self._gen_level(pattern, working, top, 0)
-        for addresses, stride, ended in runs:
-            yield StreamRun(addresses * width, stride * width, ended)
+        for start, count, stride, ended in runs:
+            yield StreamRun(start * width, count, stride * width, ended)
 
     def _gen_level(
         self,
@@ -282,13 +281,7 @@ class RunIterator:
             # An empty instance (a modifier may even drive the size below
             # zero) yields no run, as StreamIterator yields no element.
             if count > 0:
-                base = displacement + desc.offset
-                stride = desc.stride
-                yield (
-                    base + np.arange(count, dtype=np.int64) * stride,
-                    stride,
-                    0,
-                )
+                yield displacement + desc.offset, count, desc.stride, 0
             return
 
         lower = working[level_idx - 1]
@@ -347,11 +340,11 @@ class RunIterator:
     @staticmethod
     def _promote(inner: Iterator, level_idx: int, last: bool) -> Iterator:
         """Lift end-of-dimension flags across this level's last iteration."""
-        for addresses, stride, ended in inner:
+        for start, count, stride, ended in inner:
             if last and ended == level_idx - 1:
-                yield addresses, stride, level_idx
+                yield start, count, stride, level_idx
             else:
-                yield addresses, stride, ended
+                yield start, count, stride, ended
 
     def _origin_values(self, mod: IndirectModifier) -> Iterator[int]:
         """Origin-stream values, pulled (and recorded by ``read_element``)

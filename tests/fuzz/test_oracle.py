@@ -87,6 +87,38 @@ def test_clone_memory_is_independent():
     assert np.array_equal(mem.data[:100], copy.data[:100])
 
 
+@pytest.mark.parametrize("where", ["below", "above", "last"])
+def test_one_changed_byte_outside_the_output_is_a_stray_write(
+    monkeypatch, where
+):
+    """The byte just below the output region, the one just above it, or
+    the image's last byte, changed by every lowering's run, is reported
+    once per lowering; the outputs still match."""
+    spec = generate_spec(5, 0)
+    art = materialize(spec)
+    c = art.views["c"]
+    offset = {
+        "below": c.addr - 1,
+        "above": c.addr + c.length * c.width,
+        "last": art.memory.size - 1,
+    }[where]
+    run = FunctionalSimulator.run
+
+    def run_and_poke(self):
+        summary = run(self)
+        self.state.mem.data[offset] ^= 0x5A
+        return summary
+
+    monkeypatch.setattr(FunctionalSimulator, "run", run_and_poke)
+    report = run_case(spec, art=art)
+    assert [(fl.isa, fl.kind) for fl in report.failures] == [
+        (isa, "stray-write") for isa in ISAS
+    ]
+    assert report.failures[0].detail == (
+        "bytes outside the output region changed"
+    )
+
+
 @pytest.mark.parametrize("inject", sorted(INJECTIONS))
 def test_injection_is_caught(inject):
     # Each documented distortion of the UVE lowering must be detected

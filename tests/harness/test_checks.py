@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.harness.checks import CheckReport, diff_results, validate_results
+from repro.harness.checks import (
+    CheckReport,
+    diff_results,
+    main,
+    validate_results,
+)
 
 
 @pytest.fixture()
@@ -94,6 +99,23 @@ class TestCanonicalResults:
 class TestDiffResults:
     def test_equal_campaigns_have_no_diff(self, good_payload):
         assert diff_results(good_payload, copy.deepcopy(good_payload)) == []
+
+    def test_command_prints_each_difference_and_fails(
+        self, good_payload, tmp_path, capsys
+    ):
+        expected, got = tmp_path / "expected.json", tmp_path / "got.json"
+        expected.write_text(json.dumps(good_payload))
+        got.write_text(json.dumps(good_payload))
+        assert main([str(expected), str(got)]) == 0
+        assert capsys.readouterr().out == f"{got} equals {expected}\n"
+        changed = copy.deepcopy(good_payload)
+        changed["seed"] = 1
+        changed["experiments"][0]["rows"][0][2] = "1.51x"
+        got.write_text(json.dumps(changed))
+        assert main([str(expected), str(got)]) == 1
+        assert capsys.readouterr().out.splitlines() == diff_results(
+            good_payload, changed
+        )
 
     def test_names_experiment_row_column_and_both_values(self):
         expected = {"scale": 1.0, "seed": 0, "experiments": [{

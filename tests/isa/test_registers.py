@@ -1,4 +1,10 @@
 """Unit tests for the register model and name parsing."""
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import IsaError
@@ -63,6 +69,28 @@ class TestEqualityHash:
 
     def test_non_reg_comparison(self):
         assert u(1) != "u1"
+
+    def test_pickled_register_is_the_loading_process_register(self):
+        """A register's cached hash is salted per process: one pickled
+        under one hash seed and loaded under another must still find
+        its dict entries there."""
+        dump = "import pickle, sys; from repro.isa import u, x; " \
+            "sys.stdout.buffer.write(pickle.dumps([u(3), {x(5): 7}]))"
+        load = "import pickle, sys; from repro.isa import u, x; " \
+            "reg, table = pickle.loads(sys.stdin.buffer.read()); " \
+            "assert reg is u(3) and {u(3): 1}.get(reg) == 1, 'u3'; " \
+            "assert table.get(x(5)) == 7, 'x5'"
+        src = str(Path(__file__).resolve().parents[2] / "src")
+
+        def python(code, seed, stdin=None):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, check=True,
+            ).stdout
+
+        python(load, "2", python(dump, "1"))
+        assert pickle.loads(pickle.dumps(u(3))) is u(3)
 
 
 class TestParsing:

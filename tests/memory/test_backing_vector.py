@@ -135,3 +135,38 @@ class TestBlock:
             mem.read_block(200, 100, F32)
         with pytest.raises(MemoryAccessError):
             mem.write_block(250, np.ones(4, dtype=np.float32))
+
+
+class TestStrided:
+    @pytest.mark.parametrize(
+        "addr, count, stride, etype",
+        [
+            (64, 5, 12, F32),
+            (200, 6, -8, F32),
+            (40, 6, -8, F32),  # ends at address 0
+            (0, 4, 64, I64),
+            (256 - 8, 1, 24, I64),  # ends at the last element
+        ],
+    )
+    def test_view_matches_gather_and_writes_memory(
+        self, addr, count, stride, etype
+    ):
+        mem = Memory(256)
+        rng = np.random.default_rng(6)
+        mem.data[:] = rng.integers(0, 256, size=mem.size, dtype=np.uint8)
+        addrs = addr + np.arange(count, dtype=np.int64) * stride
+        view = mem.strided(addr, count, stride, etype)
+        assert len(view) == count
+        np.testing.assert_array_equal(view, mem.read_gather(addrs, etype))
+        values = np.arange(1, count + 1, dtype=etype.dtype)
+        view[:] = values
+        np.testing.assert_array_equal(mem.read_gather(addrs, etype), values)
+
+    @pytest.mark.parametrize(
+        "addr, stride",
+        [(64, 0), (66, 8), (64, 6), (-8, 8), (240, 8), (8, -8)],
+        ids=["zero", "unaligned", "unaligned-stride", "below-zero",
+             "past-the-end", "falls-below-zero"],
+    )
+    def test_no_view_where_a_slice_cannot_stand_for_the_run(self, addr, stride):
+        assert Memory(256).strided(addr, 3, stride, F32) is None

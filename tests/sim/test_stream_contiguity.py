@@ -1,22 +1,23 @@
 """The stream access paths of `_RuntimeStream` and its scalar/vector
 interleave contract.
 
-A run's stride decides its path once, when the run is fetched: a run
-whose stride is one element width (or that has a single element) is
+A run's path is decided once, when the run is fetched: a run whose
+stride is one element width (or that has a single element) is
 contiguous, and each of its chunks is one ``read_block``/``write_block``;
-every other run is gathered and scattered in stream order.  The stride
-is trusted, so ``tests/streams/test_run_iterator.py`` checks that every
-run's addresses are exactly ``addresses[0] + i * stride``: a run with a
-permuted interior (e.g. ``[b, b+8, b+4, b+12]``, once read in address
-order by an endpoint-only contiguity test) cannot claim to be
-contiguous.  These tests inject runs directly into the stream's run
-iterator so the exact address vectors are under test control.
+an aligned run with a nonzero stride that lies inside memory is one
+strided view of memory (``Memory.strided``), and each of its chunks a
+slice of that view; every other run is gathered and scattered in stream
+order.  The runs are ``(start, count, stride)`` by construction
+(``tests/streams/test_run_iterator.py``), so no run can claim a stride
+its addresses do not follow.  These tests inject runs directly into the
+stream's run iterator, and check that the view path reads, writes and
+fails exactly as the gather/scatter path does.
 """
 import numpy as np
 import pytest
 
 from repro.common.types import ElementType
-from repro.errors import StreamError
+from repro.errors import MemoryAccessError, StreamError
 from repro.isa.vector import VecValue, all_valid
 from repro.memory.backing import Memory
 from repro.sim.functional import _RuntimeStream
@@ -36,7 +37,8 @@ LANES = 4
 
 
 class RecordingMemory(Memory):
-    """A memory that records which access path each vector access took."""
+    """A memory that records which access path each vector access took
+    (``strided`` once per run that got a view)."""
 
     def __init__(self, size):
         super().__init__(size)
@@ -58,11 +60,17 @@ class RecordingMemory(Memory):
         self.paths.append("scatter")
         super().write_scatter(addrs, values, etype)
 
+    def strided(self, addr, count, stride, etype):
+        view = super().strided(addr, count, stride, etype)
+        if view is not None:
+            self.paths.append("strided")
+        return view
 
-def make_stream(direction, base, count, stride, lanes=LANES):
+
+def make_stream(direction, base, count, stride, lanes=LANES, size=1 << 12):
     """A 1-D stream whose next run is ``count`` elements from byte
     address ``base``, ``stride`` bytes apart."""
-    mem = RecordingMemory(1 << 12)
+    mem = RecordingMemory(size)
     pattern = StreamPattern(
         levels=[Level(Descriptor(0, count, 1))],
         etype=F32,
@@ -78,9 +86,8 @@ def make_stream(direction, base, count, stride, lanes=LANES):
         storage_bytes=0,
     )
     stream = _RuntimeStream(0, 0, pattern, lanes, mem, trace)
-    addrs = base + np.arange(count, dtype=np.int64) * stride
-    stream._runs = iter([StreamRun(addrs, stride, 0)])
-    return stream, mem, addrs.tolist()
+    stream._runs = iter([StreamRun(base, count, stride, 0)])
+    return stream, mem, [base + i * stride for i in range(count)]
 
 
 def fill(mem, addrs, values):
@@ -130,7 +137,7 @@ class TestRunStridePaths:
         assert mem.paths == ["block"]
         assert [mem.read_scalar(a, F32) for a in addrs] == [5.0, 6.0, 7.0, 8.0]
 
-    def test_reversed_run_is_gathered(self):
+    def test_reversed_run_reads_through_a_strided_view(self):
         # Descending addresses step by minus one width: not contiguous.
         stream, mem, addrs = make_stream(
             Direction.LOAD, 64 + 3 * WIDTH, LANES, -WIDTH
@@ -140,15 +147,15 @@ class TestRunStridePaths:
         np.testing.assert_array_equal(
             value.data, np.array([4.0, 3.0, 2.0, 1.0], dtype=np.float32)
         )
-        assert mem.paths == ["gather"]
+        assert mem.paths == ["strided"]
         assert value.valid.all()
 
-    def test_reversed_run_is_scattered(self):
+    def test_reversed_run_writes_through_a_strided_view(self):
         stream, mem, addrs = make_stream(
             Direction.STORE, 64 + 3 * WIDTH, LANES, -WIDTH
         )
         stream.write_vector(full_value([1.0, 2.0, 3.0, 4.0]))
-        assert mem.paths == ["scatter"]
+        assert mem.paths == ["strided"]
         # Stream element i lands at addrs[i]: address order is 4, 3, 2, 1.
         got = [mem.read_scalar(a, F32) for a in sorted(addrs)]
         assert got == [4.0, 3.0, 2.0, 1.0]
@@ -161,8 +168,9 @@ class TestRunStridePaths:
         np.testing.assert_array_equal(
             value.data, np.array(values, dtype=np.float32)
         )
-        assert mem.paths == ["gather"]
+        assert mem.paths == ["strided"]
         assert value.valid.all()
+        assert stream.trace.chunks == [range(64, 64 + 4 * 3 * WIDTH, 3 * WIDTH)]
 
     def test_zero_stride_write_last_wins(self):
         # Every element targets one address; the scalar reference applies
@@ -171,6 +179,30 @@ class TestRunStridePaths:
         stream.write_vector(full_value([1.0, 2.0, 3.0, 4.0]))
         assert mem.paths == ["scatter"]
         assert mem.read_scalar(64, F32) == 4.0
+        assert stream.trace.chunks == [[64] * LANES]
+
+    @pytest.mark.parametrize(
+        "base, stride", [(66, 2 * WIDTH), (64, 6), (4096 - 8, WIDTH * 2)],
+        ids=["unaligned-start", "unaligned-stride", "past-the-end"],
+    )
+    def test_run_without_a_view_is_gathered(self, base, stride):
+        stream, mem, addrs = make_stream(Direction.LOAD, base, 2, stride)
+        if base + stride + WIDTH <= mem.size:
+            stream.read_vector()
+        else:
+            with pytest.raises(MemoryAccessError):
+                stream.read_vector()
+        assert mem.paths == ["gather"]
+
+    def test_value_narrower_than_the_chunk_fails_as_a_scatter(self):
+        stream, mem, addrs = make_stream(Direction.STORE, 64, LANES, 2 * WIDTH)
+        with pytest.raises(ValueError) as want:
+            Memory(mem.size).write_scatter(
+                np.array(addrs), np.ones(2, dtype=np.float32), F32
+            )
+        with pytest.raises(ValueError) as got:
+            stream.write_vector(full_value([1.0, 2.0]))
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("stride", [WIDTH, 0, -WIDTH, 3 * WIDTH])
     def test_single_element_run_is_one_block(self, stride):
@@ -181,7 +213,7 @@ class TestRunStridePaths:
         assert value.valid.tolist() == [True]
         assert mem.paths == ["block"]
 
-    def test_single_element_tail_of_a_strided_run_is_gathered(self):
+    def test_single_element_tail_of_a_strided_run_is_a_view_slice(self):
         stream, mem, addrs = make_stream(
             Direction.LOAD, 64, LANES + 1, 2 * WIDTH
         )
@@ -189,7 +221,91 @@ class TestRunStridePaths:
         stream.read_vector()
         value, _ = stream.read_vector()
         assert value.data.tolist() == [4.0, 0.0, 0.0, 0.0]
-        assert mem.paths == ["gather", "gather"]
+        assert value.valid.tolist() == [True, False, False, False]
+        assert mem.paths == ["strided"]
+
+
+#: ``(start, stride)`` of six-element runs over a 256-byte image:
+#: positive, negative and zero strides, unaligned starts and strides, and
+#: runs that start below 0 or end past the image (at their first or
+#: second chunk).
+STRIDED_RUNS = {
+    "positive": (8, 3 * WIDTH),
+    "negative": (200, -2 * WIDTH),
+    "negative-to-zero": (5 * 2 * WIDTH, -2 * WIDTH),
+    "zero": (64, 0),
+    "unaligned-start": (9, 2 * WIDTH),
+    "unaligned-stride": (8, 6),
+    "unaligned-negative": (203, -5),
+    "below-zero": (-8, 2 * WIDTH),
+    "falls-below-zero": (3 * WIDTH, -2 * WIDTH),
+    "past-the-end": (256 - 2 * WIDTH, 2 * WIDTH),
+    "runs-past-the-end": (256 - 5 * 3 * WIDTH, 3 * WIDTH),
+    "unaligned-past-the-end": (256 - 6, 3),
+}
+COUNT, IMAGE = 6, 256
+
+
+def chunks_by_gather(direction, start, stride):
+    """What reading or writing the run chunk by chunk through
+    ``read_gather``/``write_scatter`` gives: per chunk the bytes it read
+    or the error text, and the image after each chunk."""
+    mem = Memory(IMAGE)
+    mem.data[:] = np.arange(IMAGE, dtype=np.uint8)
+    addrs = np.array([start + i * stride for i in range(COUNT)])
+    steps = []
+    for first in range(0, COUNT, LANES):
+        chunk = addrs[first : first + LANES]
+        try:
+            if direction is Direction.LOAD:
+                got = mem.read_gather(chunk, F32).tobytes()
+            else:
+                mem.write_scatter(chunk, chunk_values(first, len(chunk)), F32)
+                got = None
+        except MemoryAccessError as exc:
+            steps.append((str(exc), mem.data.tobytes()))
+            break
+        steps.append((got, mem.data.tobytes()))
+    return steps
+
+
+def chunks_by_stream(direction, start, stride):
+    stream, mem, _ = make_stream(direction, start, COUNT, stride, size=IMAGE)
+    mem.data[:] = np.arange(IMAGE, dtype=np.uint8)
+    steps = []
+    for first in range(0, COUNT, LANES):
+        count = min(LANES, COUNT - first)
+        try:
+            if direction is Direction.LOAD:
+                got = stream.read_vector()[0].data[:count].tobytes()
+            else:
+                values = np.zeros(LANES, dtype=np.float32)
+                values[:count] = chunk_values(first, count)
+                stream.write_vector(full_value(values))
+                got = None
+        except MemoryAccessError as exc:
+            steps.append((str(exc), mem.data.tobytes()))
+            break
+        steps.append((got, mem.data.tobytes()))
+    return steps, mem.paths
+
+
+def chunk_values(first, count):
+    return np.arange(first, first + count, dtype=np.float32) * 1.5 - 2.0
+
+
+class TestStridedViewMatchesGather:
+    @pytest.mark.parametrize("direction", [Direction.LOAD, Direction.STORE])
+    @pytest.mark.parametrize("name", sorted(STRIDED_RUNS))
+    def test_same_values_errors_and_image(self, name, direction):
+        start, stride = STRIDED_RUNS[name]
+        want = chunks_by_gather(direction, start, stride)
+        got, paths = chunks_by_stream(direction, start, stride)
+        assert got == want
+        aligned = start % WIDTH == 0 and stride % WIDTH == 0
+        last = start + (COUNT - 1) * stride
+        inside = min(start, last) >= 0 and max(start, last) + WIDTH <= IMAGE
+        assert (paths == ["strided"]) == (aligned and inside and stride != 0)
 
 
 class TestScalarVectorInterleave:

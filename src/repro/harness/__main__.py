@@ -83,11 +83,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="parallel simulation processes "
                              "(default: os.cpu_count())")
-    parser.add_argument("--lowering", default="ir",
-                        choices=("ir", "legacy"),
-                        help="program generation path: the shared "
-                             "loop-nest IR (default) or the legacy "
-                             "hand-written builders")
     parser.add_argument("--json", metavar="PATH", default="",
                         help="also write all results as JSON "
                              "(updated atomically after each experiment)")
@@ -120,7 +115,6 @@ def main(argv=None) -> int:
                 ("--scale", args.scale is not None),
                 ("--seed", args.seed is not None),
                 ("--jobs", args.jobs is not None),
-                ("--lowering", args.lowering != "ir"),
                 ("--json", bool(args.json)),
                 ("--cache-dir", bool(args.cache_dir)),
                 ("--no-cache", args.no_cache),
@@ -174,7 +168,7 @@ def main(argv=None) -> int:
         cache = ResultCache(args.cache_dir or None)
     executor = CampaignExecutor(
         scale=scale, seed=seed, jobs=args.jobs, cache=cache,
-        progress=stderr_progress, lowering=args.lowering,
+        progress=stderr_progress,
     )
     writer = IncrementalJsonWriter(args.json, scale, seed) if args.json \
         else None

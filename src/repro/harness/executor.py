@@ -95,21 +95,19 @@ Group = List[Tuple[str, RunSpec]]
 
 
 def _run_group(
-    group: Group, scale: float, seed: int, lowering: str = "ir"
+    group: Group, scale: float, seed: int
 ) -> Iterator[Tuple[str, RunSpec, RunRecord, float, int]]:
     """Simulate one group in a fresh Runner, yielding ``(key, spec,
     record, seconds, pid)`` as each run is timed."""
-    runner = Runner(scale=scale, seed=seed, lowering=lowering)
+    runner = Runner(scale=scale, seed=seed)
     timed = runner.simulate([spec for _, spec in group])
     for (key, spec), (record, wall) in zip(group, timed):
         yield key, spec, record, wall, os.getpid()
 
 
-def _execute_group(
-    group: Group, scale: float, seed: int, lowering: str = "ir"
-):
+def _execute_group(group: Group, scale: float, seed: int):
     """Pool task: one whole group, its runs returned together."""
-    return list(_run_group(group, scale, seed, lowering))
+    return list(_run_group(group, scale, seed))
 
 
 class CampaignExecutor:
@@ -119,6 +117,9 @@ class CampaignExecutor:
     boot (0: shards started elsewhere) and the service's artifact store
     is the cache."""
 
+    #: perfbench's ``campaign`` workload keys specs with it.
+    lowering = "ir"
+
     def __init__(
         self,
         scale: float = 1.0,
@@ -126,7 +127,6 @@ class CampaignExecutor:
         jobs: Optional[int] = None,
         cache=None,
         progress: Optional[Callable[[str], None]] = None,
-        lowering: str = "ir",
         service=None,
     ) -> None:
         self.scale = scale
@@ -137,8 +137,7 @@ class CampaignExecutor:
         if service is not None:
             cache = service.cache
         self.cache = cache
-        self.lowering = lowering
-        self.runner = Runner(scale=scale, seed=seed, lowering=lowering)
+        self.runner = Runner(scale=scale, seed=seed)
         self.progress = progress
         self.events: List[RunEvent] = []
 
@@ -186,7 +185,7 @@ class CampaignExecutor:
         """The misses grouped by trace key, in first-appearance order."""
         groups: Dict[tuple, Group] = {}
         for key, spec in pending.items():
-            trace_key = spec.trace_key(self.scale, self.seed, self.lowering)
+            trace_key = spec.trace_key(self.scale, self.seed)
             groups.setdefault(trace_key, []).append((key, spec))
         return list(groups.values())
 
@@ -194,7 +193,7 @@ class CampaignExecutor:
         remaining = sum(len(group) for group in groups)
         for group in groups:
             for key, spec, record, wall, worker in _run_group(
-                group, self.scale, self.seed, self.lowering
+                group, self.scale, self.seed
             ):
                 remaining -= 1
                 self._finish(key, spec, record, wall, worker, remaining)
@@ -203,8 +202,7 @@ class CampaignExecutor:
         remaining = sum(len(group) for group in groups)
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
             futures = [
-                pool.submit(_execute_group, group, self.scale, self.seed,
-                            self.lowering)
+                pool.submit(_execute_group, group, self.scale, self.seed)
                 for group in groups
             ]
             try:
@@ -249,7 +247,7 @@ class CampaignExecutor:
         for experiment in experiments:
             if experiment.specs not in run_lists:
                 run_lists[experiment.specs] = [
-                    (spec, spec.key(self.scale, self.seed, self.lowering))
+                    (spec, spec.key(self.scale, self.seed))
                     for spec in experiment.specs(self.runner)
                 ]
         specs: Dict[str, RunSpec] = {}

@@ -142,14 +142,13 @@ def run_fingerprint(
     seed: int,
     unroll: int = 0,
     salt: Optional[str] = None,
-    lowering: str = "ir",
 ) -> str:
     """Fingerprint identifying one simulation run.
 
     ``salt`` lets the on-disk cache mix in a code-version component so
-    stale results from an older simulator never satisfy a newer one;
-    ``lowering`` distinguishes IR-lowered programs from the legacy
-    hand-built ones (they can differ in code shape).
+    stale results from an older simulator never satisfy a newer one.
+    The ``lowering`` field is a constant that keeps every key what it
+    was when programs could also come from a second, hand-built path.
     """
     return fingerprint(
         {
@@ -160,6 +159,6 @@ def run_fingerprint(
             "seed": seed,
             "unroll": unroll,
             "salt": salt or "",
-            "lowering": lowering,
+            "lowering": "ir",
         }
     )

@@ -50,41 +50,39 @@ class RunSpec:
 
     Picklable, so a process-pool worker can rebuild the run from it.
     ``config=None`` means the ISA's default machine; ``unroll > 0``
-    selects the unrolled UVE build (Fig. 8.E).  ``lowering=None``
-    inherits the Runner's program-generation path (ir or legacy).
+    selects the unrolled UVE build (Fig. 8.E).
     """
 
     kernel: str
     isa: str
     config: Optional[MachineConfig] = None
     unroll: int = 0
-    lowering: Optional[str] = None
 
     def __hash__(self) -> int:
         # ``config.latencies`` is a dict, so the config is left out of
         # the hash; equality still compares every field.
-        return hash((self.kernel, self.isa, self.unroll, self.lowering))
+        return hash((self.kernel, self.isa, self.unroll))
 
     def resolved_config(self) -> MachineConfig:
         if self.config is not None:
             return self.config
         return default_machine(self.isa)
 
-    def resolved_lowering(self, default: str = "ir") -> str:
-        return self.lowering if self.lowering is not None else default
-
     def key(self, scale: float, seed: int, lowering: str = "ir") -> str:
+        # perfbench's ``campaign`` workload passes ``lowering``.
+        if lowering != "ir":
+            raise ConfigError(
+                f"unknown lowering {lowering!r} (expected 'ir')"
+            )
         return run_fingerprint(
             self.kernel, self.isa, self.resolved_config(),
             scale, seed, self.unroll,
-            lowering=self.resolved_lowering(lowering),
         )
 
     def trace_key(
         self,
         scale: float,
         seed: int,
-        lowering: str = "ir",
         config: Optional[MachineConfig] = None,
     ) -> tuple:
         """Every input of the build and the functional pass.  Runs with
@@ -95,7 +93,6 @@ class RunSpec:
             config = self.resolved_config()
         return (
             self.kernel, self.isa, self.unroll,
-            self.resolved_lowering(lowering),
             config.vector_bits, scale, seed,
         )
 
@@ -109,17 +106,9 @@ class Runner:
     """Simulates runs for the experiment harness, and holds a campaign's
     records by fingerprint."""
 
-    def __init__(
-        self, scale: float = 1.0, seed: int = 0, lowering: str = "ir"
-    ) -> None:
-        if lowering not in ("ir", "legacy"):
-            raise ConfigError(
-                f"unknown lowering {lowering!r} (expected 'ir' or 'legacy')"
-            )
+    def __init__(self, scale: float = 1.0, seed: int = 0) -> None:
         self.scale = scale
         self.seed = seed
-        #: program-generation path for every run (specs may override).
-        self.lowering = lowering
         #: fingerprint -> record, filled by the campaign executor
         self.records: Dict[str, RunRecord] = {}
 
@@ -142,7 +131,7 @@ class Runner:
         # its ISA's default machine) and passed down.
         configs = [spec.resolved_config() for spec in specs]
         if len({
-            spec.trace_key(self.scale, self.seed, self.lowering, config)
+            spec.trace_key(self.scale, self.seed, config)
             for spec, config in zip(specs, configs)
         }) > 1:
             raise ConfigError("runs of one group must share a trace key")
@@ -152,7 +141,6 @@ class Runner:
         recording, wl = record_kernel(
             first.kernel, first.isa, configs[0].vector_bits,
             scale=self.scale, seed=self.seed, unroll=first.unroll,
-            lowering=first.resolved_lowering(self.lowering),
         )
         wl.verify()
         letter = get_kernel(first.kernel).letter

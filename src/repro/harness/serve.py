@@ -6,7 +6,7 @@ grid: in-process, on a process pool, or, when it is handed an
 directory::
 
     campaign/
-      manifest.json     # scale/seed/lowering/salt — resume safety
+      manifest.json     # scale/seed/salt — resume safety
       queue.sqlite      # persistent job queue (jobqueue.JobQueue)
       events.jsonl      # structured job events (submit/lease/complete/...)
       artifacts/        # content-addressed result store (ResultCache)
@@ -52,7 +52,7 @@ from repro.harness.runner import Runner, RunRecord, RunSpec
 from repro.harness.speccodec import spec_from_json, spec_to_json
 
 #: manifest schema version; bump on incompatible campaign-dir changes.
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 
 
 @dataclass
@@ -89,7 +89,6 @@ class ExperimentService:
         root,
         scale: float = 1.0,
         seed: int = 0,
-        lowering: str = "ir",
         lease_seconds: float = 60.0,
         max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
@@ -103,7 +102,6 @@ class ExperimentService:
             "format": MANIFEST_FORMAT,
             "scale": scale,
             "seed": seed,
-            "lowering": lowering,
             "lease_seconds": lease_seconds,
             "max_attempts": max_attempts,
             "salt": code_version_salt(),
@@ -114,7 +112,6 @@ class ExperimentService:
         self.worker_exits: List[int] = []
         self.scale = self.params["scale"]
         self.seed = self.params["seed"]
-        self.lowering = self.params["lowering"]
         self.queue = JobQueue(
             self.root / "queue.sqlite",
             lease_seconds=self.params["lease_seconds"],
@@ -142,7 +139,6 @@ class ExperimentService:
             root,
             scale=params["scale"],
             seed=params["seed"],
-            lowering=params["lowering"],
             lease_seconds=params["lease_seconds"],
             max_attempts=params["max_attempts"],
         )
@@ -174,7 +170,7 @@ class ExperimentService:
     # -- Client API ----------------------------------------------------------
 
     def key_for(self, spec: RunSpec) -> str:
-        return spec.key(self.scale, self.seed, self.lowering)
+        return spec.key(self.scale, self.seed)
 
     def submit(self, spec: RunSpec) -> SubmitResult:
         """Submit one run.  Identical requests — same content fingerprint,
@@ -348,9 +344,7 @@ def worker_loop(
     bounds the shard (tests use it to stop a campaign half-finished)."""
     service = ExperimentService.attach(root)
     worker = shard_id or f"{os.uname().nodename}:{os.getpid()}"
-    runner = Runner(
-        scale=service.scale, seed=service.seed, lowering=service.lowering,
-    )
+    runner = Runner(scale=service.scale, seed=service.seed)
     completed = 0
     while max_jobs is None or completed < max_jobs:
         service.queue.requeue_expired()

@@ -277,7 +277,6 @@ def run_sweep(
     workers: int = 1,
     scale: float = 1.0,
     seed: int = 0,
-    lowering: str = "ir",
     lease_seconds: float = 60.0,
     max_attempts: int = 3,
     resume: bool = False,
@@ -299,7 +298,7 @@ def run_sweep(
     service = None
     if root is not None:
         service = ExperimentService(
-            root, scale=scale, seed=seed, lowering=lowering,
+            root, scale=scale, seed=seed,
             lease_seconds=lease_seconds, max_attempts=max_attempts,
             resume=resume, chaos_kill=chaos_kill, timeout_s=timeout_s,
         )
@@ -309,9 +308,9 @@ def run_sweep(
                 progress(f"[sweep] resume: released {released} stale leases")
     executor = CampaignExecutor(
         scale=scale, seed=seed, jobs=workers, progress=progress,
-        lowering=lowering, service=service,
+        service=service,
     )
-    keys = [point.spec.key(scale, seed, lowering) for point in points]
+    keys = [point.spec.key(scale, seed) for point in points]
     keyed = {}
     for key, point in zip(keys, points):
         keyed.setdefault(key, point.spec)
@@ -349,7 +348,6 @@ def run_sweep(
         "description": spec.description,
         "scale": scale,
         "seed": seed,
-        "lowering": lowering,
         "rows": rows,
         "pareto": pareto_front(rows),
         "jobs": jobs,
@@ -424,8 +422,6 @@ def main(argv=None) -> int:
                              "continue a half-finished campaign")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lowering", default="ir",
-                        choices=("ir", "legacy"))
     parser.add_argument("--lease-seconds", type=float,
                         default=argparse.SUPPRESS,
                         help="with --queue: worker lease/heartbeat window "
@@ -465,8 +461,7 @@ def main(argv=None) -> int:
     try:
         payload = run_sweep(
             spec, args.queue or None, args.workers, scale=args.scale,
-            seed=args.seed, lowering=args.lowering,
-            progress=stderr_progress, **service_opts,
+            seed=args.seed, progress=stderr_progress, **service_opts,
         )
     except CampaignInterrupted as interrupt:
         hint = " — finished rows are stored; --resume continues" \

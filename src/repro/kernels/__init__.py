@@ -1,5 +1,5 @@
 """The 19 evaluation kernels (paper §V, Fig. 8) plus extensions."""
-from repro.kernels.base import ALL_ISAS, ISAS, LOWERINGS, Kernel, Workload
+from repro.kernels.base import ALL_ISAS, ISAS, Kernel, Workload
 from repro.kernels.registry import (
     all_kernels,
     get_kernel,
@@ -10,7 +10,6 @@ from repro.kernels.registry import (
 __all__ = [
     "ALL_ISAS",
     "ISAS",
-    "LOWERINGS",
     "Kernel",
     "Workload",
     "all_kernels",

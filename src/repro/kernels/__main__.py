@@ -5,7 +5,6 @@ Usage::
     python -m repro.kernels --list
     python -m repro.kernels saxpy --isa uve
     python -m repro.kernels gemm --isa sve --scale 0.5 --listing
-    python -m repro.kernels stream --isa neon --lowering legacy
 """
 from __future__ import annotations
 
@@ -49,9 +48,6 @@ def main(argv=None) -> int:
                         choices=kernel_names(include_extensions=True))
     parser.add_argument("--isa", default="uve",
                         choices=("uve", "sve", "neon", "rvv"))
-    parser.add_argument("--lowering", default="ir", choices=("ir", "legacy"),
-                        help="program generation path: shared loop-nest IR "
-                             "(default) or legacy hand-written builders")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--vector-bits", type=int, default=512)
@@ -72,9 +68,7 @@ def main(argv=None) -> int:
     config = default_machine(args.isa).with_(vector_bits=args.vector_bits)
     wl = kernel.workload(seed=args.seed, scale=args.scale)
     try:
-        program = kernel.build(
-            args.isa, wl, args.vector_bits, lowering=args.lowering
-        )
+        program = kernel.build(args.isa, wl, args.vector_bits)
     except (ConfigError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -88,7 +82,7 @@ def main(argv=None) -> int:
     wall = time.time() - start
 
     print(f"benchmark {kernel.letter}: {kernel.name} [{args.isa}] "
-          f"(params {wl.params}, lowering {args.lowering})")
+          f"(params {wl.params}, lowering {kernel.lowering_source()})")
     print(f"  verified against NumPy reference")
     print(f"  committed instructions : {result.committed}")
     print(f"  cycles                 : {result.cycles:.0f}")

@@ -2,9 +2,10 @@
 
 Each of the 19 evaluation benchmarks (paper Fig. 8, left table) is a
 :class:`Kernel` subclass providing a workload generator, a NumPy
-reference, and program builders for the three ISAs.  Benchmarks the ARM
-compiler failed to vectorize (marked * in the paper) return *scalar*
-programs for both baselines, as in the paper.
+reference, and its programs: loop-nest IR lowered for every ISA
+(:meth:`Kernel.ir_nests`) or hand-written per-ISA builders.  Benchmarks
+the ARM compiler failed to vectorize (marked * in the paper) return
+*scalar* programs for both baselines, as in the paper.
 """
 from __future__ import annotations
 
@@ -24,10 +25,6 @@ ISAS = ("uve", "sve", "neon")
 #: all implemented ISAs (RVV is the Fig. 1.C comparator, provided for the
 #: extension experiment on the 1-D benchmark family).
 ALL_ISAS = ISAS + ("rvv",)
-
-#: program-generation paths: the shared loop-nest IR (:mod:`repro.lower`)
-#: or the hand-written per-ISA builders.
-LOWERINGS = ("ir", "legacy")
 
 
 @dataclass
@@ -97,7 +94,8 @@ class Kernel(ABC):
     def ir_nests(self, wl: Workload):
         """The kernel as loop-nest IR: a tuple of :class:`repro.ir.Nest`
         placed over ``wl``'s arrays, or ``None`` when the kernel has not
-        been migrated (hand builders only)."""
+        been migrated (hand builders only).  A kernel with nests has no
+        hand builders: :meth:`build` lowers the nests for every ISA."""
         return None
 
     def lowering_source(self) -> str:
@@ -115,13 +113,16 @@ class Kernel(ABC):
         )
         return ALL_ISAS if has_rvv else ISAS
 
-    @abstractmethod
     def build_uve(self, wl: Workload, lanes: int) -> Program:
-        """The UVE implementation."""
+        """The hand-written UVE implementation."""
+        raise NotImplementedError(f"{self.name} has no UVE implementation")
 
-    @abstractmethod
     def build_vector(self, wl: Workload, isa: str) -> Program:
-        """Vectorized baseline (``isa`` is ``sve`` or ``neon``)."""
+        """Hand-written vectorized baseline (``isa`` is ``sve`` or
+        ``neon``)."""
+        raise NotImplementedError(
+            f"{self.name} has no {isa} implementation"
+        )
 
     def build_scalar(self, wl: Workload) -> Program:
         """Scalar fallback for SVE-unvectorized kernels."""
@@ -137,51 +138,37 @@ class Kernel(ABC):
 
     # -- Dispatch ------------------------------------------------------------
 
-    def build(
-        self,
-        isa: str,
-        wl: Workload,
-        vector_bits: int = 512,
-        lowering: str = "ir",
-    ) -> Program:
+    def build(self, isa: str, wl: Workload, vector_bits: int = 512) -> Program:
+        """The kernel's program for ``isa``: its IR nests lowered when it
+        has them, else its hand-written builder."""
         if isa not in ALL_ISAS:
             raise ConfigError(
                 f"unknown ISA {isa!r} (expected one of {ALL_ISAS})"
-            )
-        if lowering not in LOWERINGS:
-            raise ConfigError(
-                f"unknown lowering {lowering!r} (expected one of {LOWERINGS})"
             )
         if isa == "rvv" and "rvv" not in self.supported_isas():
             raise ConfigError(
                 f"kernel {self.name!r} does not implement ISA 'rvv' "
                 f"(supported: {', '.join(self.supported_isas())})"
             )
-        if lowering == "ir":
-            nests = self.ir_nests(wl)
-            if nests is not None:
-                from repro.errors import LoweringError
-                from repro.lower import lower_nests
+        if isa in ("sve", "neon") and not self.sve_vectorized:
+            # The paper's compiler could not vectorize this kernel: the
+            # baseline core runs scalar code.
+            return self.build_scalar(wl)
+        nests = self.ir_nests(wl)
+        if nests is not None:
+            from repro.errors import LoweringError
+            from repro.lower import lower_nests
 
-                # SVE-unvectorized kernels run scalar baseline code; none
-                # are IR-migrated yet, but keep the paper semantics if one
-                # ever is.
-                if isa in ("sve", "neon") and not self.sve_vectorized:
-                    return self.build_scalar(wl)
-                try:
-                    return lower_nests(nests, isa, f"{self.name}-{isa}")
-                except LoweringError as exc:
-                    raise ConfigError(
-                        f"kernel {self.name!r} cannot be lowered to "
-                        f"{isa!r} through the IR: {exc}"
-                    ) from exc
+            try:
+                return lower_nests(nests, isa, f"{self.name}-{isa}")
+            except LoweringError as exc:
+                raise ConfigError(
+                    f"kernel {self.name!r} cannot be lowered to "
+                    f"{isa!r} through the IR: {exc}"
+                ) from exc
         if isa == "uve":
             return self.build_uve(wl, lanes=vector_bits // 32)
         if isa in ("sve", "neon"):
-            if not self.sve_vectorized:
-                # The paper's compiler could not vectorize this kernel:
-                # the baseline core runs scalar code.
-                return self.build_scalar(wl)
             return self.build_vector(wl, isa)
         return self.build_rvv(wl)
 

@@ -1,11 +1,10 @@
 """Extension benchmark T: dot product — the IR-native reduction kernel.
 
-Unlike the paper's A..S set this kernel has no hand-written builders:
-every ISA's program comes from the shared loop-nest IR
-(:mod:`repro.lower`), exercising the reduction path end to end — UVE's
-``so.mac`` + final scalar reduce, SVE's predicated ``fmla`` + ``fadd``
-tree, NEON's vector accumulate + scalar tail, and RVV's per-strip
-``vfred`` fold.  ``paper=False`` keeps it out of the Fig. 8 figures and
+Like memcpy, stream and saxpy, every ISA's program comes from the
+shared loop-nest IR (:mod:`repro.lower`); this one exercises the
+reduction path end to end — UVE's ``so.mac`` + final scalar reduce,
+SVE's predicated ``fmla`` + ``fadd`` tree, NEON's vector accumulate +
+scalar tail, and RVV's per-strip ``vfred`` fold.  ``paper=False`` keeps it out of the Fig. 8 figures and
 golden tables.
 """
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ir import loop1d
-from repro.isa.program import Program
 from repro.kernels.base import Kernel, Workload, scaled
 
 
@@ -58,20 +56,3 @@ class DotKernel(Kernel):
                 use_mac=True,
             ),
         )
-
-    # There are no hand builders: the abstract hooks lower the IR, so
-    # ``lowering="legacy"`` and ``"ir"`` produce the same programs.
-
-    def _lower(self, isa: str, wl: Workload) -> Program:
-        from repro.lower import lower_nests
-
-        return lower_nests(self.ir_nests(wl), isa, f"{self.name}-{isa}")
-
-    def build_uve(self, wl: Workload, lanes: int) -> Program:
-        return self._lower("uve", wl)
-
-    def build_vector(self, wl: Workload, isa: str) -> Program:
-        return self._lower(isa, wl)
-
-    def build_rvv(self, wl: Workload) -> Program:
-        return self._lower("rvv", wl)

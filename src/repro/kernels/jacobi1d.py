@@ -82,7 +82,6 @@ class Jacobi1dKernel(Kernel):
 
     def build_rvv(self, wl: Workload) -> Program:
         from repro.isa import rvv_ops as rvv
-        from repro.kernels import elementwise as ew
         n = wl.params["n"]
         b = ProgramBuilder("jacobi1d-rvv")
         b.emit(sc.FLi(f(0), THIRD))

@@ -4,10 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ir import loop1d
-from repro.isa import scalar_ops as sc
-from repro.isa import uve_ops as uve
-from repro.isa.program import Program
-from repro.kernels import elementwise as ew
 from repro.kernels.base import Kernel, Workload, scaled
 
 
@@ -40,50 +36,4 @@ class MemcpyKernel(Kernel):
             loop1d(
                 "memcpy", [wl.addr("src")], wl.addr("dst"), wl.params["n"]
             ),
-        )
-
-    # -- Legacy hand builders (kept as the equivalence-gate reference) -------
-
-    def build_uve(self, wl: Workload, lanes: int) -> Program:
-        def body(b, ins, out):
-            b.emit(uve.SoMove(out, ins[0], etype=ew.F32))
-
-        return ew.build_uve(
-            "memcpy-uve",
-            [wl.addr("src")],
-            wl.addr("dst"),
-            wl.params["n"],
-            body,
-        )
-
-    def build_vector(self, wl: Workload, isa: str) -> Program:
-        from repro.isa import neon_ops as neon
-        from repro.isa import sve_ops as sve
-
-        n = wl.params["n"]
-        if isa == "sve":
-            def body(b, ins, out):
-                return ins[0]  # store the loaded register directly
-
-            return ew.build_sve(
-                "memcpy-sve", [wl.addr("src")], wl.addr("dst"), n, body
-            )
-
-        def body(b, ins, out):
-            return ins[0]
-
-        def scalar_body(b, ins, out):
-            return ins[0]
-
-        return ew.build_neon(
-            "memcpy-neon", [wl.addr("src")], wl.addr("dst"), n, body, scalar_body
-        )
-
-    def build_rvv(self, wl):
-        def body(b, ins, out):
-            return ins[0]
-
-        return ew.build_rvv(
-            "memcpy-rvv", [wl.addr("src")], wl.addr("dst"),
-            wl.params["n"], body,
         )

@@ -3,18 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.types import ElementType
 from repro.ir import FMA_OP, Op, loop1d
-from repro.isa import f, u
-from repro.isa import scalar_ops as sc
-from repro.isa import sve_ops as sve
-from repro.isa import neon_ops as neon
-from repro.isa import uve_ops as uve
-from repro.isa.program import Program
-from repro.kernels import elementwise as ew
 from repro.kernels.base import Kernel, Workload, scaled
 
-F32 = ElementType.F32
 A = 2.5
 
 
@@ -41,8 +32,7 @@ class SaxpyKernel(Kernel):
         return wl
 
     def ir_nests(self, wl: Workload):
-        # y = A*x + y: one fused step; the backends' streamlined shapes
-        # reproduce the legacy builders instruction for instruction.
+        # y = A*x + y: one fused step.
         return (
             loop1d(
                 "saxpy",
@@ -51,71 +41,4 @@ class SaxpyKernel(Kernel):
                 wl.params["n"],
                 ops=(Op(FMA_OP, "b", A),),
             ),
-        )
-
-    # -- Legacy hand builders (kept as the equivalence-gate reference) -------
-
-    def build_uve(self, wl: Workload, lanes: int) -> Program:
-        def setup(b):
-            b.emit(sc.FLi(f(0), A), uve.SoDup(u(3), f(0), etype=F32))
-
-        def body(b, ins, out):
-            b.emit(
-                uve.SoOp("mul", u(4), u(3), ins[0], etype=F32),
-                uve.SoOp("add", out, u(4), ins[1], etype=F32),
-            )
-
-        return ew.build_uve(
-            "saxpy-uve",
-            [wl.addr("x"), wl.addr("y")],
-            wl.addr("y"),
-            wl.params["n"],
-            body,
-            setup=setup,
-        )
-
-    def build_vector(self, wl: Workload, isa: str) -> Program:
-        n = wl.params["n"]
-        ins = [wl.addr("x"), wl.addr("y")]
-        out = wl.addr("y")
-        if isa == "sve":
-            def setup(b):
-                b.emit(sc.FLi(f(0), A), sve.Dup(u(0), f(0), etype=F32))
-
-            def body(b, regs, _out):
-                from repro.isa.registers import p
-                b.emit(sve.Fmla(regs[1], p(1), regs[0], u(0), etype=F32))
-                return regs[1]
-
-            return ew.build_sve("saxpy-sve", ins, out, n, body, setup=setup)
-
-        def setup(b):
-            b.emit(sc.FLi(f(0), A), neon.NVDup(u(0), f(0), etype=F32))
-
-        def body(b, regs, _out):
-            b.emit(neon.NVFma(regs[1], regs[0], u(0), etype=F32))
-            return regs[1]
-
-        def scalar_body(b, regs, _out):
-            b.emit(sc.FMac(regs[1], regs[0], f(0)))
-            return regs[1]
-
-        return ew.build_neon(
-            "saxpy-neon", ins, out, n, body, scalar_body, setup=setup
-        )
-
-    def build_rvv(self, wl: Workload) -> Program:
-        """Fig. 1.C: vsetvli / vlw.v / vlw.v / vfmacc.vf / vsw.v loop."""
-        from repro.isa import rvv_ops as rvv
-
-        def setup(b):
-            b.emit(sc.FLi(f(0), A))
-
-        def body(b, regs, _out):
-            b.emit(rvv.VMaccVF(regs[1], f(0), regs[0], etype=F32))
-            return regs[1]
-
-        return ew.build_rvv(
-            "saxpy-rvv", [wl.addr("x"), wl.addr("y")], wl.addr("y"),
-            wl.params["n"], body, setup=setup,
         )

@@ -281,7 +281,11 @@ class _RuntimeStream:
         addrs = self._run_chunk(pos, count)
         data, view = value.data[:count], self._run_view
         if self._run_contiguous:
-            self.mem.write_block(addrs[0], data)
+            # The stream's element type, not the value's, sets the bytes
+            # stored (no copy when they agree).
+            self.mem.write_block(
+                addrs[0], np.asarray(data, dtype=self.etype.dtype)
+            )
         elif view is not None and len(data) == count:
             view[pos : pos + count] = np.asarray(data, dtype=self.etype.dtype)
         else:

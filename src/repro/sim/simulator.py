@@ -176,7 +176,6 @@ def record_kernel(
     scale: float = 1.0,
     seed: int = 0,
     unroll: int = 0,
-    lowering: str = "ir",
 ) -> Tuple[Recording, Workload]:
     """Generate a kernel's workload, build it for ``isa`` and record it.
     ``unroll > 0`` selects the unrolled UVE build (Fig. 8.E).  The
@@ -188,7 +187,7 @@ def record_kernel(
             wl, vector_bits // 32, unroll=unroll
         )
     else:
-        program = kernel.build(isa, wl, vector_bits, lowering=lowering)
+        program = kernel.build(isa, wl, vector_bits)
     return record(program, wl.memory, vector_bits), wl
 
 

@@ -69,7 +69,7 @@ def ref_fingerprint(value) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def ref_run_key(spec: RunSpec, scale: float, seed: int, lowering: str):
+def ref_run_key(spec: RunSpec, scale: float, seed: int):
     """``RunSpec.key`` as the recursive walk computes it, with the ISA's
     default machine chosen inline."""
     cfg = spec.config
@@ -83,7 +83,7 @@ def ref_run_key(spec: RunSpec, scale: float, seed: int, lowering: str):
         "seed": seed,
         "unroll": spec.unroll,
         "salt": "",
-        "lowering": spec.resolved_lowering(lowering),
+        "lowering": "ir",
     })
 
 
@@ -303,14 +303,13 @@ class TestGeneratedValues:
 
 class TestRealKeys:
     @pytest.mark.parametrize("scale,seed", [(0.25, 0), (1.0, 3)])
-    @pytest.mark.parametrize("lowering", ["ir", "legacy"])
-    def test_every_campaign_spec(self, scale, seed, lowering):
-        runner = Runner(scale, seed, lowering=lowering)
+    def test_every_campaign_spec(self, scale, seed):
+        runner = Runner(scale, seed)
         count = 0
         for name, experiment in EXPERIMENTS.items():
             for spec in experiment.specs(runner):
-                assert spec.key(scale, seed, lowering) == ref_run_key(
-                    spec, scale, seed, lowering
+                assert spec.key(scale, seed) == ref_run_key(
+                    spec, scale, seed
                 ), (name, spec.kernel, spec.isa)
                 count += 1
         assert count > 100
@@ -322,7 +321,7 @@ class TestRealKeys:
             cfg = point.spec.config
             assert config_fingerprint(cfg) == ref_fingerprint(cfg)
             assert point.spec.key(0.25, 0) == ref_run_key(
-                point.spec, 0.25, 0, "ir"
+                point.spec, 0.25, 0
             ), point.index
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -354,7 +353,7 @@ class TestRealKeys:
         assert [
             fingerprint(PINNED_CONFIG),
             run_fingerprint("gemm", "sve", PINNED_CONFIG, 0.25, 3, unroll=4,
-                            salt="salt", lowering="legacy"),
+                            salt="salt"),
             case_key(LiteralCase(), None, True),
             case_key(LiteralCase(), "uve-mod-extra-count", False),
         ] == PINNED_KEYS
@@ -391,10 +390,11 @@ class LiteralCase:
 
 
 #: the keys above, as the recursive walk computed them before the
-#: one-pass walk replaced it
+#: one-pass walk replaced it (the run fingerprint's as computed for
+#: lowering "ir" before the lowering argument was removed)
 PINNED_KEYS = [
     "a9fd76220efd39da5c4b21d290f4ab1840a5452b8522dee77918786564e3e859",
-    "d2165151e9ec29777457f67ae9167d9f03bdaf435e3dabca0e8d0952118eeec8",
+    "9d8c7b682b7f415b71a20f1544be16943b484f7b9a55bba3be29ae02366b4d96",
     "e34eacc99cbd6059014093a843393c6cb9770f71c80c39a3d862f212501ebee8",
     "f2a7e309c2b95eb0d4d08d188f6c3d730acc06e65da49f76cef6d2ed1000e933",
 ]

@@ -7,10 +7,10 @@ from repro.harness.executor import CampaignExecutor
 from repro.harness.report import ExperimentResult, geomean
 
 
-def run_records(specs, scale=0.1, lowering="ir"):
+def run_records(specs, scale=0.1):
     """The executor and the records of an ad-hoc run list, through a
     campaign of one experiment whose table is its records."""
-    executor = CampaignExecutor(scale=scale, jobs=1, lowering=lowering)
+    executor = CampaignExecutor(scale=scale, jobs=1)
     [records] = executor.run_campaign(
         [Experiment(build=dict, specs=lambda runner: specs)]
     )
@@ -77,20 +77,13 @@ class TestRunner:
         spec = RunSpec("saxpy", "uve")
         assert run_records([spec])[1][spec].fifo_occupancy > 0
 
-    def test_lowering_selects_program_path(self):
-        """Both lowerings run and are keyed apart; for a migrated kernel
-        the programs are instruction-identical, so the results agree."""
-        spec = RunSpec("saxpy", "uve")
-        ir_exec, ir = run_records([spec], lowering="ir")
-        legacy_exec, legacy = run_records([spec], lowering="legacy")
-        assert ir_exec.events[0].key != legacy_exec.events[0].key
-        assert ir[spec].committed == legacy[spec].committed
-        assert ir[spec].cycles == legacy[spec].cycles
-
-    def test_rejects_unknown_lowering(self):
+    def test_key_takes_only_the_ir_lowering(self):
+        """perfbench keys specs with ``CampaignExecutor.lowering``."""
         from repro.errors import ConfigError
+        spec = RunSpec("saxpy", "uve")
+        assert spec.key(0.1, 0, CampaignExecutor.lowering) == spec.key(0.1, 0)
         with pytest.raises(ConfigError, match="lowering"):
-            Runner(scale=0.1, lowering="asm")
+            spec.key(0.1, 0, "legacy")
 
     def test_simulate_resolves_each_config_once(self, monkeypatch):
         """A group resolves each spec's config once, not once per use

@@ -51,8 +51,8 @@ class TestRunnerCacheKey:
             (RunSpec("saxpy", "uve"), RunSpec("saxpy", "uve")),
             (RunSpec("saxpy", "uve", uve_machine()),
              RunSpec("saxpy", "uve", uve_machine(latencies=SHUFFLED))),
-            (RunSpec("gemm", "uve", unroll=2, lowering="legacy"),
-             RunSpec("gemm", "uve", unroll=2, lowering="legacy")),
+            (RunSpec("gemm", "uve", unroll=2),
+             RunSpec("gemm", "uve", unroll=2)),
         ]
         for a, b in pairs:
             assert a is not b

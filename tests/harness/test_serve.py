@@ -57,6 +57,16 @@ class TestSubmission:
         with pytest.raises(ConfigError, match="cannot change"):
             ExperimentService(service.root, scale=0.5, seed=0, resume=True)
 
+    def test_manifest_of_format_1_is_refused(self, service):
+        """A campaign dir made when runs also had a lowering (manifest
+        format 1) is refused, not resumed."""
+        manifest = service.root / "manifest.json"
+        params = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**params, "format": 1,
+                                        "lowering": "ir"}))
+        with pytest.raises(ConfigError, match="format"):
+            ExperimentService(service.root, scale=SCALE, seed=0)
+
     def test_worker_refuses_campaign_of_other_sources(self, service):
         """A shard must not store results of its own sources under the
         salt of the sources that created the campaign."""
@@ -108,7 +118,7 @@ class TestWorkerLoop:
         key = service.key_for(bad)
         service.queue.submit(key, '{"__dc__": "RunSpec", "kernel": '
                              '"no-such-kernel", "isa": "uve", "config": '
-                             'null, "unroll": 0, "lowering": null}')
+                             'null, "unroll": 0}')
         worker_loop(service.root, shard_id="w0")
         result = service.result_for(key)
         assert result.status == "dead"

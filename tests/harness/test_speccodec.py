@@ -19,7 +19,7 @@ SPECS = [
     RunSpec("saxpy", "uve"),
     RunSpec("memcpy", "sve", baseline_machine()),
     RunSpec("gemm", "uve", uve_machine(vector_bits=128), unroll=2),
-    RunSpec("stream", "neon", lowering="legacy"),
+    RunSpec("stream", "neon"),
     RunSpec(
         "dot", "uve",
         uve_machine().with_(

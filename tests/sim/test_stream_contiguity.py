@@ -137,6 +137,23 @@ class TestRunStridePaths:
         assert mem.paths == ["block"]
         assert [mem.read_scalar(a, F32) for a in addrs] == [5.0, 6.0, 7.0, 8.0]
 
+    @pytest.mark.parametrize("stride", [WIDTH, 2 * WIDTH])
+    def test_wider_value_is_stored_in_the_stream_type(self, stride):
+        # An F64 value into an F32 stream: the contiguous block and the
+        # strided view both store float32 elements and nothing else.
+        stream, mem, addrs = make_stream(Direction.STORE, 64, LANES, stride)
+        mem.data[:] = 0xA5
+        before = mem.data.copy()
+        stream.write_vector(VecValue(
+            np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float64),
+            all_valid(LANES),
+        ))
+        assert [mem.read_scalar(a, F32) for a in addrs] == [1.0, 2.0, 3.0, 4.0]
+        written = np.zeros(len(mem.data), dtype=bool)
+        for addr in addrs:
+            written[addr : addr + WIDTH] = True
+        np.testing.assert_array_equal(mem.data[~written], before[~written])
+
     def test_reversed_run_reads_through_a_strided_view(self):
         # Descending addresses step by minus one width: not contiguous.
         stream, mem, addrs = make_stream(

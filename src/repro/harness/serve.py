@@ -354,11 +354,13 @@ def worker_loop(
                 break
             time.sleep(poll_s)
             continue
-        spec = spec_from_json(job.payload)
         heartbeat = _Heartbeat(
             service.root / "queue.sqlite", service.params, job.key, worker
         )
         try:
+            # An undecodable payload fails like any run, so it retries
+            # and goes dead instead of ending the shard with its lease.
+            spec = spec_from_json(job.payload)
             # Idempotent replay: a job whose previous owner died after
             # storing the artifact completes without resimulating.
             if service.cache.load(job.key) is None:

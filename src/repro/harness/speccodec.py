@@ -86,6 +86,7 @@ def decode(value):
             fields = {
                 k: decode(v) for k, v in value.items() if k != "__dc__"
             }
+            _check_fields(cls, fields)
             return cls(**fields)
         if "__enum__" in value:
             enum_name, member = value["__enum__"]
@@ -99,6 +100,28 @@ def decode(value):
     if isinstance(value, list):
         return [decode(v) for v in value]
     return value
+
+
+def _check_fields(cls, fields: dict) -> None:
+    """Refuse a ``__dc__`` entry whose fields are not ``cls``'s: one it
+    does not have, or one without a default that the entry lacks."""
+    params = [f for f in dataclasses.fields(cls) if f.init]
+    unexpected = sorted(set(fields) - {f.name for f in params})
+    missing = [
+        f.name for f in params
+        if f.name not in fields
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if unexpected or missing:
+        problems = []
+        if unexpected:
+            problems.append(f"unexpected field(s) {', '.join(unexpected)}")
+        if missing:
+            problems.append(f"missing field(s) {', '.join(missing)}")
+        raise ConfigError(
+            f"queue entry for {cls.__name__}: {'; '.join(problems)}"
+        )
 
 
 def spec_to_json(spec: RunSpec) -> str:

@@ -125,6 +125,22 @@ class TestWorkerLoop:
         assert "no-such-kernel" in result.error
         assert result.attempts == 2
 
+    def test_undecodable_payload_goes_dead(self, tmp_path):
+        """A payload the tree cannot decode (here a field it no longer
+        has) fails its attempts and goes dead; the shard carries on."""
+        service = ExperimentService(
+            tmp_path / "c", scale=SCALE, seed=0, max_attempts=2,
+        )
+        key = service.key_for(RunSpec("saxpy", "uve"))
+        service.queue.submit(key, '{"__dc__": "RunSpec", "kernel": '
+                             '"saxpy", "isa": "uve", "config": null, '
+                             '"unroll": 0, "lowering": null}')
+        assert worker_loop(service.root, shard_id="w0") == 0
+        result = service.result_for(key)
+        assert result.status == "dead"
+        assert "unexpected field(s) lowering" in result.error
+        assert result.attempts == 2
+
 
 class TestClientLoop:
     def test_dead_job_raises(self, tmp_path):

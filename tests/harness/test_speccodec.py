@@ -68,6 +68,34 @@ class TestFailsLoudly:
         with pytest.raises(ConfigError, match="expected RunSpec"):
             spec_from_json(json.dumps({"just": "a dict"}))
 
+    def test_field_the_tree_lacks_is_refused(self):
+        payload = json.loads(spec_to_json(RunSpec("saxpy", "uve")))
+        payload["lowering"] = None
+        with pytest.raises(
+            ConfigError,
+            match=r"^queue entry for RunSpec: unexpected field\(s\) lowering$",
+        ):
+            spec_from_json(json.dumps(payload))
+
+    def test_field_without_default_is_required(self):
+        payload = json.loads(spec_to_json(RunSpec("saxpy", "uve")))
+        del payload["isa"]
+        payload["extra"] = 1
+        with pytest.raises(
+            ConfigError,
+            match=r"^queue entry for RunSpec: unexpected field\(s\) extra; "
+            r"missing field\(s\) isa$",
+        ):
+            spec_from_json(json.dumps(payload))
+
+    def test_nested_config_fields_are_checked(self):
+        payload = json.loads(spec_to_json(SPECS[1]))
+        payload["config"]["core"]["rob"] = 64
+        with pytest.raises(
+            ConfigError, match=r"CoreConfig: unexpected field\(s\) rob"
+        ):
+            spec_from_json(json.dumps(payload))
+
     def test_unencodable_value_rejected(self):
         with pytest.raises(ConfigError, match="cannot encode"):
             encode(object())

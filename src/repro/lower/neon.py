@@ -6,10 +6,9 @@ Two code shapes:
   full-vector main loop plus a scalar tail; falls back to the shared
   scalar body when the nest is not NEON-vectorisable (non-unit or
   dynamic innermost stride, predication).
-* **streamlined** — the hand-kernel main-loop/tail idiom
-  (``elementwise.build_neon``'s shape) for unit-stride 1-D nests, kept
-  instruction-identical to the legacy builders for the migrated 1-D
-  kernel family.
+* **streamlined** — the main-loop/tail idiom for unit-stride 1-D
+  nests, which the memcpy, stream, saxpy and dot kernels lower to;
+  ``tests/kernels/listing_golden.json`` pins their programs.
 """
 from __future__ import annotations
 

@@ -3,8 +3,9 @@
 
 Only the streamlined 1-D shape is implemented — ``vsetvli`` grants each
 iteration's vector length, loads/stores are unit-stride, and the scalar
-unit bumps every base pointer explicitly, matching
-``elementwise.build_rvv``.  General nests (modifiers, indirection,
+unit bumps every base pointer explicitly; the memcpy, stream, saxpy and
+dot kernels lower to it, and ``tests/kernels/listing_golden.json`` pins
+their programs.  General nests (modifiers, indirection,
 predication, non-unit strides) raise :class:`LoweringError`; the
 differential fuzzer deliberately excludes RVV from its oracle set.
 

@@ -5,10 +5,9 @@ Two code shapes:
 * **general** — the fuzzer's explicit loop nest with a
   ``whilelt``-predicated inner loop and gathers for non-unit strides,
   driven by :class:`~repro.lower.common.NestEmitter`.
-* **streamlined** — the hand-kernel do-while idiom of Fig. 1.B
-  (``elementwise.build_sve``'s shape) for unit-stride 1-D nests, kept
-  instruction-identical to the legacy builders for the migrated 1-D
-  kernel family.
+* **streamlined** — the do-while idiom of Fig. 1.B for unit-stride
+  1-D nests, which the memcpy, stream, saxpy and dot kernels lower to;
+  ``tests/kernels/listing_golden.json`` pins their programs.
 """
 from __future__ import annotations
 

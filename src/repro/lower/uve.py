@@ -12,10 +12,9 @@ Two code shapes:
   scalar-engine flags.  This is the only path that honours ``inject``
   (the deliberate UVE-only semantic distortions of
   :data:`repro.lower.INJECTIONS`), so an injection forces it.
-* **streamlined** — the hand-kernel Fig. 1.D shape
-  (``elementwise.build_uve``) for unit-stride 1-D nests, kept
-  instruction-identical to the legacy builders for the migrated 1-D
-  kernel family.
+* **streamlined** — the Fig. 1.D shape for unit-stride 1-D nests,
+  which the memcpy, stream, saxpy and dot kernels lower to;
+  ``tests/kernels/listing_golden.json`` pins their programs.
 """
 from __future__ import annotations
 

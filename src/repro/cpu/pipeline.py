@@ -15,6 +15,18 @@ rename through the SCROB; stream-consuming ops wait for their FIFO entry
 instead of a register producer and release it at commit; stream-producing
 ops reserve Store FIFO entries at rename (stalling when full) and drain
 to the L1 after commit.
+
+:meth:`Pipeline.run` is the core's only per-cycle function: one
+iteration of its loop is one cycle, and its body does every stage in
+place, in this order: engine tick, post-commit store drain, commit,
+issue, rename, fetch.  Each stage sees what the stage before it left
+this cycle.  The run keeps its constants and the machine's scalar state
+(the ROB/IQ/LQ/SQ counters, the draining store's line index, the
+blocking branch, the end of the trace, the rename memo) in locals and
+writes the scalars back to their attributes before ``_event_horizon``
+or ``_stall_report`` reads the pipeline, and when it returns or raises.
+Issuing an op wakes the ops ``_ready`` parked on it (docs/TIMING.md,
+"Cycle loop").
 """
 from __future__ import annotations
 
@@ -247,24 +259,6 @@ class Pipeline:
         core = config.core
         self._latency = config.latencies
         self._mac_forwarding = core.mac_forwarding
-        # Hot-path scalars hoisted out of the config dataclasses (every
-        # per-cycle stage reads several of these).
-        self._fetch_width = core.fetch_width
-        self._commit_width = core.commit_width
-        self._issue_width = core.issue_width
-        self._decode_queue = core.decode_queue
-        self._frontend_depth = core.frontend_depth
-        self._rob_entries = core.rob_entries
-        self._iq_entries = core.iq_entries
-        self._lq_entries = core.lq_entries
-        self._sq_entries = core.sq_entries
-        self._scheduler_entries = core.scheduler_entries
-        self._core_load_ports = core.load_ports
-        self._core_store_ports = core.store_ports
-        self._fifo_depth = config.engine.fifo_depth
-        self._line_bytes = self.hierarchy.line_bytes
-        self._l1d = self.hierarchy.l1d
-        self._demand_access = self.hierarchy.demand_access
         #: rename short-circuit while blocked on a full stream Store FIFO:
         #: (decode-head op, blocking stream).  While rename is stalled no
         #: structure fills up (ROB/IQ/LQ/SQ/registers only drain), so the
@@ -329,95 +323,506 @@ class Pipeline:
     # ------------------------------------------------------------------ run --
 
     def run(self, trace: Iterable[DynOp]) -> PipelineStats:
+        """Time ``trace``: one loop iteration per stepped cycle, its stages
+        in place (docs/TIMING.md, "Cycle loop").
+
+        The per-run constants and the mutable scalars of the machine are
+        locals; the scalars are written back to their attributes before
+        ``_event_horizon`` or ``_stall_report`` reads the pipeline, and
+        when the run returns or raises."""
+        config = self.config
+        core = config.core
+        fast_forward = config.fast_forward
+        stats = self.stats
+        causes = stats.rename_block_causes
+        observer = self.observer
+        fetch_width = core.fetch_width
+        commit_width = core.commit_width
+        issue_width = core.issue_width
+        decode_queue = core.decode_queue
+        frontend_depth = core.frontend_depth
+        rob_entries, iq_entries = core.rob_entries, core.iq_entries
+        lq_entries, sq_entries = core.lq_entries, core.sq_entries
+        scheduler_entries = core.scheduler_entries
+        load_ports, store_ports = core.load_ports, core.store_ports
+        fifo_depth = config.engine.fifo_depth
+        hierarchy = self.hierarchy
+        line_bytes = hierarchy.line_bytes
+        l1_can_accept = hierarchy.l1d.can_accept
+        demand_access = hierarchy.demand_access
+        record_outcome = self.predictor.record_outcome
+        ready = self._ready
+        resolve_reads = self._stream_reads
+        engine = self.engine
+        if engine is not None:
+            engine_tick = engine.tick
+            configure = engine.configure
+            engine_stream = engine.stream
+            commit_read = engine.commit_read
+            commit_write = engine.commit_write
+            terminate = engine.terminate
+        decode = self._decode
+        rob_q = self._rob_q
+        rat = self._rat
+        free = self._free
+        decoded = self._decoded
+        store_by_line = self._store_by_line
+        post_stores = self._post_stores
+        stream_alias = self._stream_alias
+        stream_infos = self.stream_infos
+        issue_plan = self._issue_plan
+        rob, iq, lq, sq = self._rob, self._iq, self._lq, self._sq
+        post_line = self._post_line
+        block_branch = self._block_branch
+        trace_done = self._trace_done
+        rename_block = self._rename_block
         trace_iter = iter(trace)
         cycle = 0.0
-        fast_forward = self.config.fast_forward
-        stats = self.stats
-        engine = self.engine
-        engine_tick = engine.tick if engine is not None else None
-        rob_q = self._rob_q
-        decode = self._decode
-        commit = self._commit
-        issue = self._issue
-        rename = self._rename
-        fetch = self._fetch
-        post_stores = self._post_stores
-        drain_post_stores = self._drain_post_stores
         stall = self.stall_limit
         deadline = stall  # the watchdog: the last commit + stall_limit
         # Set when a quiescent cycle finds no known event: until a stage
         # makes progress the machine is frozen, so no event can appear
         # and the horizon need not be recomputed.
         frozen = False
-        while True:
-            # Every stage reports whether it changed any machine state
-            # this cycle; a fully quiescent cycle is eligible for the
-            # event-horizon fast path below.  A stage whose input is
-            # empty or provably blocked (a ROB head that has not
-            # completed, an empty issue queue, an empty decode queue) is
-            # not called: the call could only report "no progress".
-            progress = False
-            if engine_tick is not None:
-                progress = engine_tick(cycle)
-            if post_stores and drain_post_stores(cycle):
-                progress = True
-            if rob_q:
-                # _commit's own head gate: a head completed by cycle-1
-                # commits, and nothing else can.
-                head_t = rob_q[0].complete
-                if head_t is not None and head_t <= cycle - 1:
-                    commit(cycle)
-                    progress = True
-                    deadline = cycle + stall
-            if self._iq and issue(cycle):
-                progress = True
-            fetch_stalls_before = stats.fetch_stall_cycles
-            if decode:
-                renamed, block_cause = rename(cycle)
-            else:
-                renamed, block_cause = 0, None
-            if renamed:
-                progress = True
-            if fetch(cycle, trace_iter):
-                progress = True
-            if self._trace_done and not rob_q and not decode:
-                if not (
-                    post_stores
-                    or (engine is not None and engine.stores_pending)
-                ):
-                    break
-            if progress:
-                frozen = False
-            elif fast_forward and not frozen:
-                horizon = self._event_horizon(cycle)
-                frozen = horizon == math.inf
-                skipped = 0 if frozen else int(horizon - cycle) - 1
-                if skipped > 0:
-                    # Nothing can change before the horizon, so every
-                    # skipped cycle would have repeated this cycle's
-                    # stall accounting exactly — back-fill it.
-                    if stats.fetch_stall_cycles != fetch_stalls_before:
-                        stats.fetch_stall_cycles += skipped
-                    if block_cause is not None:
-                        stats.rename_block_cycles += skipped
-                        stats.rename_block_causes[block_cause] += skipped
-                    if engine is not None:
-                        engine.skip_idle(skipped)
-                    self.ff_skipped_cycles += skipped
-                    cycle += skipped
-            cycle += 1
-            if cycle > deadline:
-                raise SimulationError(self._stall_report(cycle))
+        try:
+            while cycle <= deadline:
+                # Every stage notes whether it changed any machine state
+                # this cycle; a fully quiescent cycle is eligible for the
+                # event-horizon fast path at the bottom.  A stage whose
+                # input is empty or provably blocked (a ROB head that has
+                # not completed, an empty issue queue, an empty decode
+                # queue) is skipped: it could only make no progress.
+                progress = False
+                if engine is not None:
+                    progress = engine_tick(cycle)
+
+                # -- Post-commit store drain: committed demand stores write
+                # their lines to the L1, bounded by the store ports and by
+                # L1 MSHR availability (backpressure under saturation).
+                if post_stores:
+                    ports = store_ports
+                    while ports and post_stores and l1_can_accept(cycle):
+                        ports -= 1
+                        progress = True
+                        op = post_stores[0]
+                        lines = op.mem_lines
+                        index = post_line
+                        if index < len(lines):
+                            line = lines[index]
+                            demand_access(
+                                line * line_bytes, cycle, True, op.dyn.pc
+                            )
+                            waiting = store_by_line.get(line)
+                            if waiting and waiting[0] is op:
+                                waiting.pop(0)
+                                if not waiting:
+                                    del store_by_line[line]
+                            index += 1
+                        if index < len(lines):
+                            post_line = index
+                        else:
+                            # the SQ entry frees once the L1 accepts the
+                            # store's last line (flow control)
+                            post_stores.popleft()
+                            post_line = 0
+                            sq -= 1
+
+                # -- Commit, in order: only a head completed by cycle - 1
+                # commits, so nothing can while it has not.
+                if rob_q:
+                    head_t = rob_q[0].complete
+                    if head_t is not None and head_t <= cycle - 1:
+                        progress = True
+                        deadline = cycle + stall
+                        committed = loads = 0
+                        while committed < commit_width and rob_q:
+                            op = rob_q[0]
+                            if op.complete is None or op.complete > cycle - 1:
+                                break
+                            rob_q.popleft()
+                            committed += 1
+                            dyn = op.dyn
+                            dec = op.dec
+                            if observer is not None:
+                                observer("commit", dyn, cycle)
+                            for bank, count in op.allocs:
+                                free[bank] += count
+                            if op.is_load:
+                                loads += 1
+                            if op.is_store:
+                                post_stores.append(op)
+                            for key in dec.dest_keys:
+                                if rat[key] is op:
+                                    rat[key] = None
+                            if engine is not None:
+                                if dyn.cfg_uid is not None:
+                                    # The register now (architecturally)
+                                    # aliases this configuration; commit
+                                    # order is program order, so this is
+                                    # exactly the "latest config with
+                                    # sequence <= any later stop" mapping.
+                                    stream_alias[
+                                        stream_infos[dyn.cfg_uid].reg
+                                    ] = dyn.cfg_uid
+                                if op.stream_waits:
+                                    for stream, chunk, last in op.stream_waits:
+                                        if last:
+                                            commit_read(stream, chunk)
+                                if op.store_streams:
+                                    for stream, chunk, last in (
+                                        op.store_streams
+                                    ):
+                                        if last:
+                                            commit_write(stream, chunk, cycle)
+                                if dec.stop_reg >= 0:
+                                    # Terminate only the stream the register
+                                    # aliases at this point in program order
+                                    # — never streams configured later that
+                                    # reuse the register.
+                                    uid = stream_alias.pop(dec.stop_reg, None)
+                                    if uid is not None:
+                                        terminate(uid)
+                        rob -= committed
+                        lq -= loads
+                        stats.committed += committed
+
+                # -- Issue ready ops, oldest first per cluster.  Issuing
+                # executes the op: a load's lines go to the memory
+                # hierarchy, and every op gets its completion time.
+                if iq:
+                    budget = issue_width
+                    total = loads = stores = 0
+                    for queue, is_mem, cluster_ports in issue_plan:
+                        if not queue:
+                            continue
+                        issued = 0
+                        limit = (
+                            cluster_ports if cluster_ports < budget else budget
+                        )
+                        for op in queue:
+                            if issued >= limit:
+                                break
+                            if op.wake_at > cycle:
+                                continue  # known not ready before wake_at
+                            if is_mem:
+                                if op.is_load and loads >= load_ports:
+                                    continue
+                                if op.is_store and stores >= store_ports:
+                                    continue
+                            if not ready(op, cycle):
+                                continue
+                            op.issued = True
+                            op.early_complete = cycle + 1
+                            if observer is not None:
+                                observer("issue", op.dyn, cycle)
+                            if op.is_load:
+                                loads += 1
+                                completion = cycle + 1
+                                pc = op.dyn.pc
+                                for line in op.mem_lines:
+                                    done = demand_access(
+                                        line * line_bytes, cycle + 1, False, pc
+                                    )
+                                    if done > completion:
+                                        completion = done
+                                op.complete = completion
+                            elif op.is_store:
+                                stores += 1
+                                # address generation; the data is written
+                                # at commit
+                                op.complete = cycle + 1
+                            else:
+                                op.complete = cycle + op.dec.latency
+                            waiters = op.waiters
+                            if waiters is not None:
+                                for waiter in waiters:
+                                    waiter.wake_at = 0.0
+                                op.waiters = None
+                            issued += 1
+                        if issued:
+                            queue[:] = [op for op in queue if not op.issued]
+                            budget -= issued
+                            total += issued
+                    if total:
+                        progress = True
+                        iq -= total
+                        stats.loads_issued += loads
+                        stats.stores_issued += stores
+
+                # -- Rename/dispatch, up to the fetch width, stopping at the
+                # first structural limit (its cause is the Fig. 8.C metric).
+                cause = None
+                if decode:
+                    # Store-FIFO stall short-circuit: while the decode head
+                    # is parked on a full Store FIFO, every structural
+                    # check it passed keeps passing (resources only drain
+                    # during the stall), so the only condition worth
+                    # re-evaluating is the blocking stream's live FIFO
+                    # occupancy.
+                    if rename_block is not None:
+                        op, stream = rename_block
+                        if (
+                            decode[0] is op
+                            and stream.store_reserved - stream.store_drained
+                            >= fifo_depth
+                        ):
+                            cause = "store_fifo"
+                        else:
+                            rename_block = None
+                    renamed = 0
+                    while cause is None and decode and renamed < fetch_width:
+                        op = decode[0]
+                        dyn = op.dyn
+                        dec = op.dec
+                        sched = dec.sched
+                        # Structural checks, in priority order.
+                        if rob >= rob_entries:
+                            cause = "rob"
+                            break
+                        if sched is not None:
+                            if iq >= iq_entries:
+                                cause = "iq"
+                                break
+                            if len(sched) >= scheduler_entries:
+                                cause = "scheduler"
+                                break
+                        if dec.is_load and lq >= lq_entries:
+                            cause = "lq"
+                            break
+                        if dec.is_store and sq >= sq_entries:
+                            cause = "sq"
+                            break
+                        for bank, count in dec.needed_banks:
+                            if free[bank] < count:
+                                cause = _BANK_CAUSE[bank]
+                                break
+                        if cause is not None:
+                            break
+                        stream_reads = dyn.stream_reads
+                        stream_writes = dyn.stream_writes
+                        # Stream store-FIFO reservation (may stall rename).
+                        if stream_writes is not None and engine is not None:
+                            for _, uid, __, last in stream_writes:
+                                if last:
+                                    stream = engine.streams[uid]
+                                    if (
+                                        stream.store_reserved
+                                        - stream.store_drained
+                                        >= fifo_depth
+                                    ):
+                                        cause = "store_fifo"
+                                        rename_block = (op, stream)
+                                        break
+                            if cause is not None:
+                                break
+                        decode.popleft()
+                        renamed += 1
+                        rob += 1
+                        rob_q.append(op)
+                        if observer is not None:
+                            observer("rename", dyn, cycle)
+                        # Resource allocation.  Data written to an output
+                        # stream lives in its reserved Store FIFO entry
+                        # rather than a vector PR (§IV-A Stream Iteration).
+                        if dec.alloc_dests:
+                            allocs = dec.needed_banks
+                            if stream_writes is not None:
+                                allocs = [
+                                    (bank, 1) for vidx, bank in dec.alloc_dests
+                                    if not _names(stream_writes, vidx)
+                                ]
+                            for bank, count in allocs:
+                                free[bank] -= count
+                            op.allocs = allocs
+                        if dec.is_load:
+                            lq += 1
+                        if dec.is_store:
+                            sq += 1
+                        # Register dependences via the RAT (stream-read
+                        # registers are satisfied by the FIFO, not by a
+                        # producer).
+                        if dec.srcs:
+                            mac_dest = dec.mac_dest
+                            producers = None
+                            for key, vidx in dec.srcs:
+                                if (
+                                    vidx >= 0
+                                    and stream_reads is not None
+                                    and _names(stream_reads, vidx)
+                                ):
+                                    continue
+                                producer = rat[key]
+                                if producer is not None:
+                                    pdec = producer.dec
+                                    # Cortex-A76-style accumulator
+                                    # forwarding: a MAC feeding the
+                                    # accumulator of the next MAC is
+                                    # consumed two cycles early
+                                    # (back-to-back FMLA chains).
+                                    entry = (
+                                        producer,
+                                        key in pdec.early_keys,
+                                        2.0
+                                        if key == mac_dest
+                                        and key == pdec.mac_dest
+                                        else 0.0,
+                                    )
+                                    if producers is None:
+                                        producers = op.producers = [entry]
+                                    else:
+                                        producers.append(entry)
+                        for key in dec.dest_keys:
+                            rat[key] = op
+                        # Stream interactions.
+                        if engine is not None:
+                            if dyn.cfg_uid is not None:
+                                start = configure(
+                                    stream_infos[dyn.cfg_uid], cycle
+                                )
+                                op.complete = start
+                                op.early_complete = start
+                            elif dec.is_stream_co:
+                                op.complete = cycle + 1
+                                op.early_complete = cycle + 1
+                            if stream_reads is not None:
+                                op.stream_waits = resolve_reads(dyn)
+                            if stream_writes is not None:
+                                store_streams = []
+                                for _, uid, chunk, last in stream_writes:
+                                    stream = engine_stream(uid)
+                                    if last:
+                                        stream.reserve_store()
+                                    store_streams.append((stream, chunk, last))
+                                op.store_streams = store_streams
+                        elif dec.is_stream_co:
+                            op.complete = cycle + 1
+                            op.early_complete = cycle + 1
+                        # Dispatch.
+                        if op.complete is not None:
+                            continue  # completes outside the clusters
+                        if sched is None:
+                            op.complete = cycle + 1
+                            op.early_complete = cycle + 1
+                            continue
+                        if dec.is_store:
+                            if dyn.mem_writes is not None:
+                                lines = op.mem_lines = write_lines(
+                                    dyn.mem_writes, line_bytes
+                                )
+                                for line in lines:
+                                    waiting = store_by_line.get(line)
+                                    if waiting is None:
+                                        store_by_line[line] = [op]
+                                    else:
+                                        waiting.append(op)
+                        elif dec.is_load:
+                            if dyn.mem_reads is not None:
+                                op.mem_lines = read_lines(
+                                    dyn.mem_reads, line_bytes
+                                )
+                        iq += 1
+                        sched.append(op)
+                    if renamed:
+                        progress = True
+                    if cause is not None:
+                        stats.rename_block_cycles += 1
+                        causes[cause] = causes.get(cause, 0) + 1
+
+                # -- Fetch into the decode queue, up to the fetch width; a
+                # misprediction stalls fetch until the branch resolves plus
+                # the front-end redirect depth.
+                fetch_stalled = False
+                if not trace_done:
+                    if block_branch is not None:
+                        t = block_branch.complete
+                        if t is not None and cycle >= t + frontend_depth:
+                            block_branch = None
+                            progress = True
+                    room = decode_queue - len(decode)
+                    if block_branch is not None or room <= 0:
+                        # A full decode queue stalls fetch exactly like a
+                        # blocked branch does, so decode-bound kernels show
+                        # up in the stall breakdown.
+                        stats.fetch_stall_cycles += 1
+                        fetch_stalled = True
+                    else:
+                        fetched = 0
+                        if room > fetch_width:
+                            room = fetch_width
+                        for _ in range(room):
+                            try:
+                                dyn = next(trace_iter)
+                            except StopIteration:
+                                trace_done = True
+                                progress = True
+                                break
+                            # A pc that names another instruction (a trace
+                            # mixing programs) is decoded again, not timed
+                            # with a stale record.
+                            dec = decoded.get(dyn.pc)
+                            if dec is None or dec.inst is not dyn.inst:
+                                dec = _Decoded(self, dyn.inst)
+                                decoded[dyn.pc] = dec
+                            op = _Op(dyn, dec)
+                            decode.append(op)
+                            fetched += 1
+                            if dec.is_branch:
+                                if record_outcome(dyn.pc, dyn.taken):
+                                    block_branch = op
+                                    break
+                                if dyn.taken:
+                                    break  # a taken branch ends the group
+                        if fetched:
+                            stats.fetched += fetched
+                            progress = True
+
+                if trace_done and not rob_q and not decode:
+                    if not (
+                        post_stores
+                        or (engine is not None and engine.stores_pending)
+                    ):
+                        break
+                if progress:
+                    frozen = False
+                elif fast_forward and not frozen:
+                    self._rob, self._iq, self._lq, self._sq = rob, iq, lq, sq
+                    self._post_line = post_line
+                    self._block_branch = block_branch
+                    self._trace_done = trace_done
+                    self._rename_block = rename_block
+                    horizon = self._event_horizon(cycle)
+                    frozen = horizon == math.inf
+                    skipped = 0 if frozen else int(horizon - cycle) - 1
+                    if skipped > 0:
+                        # Nothing can change before the horizon, so every
+                        # skipped cycle would have repeated this cycle's
+                        # stall accounting exactly — back-fill it.
+                        if fetch_stalled:
+                            stats.fetch_stall_cycles += skipped
+                        if cause is not None:
+                            stats.rename_block_cycles += skipped
+                            causes[cause] += skipped
+                        if engine is not None:
+                            engine.skip_idle(skipped)
+                        self.ff_skipped_cycles += skipped
+                        cycle += skipped
+                cycle += 1
+        finally:
+            self._rob, self._iq, self._lq, self._sq = rob, iq, lq, sq
+            self._post_line = post_line
+            self._block_branch = block_branch
+            self._trace_done = trace_done
+            self._rename_block = rename_block
+        if cycle > deadline:  # the loop ended on the watchdog
+            raise SimulationError(self._stall_report(cycle))
         end = cycle
-        if self.engine is not None:
-            end = max(end, self.engine.last_drain_cycle)
-        self.stats.cycles = max(end, 1.0)
-        self.stats.bus_utilization = self.hierarchy.bus_utilization(
-            self.stats.cycles
-        )
-        self.stats.branch_mispredicts = self.predictor.mispredictions
-        self.stats.branches = self.predictor.predictions
-        return self.stats
+        if engine is not None:
+            end = max(end, engine.last_drain_cycle)
+        stats.cycles = max(end, 1.0)
+        stats.bus_utilization = hierarchy.bus_utilization(stats.cycles)
+        stats.branch_mispredicts = self.predictor.mispredictions
+        stats.branches = self.predictor.predictions
+        return stats
 
     def _stall_report(self, now: float) -> str:
         """Why a run that stopped committing cannot progress."""
@@ -508,7 +913,7 @@ class Pipeline:
         best = inf
         blocker = self._block_branch
         if blocker is not None and blocker.complete is not None:
-            c = ceil(blocker.complete + self._frontend_depth)
+            c = ceil(blocker.complete + self.config.core.frontend_depth)
             if now < c < best:
                 best = c
         if self._rob_q:
@@ -568,250 +973,7 @@ class Pipeline:
                     best = c
         return float(best)
 
-    # ---------------------------------------------------------------- fetch --
-
-    def _fetch(self, now: float, trace_iter) -> bool:
-        """Returns True when any front-end state changed this cycle."""
-        if self._trace_done:
-            return False
-        progress = False
-        stats = self.stats
-        blocker = self._block_branch
-        if blocker is not None:
-            if blocker.complete is None:
-                stats.fetch_stall_cycles += 1
-                return False
-            resume = blocker.complete + self._frontend_depth
-            if now < resume:
-                stats.fetch_stall_cycles += 1
-                return False
-            self._block_branch = None
-            progress = True
-        decode = self._decode
-        room = self._decode_queue - len(decode)
-        if room <= 0:
-            # A full decode queue stalls fetch exactly like a blocked
-            # branch does; count it so decode-bound kernels show up in
-            # the stall breakdown instead of losing these cycles.
-            stats.fetch_stall_cycles += 1
-            return progress
-        decoded = self._decoded
-        fetched = 0
-        for _ in range(min(self._fetch_width, room)):
-            try:
-                dyn = next(trace_iter)
-            except StopIteration:
-                self._trace_done = True
-                progress = True
-                break
-            # A pc that names another instruction (a trace mixing
-            # programs) is decoded again, not timed with a stale record.
-            dec = decoded.get(dyn.pc)
-            if dec is None or dec.inst is not dyn.inst:
-                dec = decoded[dyn.pc] = _Decoded(self, dyn.inst)
-            op = _Op(dyn, dec)
-            decode.append(op)
-            fetched += 1
-            if dec.is_branch:
-                if self.predictor.record_outcome(dyn.pc, dyn.taken):
-                    self._block_branch = op
-                    break
-                if dyn.taken:
-                    break  # a taken branch ends the fetch group
-        if fetched:
-            stats.fetched += fetched
-            return True
-        return progress
-
-    # --------------------------------------------------------------- rename --
-
-    def _rename(self, now: float) -> "tuple[int, Optional[str]]":
-        """Returns (ops renamed, block cause counted this cycle or None).
-
-        The structural counters are held in locals while the loop runs
-        and written back once."""
-        engine = self.engine
-        decode = self._decode
-        # Store-FIFO stall short-circuit: while the decode head is parked
-        # on a full Store FIFO, every structural check it passed keeps
-        # passing (resources only drain during the stall), so the only
-        # condition worth re-evaluating is the blocking stream's live
-        # FIFO occupancy.
-        memo = self._rename_block
-        if memo is not None:
-            op, stream, fifo_depth = memo
-            if decode and decode[0] is op:
-                if stream.store_reserved - stream.store_drained >= fifo_depth:
-                    stats = self.stats
-                    stats.rename_block_cycles += 1
-                    stats.rename_block_causes["store_fifo"] += 1
-                    return 0, "store_fifo"
-            self._rename_block = None
-        cause = None
-        renamed = 0
-        fetch_width = self._fetch_width
-        rat = self._rat
-        free = self._free
-        rob_q = self._rob_q
-        observer = self.observer
-        rob, iq, lq, sq = self._rob, self._iq, self._lq, self._sq
-        rob_entries, iq_entries = self._rob_entries, self._iq_entries
-        lq_entries, sq_entries = self._lq_entries, self._sq_entries
-        scheduler_entries = self._scheduler_entries
-        while decode and renamed < fetch_width:
-            op = decode[0]
-            dyn = op.dyn
-            dec = op.dec
-            sched = dec.sched
-            # Structural checks, in priority order.
-            if rob >= rob_entries:
-                cause = "rob"
-                break
-            if sched is not None:
-                if iq >= iq_entries:
-                    cause = "iq"
-                    break
-                if len(sched) >= scheduler_entries:
-                    cause = "scheduler"
-                    break
-            if dec.is_load and lq >= lq_entries:
-                cause = "lq"
-                break
-            if dec.is_store and sq >= sq_entries:
-                cause = "sq"
-                break
-            for bank, count in dec.needed_banks:
-                if free[bank] < count:
-                    cause = _BANK_CAUSE[bank]
-                    break
-            if cause is not None:
-                break
-            stream_reads = dyn.stream_reads
-            stream_writes = dyn.stream_writes
-            # Stream store-FIFO reservation (may stall rename).
-            if stream_writes is not None and engine is not None:
-                fifo_depth = self._fifo_depth
-                for (_, uid, __, last) in stream_writes:
-                    if last:
-                        stream = engine.streams[uid]
-                        if (
-                            stream.store_reserved - stream.store_drained
-                            >= fifo_depth
-                        ):
-                            cause = "store_fifo"
-                            self._rename_block = (op, stream, fifo_depth)
-                            break
-                if cause is not None:
-                    break
-            decode.popleft()
-            renamed += 1
-            rob += 1
-            rob_q.append(op)
-            if observer is not None:
-                observer("rename", dyn, now)
-            # Resource allocation.  Data written to an output stream lives
-            # in its reserved Store FIFO entry rather than a vector PR
-            # (§IV-A Stream Iteration).
-            if dec.alloc_dests:
-                allocs = dec.needed_banks
-                if stream_writes is not None:
-                    allocs = [
-                        (bank, 1) for vidx, bank in dec.alloc_dests
-                        if not _names(stream_writes, vidx)
-                    ]
-                for bank, count in allocs:
-                    free[bank] -= count
-                op.allocs = allocs
-            if dec.is_load:
-                lq += 1
-            if dec.is_store:
-                sq += 1
-            # Register dependences via the RAT (stream-read registers are
-            # satisfied by the FIFO, not by a producer).
-            if dec.srcs:
-                mac_dest = dec.mac_dest
-                producers = None
-                for key, vidx in dec.srcs:
-                    if (
-                        vidx >= 0
-                        and stream_reads is not None
-                        and _names(stream_reads, vidx)
-                    ):
-                        continue
-                    producer = rat[key]
-                    if producer is not None:
-                        pdec = producer.dec
-                        # Cortex-A76-style accumulator forwarding: a MAC
-                        # feeding the accumulator of the next MAC is
-                        # consumed two cycles early (back-to-back FMLA
-                        # chains).
-                        entry = (
-                            producer,
-                            key in pdec.early_keys,
-                            2.0
-                            if key == mac_dest and key == pdec.mac_dest
-                            else 0.0,
-                        )
-                        if producers is None:
-                            producers = op.producers = [entry]
-                        else:
-                            producers.append(entry)
-            for key in dec.dest_keys:
-                rat[key] = op
-            # Stream interactions.
-            if engine is not None:
-                if dyn.cfg_uid is not None:
-                    info = self.stream_infos[dyn.cfg_uid]
-                    start = engine.configure(info, now)
-                    op.complete = start
-                    op.early_complete = start
-                elif dec.is_stream_co:
-                    op.complete = now + 1
-                    op.early_complete = now + 1
-                if stream_reads is not None:
-                    op.stream_waits = self._stream_reads(dyn)
-                if stream_writes is not None:
-                    store_streams = []
-                    for (_, uid, chunk, last) in stream_writes:
-                        stream = engine.stream(uid)
-                        if last:
-                            stream.reserve_store()
-                        store_streams.append((stream, chunk, last))
-                    op.store_streams = store_streams
-            elif dec.is_stream_co:
-                op.complete = now + 1
-                op.early_complete = now + 1
-            # Dispatch.
-            if op.complete is not None:
-                continue  # completes outside the execution clusters
-            if sched is None:
-                op.complete = now + 1
-                op.early_complete = now + 1
-                continue
-            if dec.is_store:
-                if dyn.mem_writes is not None:
-                    lines = op.mem_lines = write_lines(
-                        dyn.mem_writes, self._line_bytes
-                    )
-                    store_by_line = self._store_by_line
-                    for line in lines:
-                        waiting = store_by_line.get(line)
-                        if waiting is None:
-                            store_by_line[line] = [op]
-                        else:
-                            waiting.append(op)
-            elif dec.is_load:
-                if dyn.mem_reads is not None:
-                    op.mem_lines = read_lines(dyn.mem_reads, self._line_bytes)
-            iq += 1
-            sched.append(op)
-        self._rob, self._iq, self._lq, self._sq = rob, iq, lq, sq
-        if cause is not None:
-            stats = self.stats
-            stats.rename_block_cycles += 1
-            causes = stats.rename_block_causes
-            causes[cause] = causes.get(cause, 0) + 1
-        return renamed, cause
+    # ------------------------------------------------------------ rename --
 
     def _stream_reads(self, dyn: DynOp) -> tuple:
         """``(stream, chunk, last)`` of each stream read of ``dyn``, for
@@ -911,169 +1073,3 @@ class Pipeline:
             blocker.waiters = [op]
         else:
             blocker.waiters.append(op)
-
-    def _issue(self, now: float) -> int:
-        """Issues ready ops; returns how many issued this cycle.
-
-        Issuing executes the op: a load's lines go to the memory
-        hierarchy, and every op gets its completion time."""
-        budget = self._issue_width
-        store_ports = self._core_store_ports
-        load_ports = self._core_load_ports
-        ready = self._ready
-        observer = self.observer
-        demand_access = self._demand_access
-        line_bytes = self._line_bytes
-        total = loads = stores = 0
-        for queue, is_mem, cluster_ports in self._issue_plan:
-            if not queue:
-                continue
-            issued = 0
-            limit = cluster_ports if cluster_ports < budget else budget
-            for op in queue:
-                if issued >= limit:
-                    break
-                if op.wake_at > now:
-                    continue  # known not ready before wake_at
-                if is_mem:
-                    if op.is_load and loads >= load_ports:
-                        continue
-                    if op.is_store and stores >= store_ports:
-                        continue
-                if not ready(op, now):
-                    continue
-                op.issued = True
-                op.early_complete = now + 1
-                if observer is not None:
-                    observer("issue", op.dyn, now)
-                if op.is_load:
-                    loads += 1
-                    completion = now + 1
-                    pc = op.dyn.pc
-                    for line in op.mem_lines:
-                        done = demand_access(
-                            line * line_bytes, now + 1, False, pc
-                        )
-                        if done > completion:
-                            completion = done
-                    op.complete = completion
-                elif op.is_store:
-                    stores += 1
-                    # address generation; the data is written at commit
-                    op.complete = now + 1
-                else:
-                    op.complete = now + op.dec.latency
-                waiters = op.waiters
-                if waiters is not None:
-                    for waiter in waiters:
-                        waiter.wake_at = 0.0
-                    op.waiters = None
-                issued += 1
-            if issued:
-                # In-place compaction on the `issued` flag (the old `op
-                # not in issued` rebuild rescanned the whole scheduler
-                # per issued op).
-                queue[:] = [op for op in queue if not op.issued]
-                budget -= issued
-                total += issued
-        if total:
-            self._iq -= total
-            stats = self.stats
-            stats.loads_issued += loads
-            stats.stores_issued += stores
-        return total
-
-    def _drain_post_stores(self, now: float) -> bool:
-        """Write committed stores to the L1, bounded by the store ports
-        and by L1 MSHR availability (backpressure under saturation).
-        Returns True when any store line drained or SQ entry freed."""
-        drained = False
-        post_stores = self._post_stores
-        l1 = self._l1d
-        for _ in range(self._core_store_ports):
-            if not post_stores:
-                return drained
-            if not l1.can_accept(now):
-                return drained
-            drained = True
-            op = post_stores[0]
-            lines = op.mem_lines
-            index = self._post_line
-            if index < len(lines):
-                line = lines[index]
-                self._demand_access(
-                    line * self._line_bytes, now, True, op.dyn.pc
-                )
-                waiting = self._store_by_line.get(line)
-                if waiting and waiting[0] is op:
-                    waiting.pop(0)
-                    if not waiting:
-                        del self._store_by_line[line]
-                index += 1
-            if index < len(lines):
-                self._post_line = index
-            else:
-                post_stores.popleft()
-                self._post_line = 0
-                self._sq -= 1
-        return drained
-
-    # --------------------------------------------------------------- commit --
-
-    def _commit(self, now: float) -> None:
-        engine = self.engine
-        rat = self._rat
-        free = self._free
-        rob_q = self._rob_q
-        observer = self.observer
-        committed = loads = 0
-        for _ in range(self._commit_width):
-            if not rob_q:
-                break
-            op = rob_q[0]
-            if op.complete is None or op.complete > now - 1:
-                break
-            rob_q.popleft()
-            committed += 1
-            dyn = op.dyn
-            dec = op.dec
-            if observer is not None:
-                observer("commit", dyn, now)
-            for bank, count in op.allocs:
-                free[bank] += count
-            if op.is_load:
-                loads += 1
-            if op.is_store:
-                # The store drains to the L1 after commit; its SQ entry is
-                # freed once the L1 accepts it (flow control).
-                self._post_stores.append(op)
-            for key in dec.dest_keys:
-                if rat[key] is op:
-                    rat[key] = None
-            if engine is not None:
-                if dyn.cfg_uid is not None:
-                    # The register now (architecturally) aliases this
-                    # configuration; commit order is program order, so
-                    # this is exactly the "latest config with sequence
-                    # <= any later stop" mapping.
-                    self._stream_alias[
-                        self.stream_infos[dyn.cfg_uid].reg
-                    ] = dyn.cfg_uid
-                if op.stream_waits:
-                    for (stream, chunk, last) in op.stream_waits:
-                        if last:
-                            engine.commit_read(stream, chunk)
-                if op.store_streams:
-                    for (stream, chunk, last) in op.store_streams:
-                        if last:
-                            engine.commit_write(stream, chunk, now)
-                if dec.stop_reg >= 0:
-                    # Terminate only the stream the register aliases at
-                    # this point in program order — never streams
-                    # configured later that reuse the register.
-                    uid = self._stream_alias.pop(dec.stop_reg, None)
-                    if uid is not None:
-                        engine.terminate(uid)
-        self._rob -= committed
-        self._lq -= loads
-        self.stats.committed += committed

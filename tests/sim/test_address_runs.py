@@ -293,29 +293,64 @@ def test_run_lines_on_edge_runs(addrs, line_bytes):
         list(addrs), line_bytes)
 
 
-def test_rename_lines_match_the_per_element_loops(recorded):
-    """The lines rename gives each load and store, on a timed run."""
+def renamed_ops(recorded):
+    """Every op rename dispatched, in rename order, over the first 12
+    recordings timed on their default machine: the op the ``rename``
+    observer event has just appended to the ROB."""
     seen = []
-
-    class Probe(Pipeline):
-        def _rename(self, now):
-            window = list(self._decode)[: self._fetch_width]
-            renamed, cause = super()._rename(now)
-            seen.extend(window[:renamed])
-            return renamed, cause
-
     for _, rec in recorded[:12]:
         config = MachineConfig(streaming=bool(rec.summary.streams))
-        Probe(config, MemoryHierarchy(config), dict(rec.summary.streams)).run(
-            rec.trace
+        pipeline = Pipeline(
+            config, MemoryHierarchy(config), dict(rec.summary.streams)
         )
-    assert seen
+        rob_q = pipeline._rob_q
+
+        def observe(event, dyn, cycle, rob_q=rob_q):
+            if event == "rename":
+                seen.append(rob_q[-1])
+
+        pipeline.observer = observe
+        pipeline.run(rec.trace)
+    return seen
+
+
+def rename_line_mismatches(ops):
+    """Loads and stores whose ``mem_lines`` from rename differ from the
+    per-element derivation of their recorded addresses."""
     line_bytes = MachineConfig().l1d.line_bytes
-    for op in seen:
+    wrong = []
+    for op in ops:
         dyn = op.dyn
         if op.dec.is_store:
-            assert list(op.mem_lines) == ref_store_lines(
-                list(dyn.mem_writes or ()), line_bytes), dyn
+            want = ref_store_lines(list(dyn.mem_writes or ()), line_bytes)
         elif op.dec.is_load:
-            assert list(op.mem_lines) == ref_load_lines(
-                list(dyn.mem_reads or ()), line_bytes), dyn
+            want = ref_load_lines(list(dyn.mem_reads or ()), line_bytes)
+        else:
+            continue
+        if list(op.mem_lines) != want:
+            wrong.append(dyn)
+    return wrong
+
+
+def test_rename_lines_match_the_per_element_loops(recorded):
+    """The lines rename gives each load and store, on a timed run."""
+    ops = renamed_ops(recorded)
+    assert any(op.dec.is_load for op in ops)
+    assert any(op.dec.is_store for op in ops)
+    assert rename_line_mismatches(ops) == []
+
+
+def test_rename_lines_check_sees_one_dropped_line(recorded, monkeypatch):
+    """The check above fails when rename gives one load one line too
+    few."""
+    dropped = []
+
+    def drop_one_line(addrs, line_bytes):
+        lines = list(read_lines(addrs, line_bytes))
+        if not dropped and len(lines) > 1:
+            dropped.append(lines.pop())
+        return lines
+
+    monkeypatch.setattr("repro.cpu.pipeline.read_lines", drop_one_line)
+    assert len(rename_line_mismatches(renamed_ops(recorded))) == 1
+    assert dropped

@@ -2,7 +2,7 @@
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
-from repro.harness import extensions, fig8, overheads, sensitivity
+from repro.harness import ablations, extensions, fig8, overheads, sensitivity
 from repro.harness.report import ExperimentResult
 from repro.harness.runner import Records, Runner, RunRecord, RunSpec
 
@@ -47,6 +47,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
                          extensions.vector_length_sweep_specs),
     "ext-shared-fifo": Experiment(extensions.shared_fifo,
                                   extensions.shared_fifo_specs),
+    "ablation-scheduler": Experiment(ablations.scheduler,
+                                     ablations.scheduler_specs),
+    "ablation-spm": Experiment(ablations.spm, ablations.spm_specs),
+    "ablation-prefetch": Experiment(ablations.prefetch,
+                                    ablations.prefetch_specs),
+    "ablation-mac-forwarding": Experiment(ablations.mac_forwarding,
+                                          ablations.mac_forwarding_specs),
 }
 
 

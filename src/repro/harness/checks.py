@@ -254,6 +254,33 @@ def validate_results(path: str) -> CheckReport:
                 f"ext-rvv: UVE at least matches RVV on {row[0]}",
             )
 
+    if "ext-vl" in exps:
+        for row in exps["ext-vl"]["rows"]:
+            label = " ".join(str(cell) for cell in row[:2])
+            if _wide_enough(report, row, 5, f"ext-vl {label}"):
+                report.check(row[4] == "1.00x",
+                             f"ext-vl: 512b is the baseline for {label}")
+
+    if "ext-shared-fifo" in exps:
+        for row in exps["ext-shared-fifo"]["rows"]:
+            if _wide_enough(report, row, 4, f"ext-shared-fifo {row[0]}"):
+                report.check(_speedup(row[3]) > 0.9,
+                             f"ext-shared-fifo: pooling keeps {row[0]} fed")
+
+    if "ablation-prefetch" in exps:
+        for row in exps["ablation-prefetch"]["rows"]:
+            if _wide_enough(report, row, 3, f"ablation-prefetch {row[0]}"):
+                report.check(_speedup(row[2]) >= _speedup(row[1]) - 0.5,
+                             f"ablation-prefetch: {row[0]} keeps UVE's lead")
+
+    if "ablation-mac-forwarding" in exps:
+        for row in exps["ablation-mac-forwarding"]["rows"]:
+            label = " ".join(str(cell) for cell in row[:2])
+            if _wide_enough(report, row, 5,
+                            f"ablation-mac-forwarding {label}"):
+                report.check(_speedup(row[4]) >= 0.99,
+                             f"ablation-mac-forwarding: never slows {label}")
+
     return report
 
 

@@ -8,7 +8,8 @@ heartbeats while simulating, and if the worker dies (crash, SIGKILL, OOM)
 the lease simply expires and the next ``requeue_expired`` moves the job
 back to pending — a killed worker loses nothing.  Failures retry with
 exponential backoff up to ``max_attempts``, after which the job is marked
-``dead`` (terminal, surfaced to the client rather than looping forever).
+``dead`` (terminal, surfaced to the client rather than looping forever),
+as is a job whose lease expires on its last attempt.
 
 Job lifecycle::
 
@@ -207,11 +208,12 @@ class JobQueue:
                 )
 
     def requeue_expired(self) -> int:
-        """Return expired leases to pending (the crash-recovery path)."""
+        """Return expired leases to pending (the crash-recovery path); a
+        lease that expired on the job's last attempt marks it dead."""
         now = self.clock()
         with self._txn() as cur:
             cur.execute(
-                "SELECT key, worker FROM jobs "
+                "SELECT key, worker, attempts FROM jobs "
                 "WHERE status = 'leased' AND lease_expiry < ?",
                 (now,),
             )
@@ -219,13 +221,24 @@ class JobQueue:
             if not expired:
                 return 0
             cur.execute(
+                "UPDATE jobs SET status = 'dead', finished_at = ?, "
+                "error = 'lease expired: worker ' || worker || ' lost' "
+                "WHERE status = 'leased' AND lease_expiry < ? "
+                "AND attempts >= ?",
+                (now, now, self.max_attempts),
+            )
+            cur.execute(
                 "UPDATE jobs SET status = 'pending', worker = NULL, "
                 "lease_expiry = NULL, requeues = requeues + 1 "
                 "WHERE status = 'leased' AND lease_expiry < ?",
                 (now,),
             )
-        for key, worker in expired:
-            self._event("requeued", key, lost_worker=worker)
+        for key, worker, attempts in expired:
+            if attempts >= self.max_attempts:
+                self._event("failed", key, lost_worker=worker,
+                            status="dead", attempts=attempts)
+            else:
+                self._event("requeued", key, lost_worker=worker)
         return len(expired)
 
     def release_stale_leases(self) -> int:

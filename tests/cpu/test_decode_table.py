@@ -1,10 +1,10 @@
 """The timing model decodes each static instruction once per Pipeline.
 
 Latencies and MAC accumulator forwarding are per config, and the
-campaign executor, the fuzz oracle, the bench harness and the fast-path
-tests time one recording (the same Instruction and DynOp objects) under
-several configs.  A decode cached on the instruction, the dynamic op or
-a module global would time one config with another's latencies.
+campaign executor, the fuzz oracle and the fast-path tests time one
+recording (the same Instruction and DynOp objects) under several
+configs.  A decode cached on the instruction, the dynamic op or a module
+global would time one config with another's latencies.
 """
 from dataclasses import replace
 

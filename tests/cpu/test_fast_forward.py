@@ -65,7 +65,12 @@ class TestStatsEquivalence:
         "kernel_name,isa",
         [
             ("stream", "uve"),  # streaming-engine bound
+            ("memcpy", "uve"),
+            ("saxpy", "uve"),
             ("memcpy", "sve"),  # load/store bound, no engine
+            ("gemm", "sve"),  # 2-D
+            ("irsmk", "uve"),  # indirect streams
+            ("floyd-warshall", "sve"),  # the starred scalar kernel
         ],
     )
     def test_kernel_stats_identical(self, kernel_name, isa):

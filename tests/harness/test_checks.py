@@ -69,6 +69,39 @@ class TestValidateResults:
         report = validate_results(write(tmp_path, good_payload))
         assert not report.ok
 
+    @pytest.mark.parametrize("name,good,bad", [
+        # the 512-bit column is what ext-vl normalises to
+        ("ext-vl", ["saxpy", "uve", "0.28x", "0.55x", "1.00x", "1.20x"],
+         ["saxpy", "sve", "0.30x", "0.56x", "0.98x", "1.10x"]),
+        # pooled FIFOs must not starve a stream
+        ("ext-shared-fifo", ["gemm", 12059, 11990, "1.006x"],
+         ["mamr", 9000, 34000, "0.265x"]),
+        # UVE keeps its advantage when SVE loses its prefetchers
+        ("ablation-prefetch", ["memcpy", "1.52x", "2.46x"],
+         ["saxpy", "1.55x", "1.04x"]),
+        # MAC forwarding never slows a run
+        ("ablation-mac-forwarding", ["gemm", "sve", 13998, 9882, "1.417x"],
+         ["haccmk", "uve", 14795, 15000, "0.986x"]),
+    ])
+    def test_extension_and_ablation_claims(
+        self, tmp_path, good_payload, name, good, bad
+    ):
+        good_payload["experiments"].append({
+            "experiment": name, "title": "", "headers": [],
+            "rows": [good], "notes": [],
+        })
+        assert validate_results(write(tmp_path, good_payload)).ok
+        good_payload["experiments"][-1]["rows"].append(bad)
+        report = validate_results(write(tmp_path, good_payload))
+        assert len(report.failed) == 1
+        assert report.failed[0].startswith(f"{name}: ")
+        assert str(bad[0]) in report.failed[0]
+        # A truncated row is a named failure, not a crash.
+        good_payload["experiments"][-1]["rows"] = [bad[:2]]
+        report = validate_results(write(tmp_path, good_payload))
+        assert len(report.failed) == 1
+        assert report.failed[0].startswith(f"{name} {bad[0]}")
+
     def test_missing_experiments_are_skipped(self, tmp_path):
         report = validate_results(
             write(tmp_path, {"scale": 1, "seed": 0, "experiments": []})

@@ -151,9 +151,9 @@ class TestRunLists:
         assert harness_main(["--scale", str(SCALE), "--jobs", "1",
                              "--cache-dir", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert len(keys) == len(specs) == 164
-        assert "campaign: 125 runs" in err
-        assert "(0 simulated, 125 from disk cache;" in err
+        assert len(keys) == len(specs) == 196
+        assert "campaign: 141 runs" in err
+        assert "(0 simulated, 141 from disk cache;" in err
 
 
 class TestDiskCacheLifecycle:

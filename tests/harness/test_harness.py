@@ -115,7 +115,8 @@ class TestRegistry:
         expected = {
             "table1", "fig8-table", "fig8a", "fig8b", "fig8c", "fig8d",
             "fig8e", "fig9", "fig10", "fig11", "overheads",
-            "ext-rvv", "ext-vl", "ext-shared-fifo",
+            "ext-rvv", "ext-vl", "ext-shared-fifo", "ablation-scheduler",
+            "ablation-spm", "ablation-prefetch", "ablation-mac-forwarding",
         }
         assert expected == set(EXPERIMENTS)
 

@@ -86,6 +86,26 @@ class TestLeaseLifecycle:
         assert queue.get("k1").status == "done"
         assert queue.get("k1").requeues == 1
 
+    def test_job_that_kills_every_worker_ends_dead(self, queue, clock):
+        """A lease that expires on the last of ``max_attempts`` marks
+        the job dead, naming the lost worker, instead of requeueing it
+        forever; the first two expiries requeue it."""
+        queue.submit("k1", "p1")
+        for attempt, status in ((1, "pending"), (2, "pending"),
+                                (3, "dead")):
+            assert queue.lease(f"w{attempt}").attempts == attempt
+            clock.advance(11.0)
+            assert queue.requeue_expired() == 1
+            assert queue.get("k1").status == status
+        job = queue.get("k1")
+        assert (job.attempts, job.requeues) == (3, 2)
+        assert "w3" in job.error
+        assert queue.drained()
+        assert queue.lease("w4") is None
+        last = queue.events()[-1]
+        assert (last["event"], last["status"], last["lost_worker"]) == \
+            ("failed", "dead", "w3")
+
     def test_zombie_worker_cannot_double_complete(self, queue, clock):
         """w0 loses its lease mid-run; when it comes back, heartbeat and
         complete both refuse rather than racing the new owner."""
